@@ -1018,12 +1018,16 @@ let engine_opcheck () =
    CROWDMAX_OPCHECK_PRINT=1 after an intentional planner change. *)
 
 let planner_opcheck_cold_expected =
-  (* c0, b, states_visited, memo_hits, memo_misses, ub_pruned_branches *)
+  (* c0, b, states_visited, memo_hits, memo_misses, ub_pruned_branches.
+     The last row is a lean budget (2 c0) at c0=1000: the round-count
+     bound settles ~10^2 states there against 84283 without it, so a
+     refactor that silently disables the bound fails this pin loudly. *)
   [
-    (40, 108, 2, 1, 2, 32);
-    (200, 1600, 2, 1, 2, 178);
-    (500, 999, 44887, 1490593, 44887, 2046204);
-    (500, 4000, 6, 1, 6, 541);
+    (40, 108, 1, 1, 1, 30);
+    (200, 1600, 1, 1, 1, 182);
+    (500, 999, 4, 4, 4, 878);
+    (500, 4000, 1, 1, 1, 461);
+    (1000, 2000, 127, 184, 127, 46662);
   ]
 
 (* c0=300: first budget is binding (c0*2 - 1), the middle ones span the
@@ -1035,7 +1039,7 @@ let planner_opcheck_sweep_budgets = [ 599; 1200; 2400; 4800; 1200 ]
 let planner_opcheck_sweep_expected =
   (* states_visited, memo_hits, memo_misses, ub_pruned_branches,
      plan_cache_hits, plan_cache_misses — totals over the sweep *)
-  (18939, 422884, 18939, 501583, 4, 1)
+  (7, 10, 7, 1311, 4, 1)
 
 let planner_opcheck () =
   section "planner operation-count gate (deterministic DP counters)";

@@ -40,7 +40,10 @@ let checked_latency_of fn latency q =
      unboxed float array ([lat]) and an int array ([nxt]) — no tuple or
      option allocation on the probe path;
    - the work stack: frames of the explicit DFS that replaces the
-     recursive [ol], depth <= capacity.
+     recursive [ol], depth <= capacity;
+   - [qmin]/[smin]: the domain's round-count table and this model's
+     suffix minima over it, for the linear-model pruning bound (both
+     [||] when the bound does not apply).
 
    Budget-constrained DP states OL(c, q) do not depend on the instance's
    own c0 (only on the model), so a cache built for capacity [k] is
@@ -54,6 +57,8 @@ type cache = {
   mutable ub_next : int array;
   mutable ch2 : int array;
   mutable lq : float array;  (* [||] for linear models: L is inlined *)
+  mutable qmin : int array array;  (* the domain's Qmin table, rows r *)
+  mutable smin : float array;  (* [||] unless the round bound applies *)
   mutable keys : int array;
   mutable lat : float array;
   mutable nxt : int array;
@@ -81,6 +86,8 @@ module Cache = struct
       ub_next = [||];
       ch2 = [||];
       lq = [||];
+      qmin = [||];
+      smin = [||];
       keys = [||];
       lat = [||];
       nxt = [||];
@@ -103,6 +110,8 @@ module Cache = struct
     t.ub_next <- [||];
     t.ch2 <- [||];
     t.lq <- [||];
+    t.qmin <- [||];
+    t.smin <- [||];
     t.keys <- [||];
     t.lat <- [||];
     t.nxt <- [||];
@@ -168,6 +177,140 @@ let bits_for n =
 
 let initial_arena = 4096
 
+(* --- the round-count lower bound (linear models) ------------------------ *)
+
+(* Qmin_r(c): the fewest questions that take c candidates to 1 in at most
+   r rounds. Row 1 is choose2 c (one round asks every pair); row r >= 2
+   is min over c' < c of Q(c, c') + Qmin_{r-1}(c'). Every plan needs
+   c - 1 questions (each loser loses once), and the knockout plan
+   reaches that floor in log2_ceil c rounds, so a table covering
+   capacity k has rows 1..log2_ceil k (index 0 is unused) and any row
+   r >= log2_ceil c holds c - 1 without a scan.
+
+   The table depends on nothing but [Tournament.questions], so each
+   domain builds it once and shares it across every solve and every
+   cache it runs: [qmin_key] holds the largest table built so far, and a
+   larger instance rebuilds it at the next power-of-two multiple of the
+   old capacity (release build on a 2.1 GHz Xeon: ~2 ms at 512, ~7 ms
+   at 1024, ~30 ms at 2048). Entries never change with capacity, so a
+   cache keeps whichever table it was built with. *)
+let build_qmin cap =
+  let rows = Ints.log2_ceil cap + 1 in
+  let qm = Array.make rows [||] in
+  qm.(1) <- Array.init (cap + 1) Ints.choose2;
+  for r = 2 to rows - 1 do
+    let prev = qm.(r - 1) in
+    let row = Array.init (cap + 1) (fun c -> max 0 (c - 1)) in
+    (* below 2^r the knockout floor c - 1 is already exact *)
+    for c = (1 lsl r) + 1 to cap do
+      (* The ub build's constant-quotient runs, taken from c' = c - 1
+         down: cheap rounds come first, so the incumbent is near the
+         optimum early. Q falls and Qmin_{r-1} rises along a run, so
+         Q(c, hi) + Qmin_{r-1}(lo) bounds a whole run from below, and
+         once Q(c, hi) alone reaches the incumbent every smaller c',
+         asking more questions still, is out too. *)
+      let best = ref max_int in
+      let hi = ref (c - 1) in
+      while !hi >= 1 do
+        let v = c / !hi in
+        let lo = (c / (v + 1)) + 1 in
+        let step = Ints.choose2 v - (v * v) in
+        let qhi = (c * v) + (!hi * step) in
+        if qhi >= !best then hi := 0
+        else begin
+          if qhi + Array.unsafe_get prev lo < !best then begin
+            let q = ref ((c * v) + (lo * step)) in
+            for i = lo to !hi do
+              let cand = !q + Array.unsafe_get prev i in
+              if cand < !best then best := cand;
+              q := !q + step
+            done
+          end;
+          hi := lo - 1
+        end
+      done;
+      row.(c) <- !best
+    done;
+    qm.(r) <- row
+  done;
+  qm
+
+let qmin_key = Domain.DLS.new_key (fun () -> [||])
+
+let qmin_table n =
+  let qm = Domain.DLS.get qmin_key in
+  let cap = if Array.length qm = 0 then 0 else Array.length qm.(1) - 1 in
+  if cap >= n then qm
+  else begin
+    let cap = ref (max 64 cap) in
+    while !cap < n do
+      cap := 2 * !cap
+    done;
+    let qm = build_qmin !cap in
+    Domain.DLS.set qmin_key qm;
+    qm
+  end
+
+let min_questions ~rounds c =
+  if c < 1 || rounds < 1 then
+    invalid_arg "Tdp.min_questions: need c >= 1 and rounds >= 1";
+  let qm = qmin_table c in
+  qm.(min rounds (Array.length qm - 1)).(c)
+
+(* The smallest round count r >= 1 whose Qmin_r(c) fits in q; callers
+   guarantee q >= c - 1, which the row log2_ceil c always admits. *)
+let rounds_needed qm c q =
+  let r = ref 1 in
+  while Array.unsafe_get (Array.unsafe_get qm !r) c > q do
+    incr r
+  done;
+  !r
+[@@alloc_free]
+
+(* A linear plan of R rounds and Q questions costs R delta + alpha Q, so
+   with delta, alpha >= 0 the exact optimum is
+     OL(c, q) = min over R >= rounds_needed c q of R delta + alpha Qmin_R(c)
+   (fewer rounds never cost more when delta >= 0). The DP's float sums
+   differ from this real value by at most ~(R + 2) 2^-53 relative — for
+   normal, finite operands; subnormal parameters or an overflowing plan
+   cost would void that, so they simply keep the bound off. [lb_margin]
+   sits six orders of magnitude above that rounding, which is what lets
+   the scan use the bound to prune without ever changing a value or a
+   tie-break (see the DP scan in [solve]). *)
+let lb_margin = 1e-9
+
+let round_bound_applies ~delta ~alpha c0 =
+  let normal x = Float.equal x 0.0 || x >= Float.min_float in
+  normal delta && normal alpha
+  && Float.is_finite
+       (float_of_int c0
+       *. (delta +. (alpha *. float_of_int (Ints.choose2 c0))))
+
+(* smin.(c * smin_stride c0 + r) = min over R >= r of R delta + alpha
+   Qmin_R(c): the suffix minimum that turns a point bound lookup into
+   [rounds_needed] plus one load. Laid out c-major in one array, and
+   filled only for r <= log2_ceil c — the largest [rounds_needed] can
+   return, and past it Qmin stays c - 1 while R delta only grows. O(c0
+   log c0) per rebuild. *)
+let smin_stride c0 = Ints.log2_ceil c0 + 1
+
+let build_smin qm ~delta ~alpha c0 =
+  let stride = smin_stride c0 in
+  let sm = Array.make ((c0 + 1) * stride) 0.0 in
+  let top = ref 1 in
+  for c = 2 to c0 do
+    if c > 1 lsl !top then incr top;
+    let acc = ref infinity in
+    for r = !top downto 1 do
+      let v =
+        (float_of_int r *. delta) +. (alpha *. float_of_int qm.(r).(c))
+      in
+      if v < !acc then acc := v;
+      sm.((c * stride) + r) <- !acc
+    done
+  done;
+  sm
+
 let rebuild_tables t latency_of mdl c0 =
   let qmax = Ints.choose2 c0 in
   let qbits = bits_for (max 1 (qmax - 1)) in
@@ -208,6 +351,14 @@ let rebuild_tables t latency_of mdl c0 =
     | None -> Array.make (qmax + 1) Float.nan
   in
   t.lq <- lq;
+  (match mdl with
+  | Model.Linear { delta; alpha } when round_bound_applies ~delta ~alpha c0 ->
+      let qm = qmin_table c0 in
+      t.qmin <- qm;
+      t.smin <- build_smin qm ~delta ~alpha c0
+  | _ ->
+      t.qmin <- [||];
+      t.smin <- [||]);
   (* Run-level pruning below is sound only while [ub] is non-decreasing
      on the prefix built so far and L is non-decreasing in q (alpha >= 0
      for a linear model — the theory's standing assumption, but cheap to
@@ -379,6 +530,11 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
      the table build's: L non-decreasing (alpha >= 0) and ub
      non-decreasing (verified during the build). *)
   let dp_prune = lin && lin_a >= 0.0 && t.mono in
+  (* The round-count bound (linear models with delta, alpha >= 0; [smin]
+     is [||] otherwise). *)
+  let qm = t.qmin and sm = t.smin and stride = smin_stride t.capacity in
+  let lb_on = Array.length sm > 0 in
+  let lb_lo = 1.0 -. lb_margin and lb_hi = 1.0 +. lb_margin in
   let st_c = t.st_c and st_q = t.st_q and st_i = t.st_i in
   let st_best = t.st_best and st_next = t.st_next in
   let sp = ref 0 in
@@ -391,8 +547,9 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
   let returning = ref false in
   (* The explicit-stack DFS: frames visit candidates c' = 1..c-1 in the
      exact order, with the exact guards and strict-< tie-breaks, of the
-     recursive formulation, so values, decisions and counters are
-     bit-identical to it. A frame suspends when it needs an unsettled
+     recursive formulation, so values and decisions are bit-identical
+     to it (and so are the counters, unless the round-count bound
+     skips children). A frame suspends when it needs an unsettled
      child state; a settled frame writes the arena and resumes its
      parent through [ret_lat]/[ret_next]. *)
   let run_stack () =
@@ -402,6 +559,15 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
       let q = Array.unsafe_get st_q f in
       let best = ref (Array.unsafe_get st_best f) in
       let bnext = ref (Array.unsafe_get st_next f) in
+      (* The frame's own optimum, from above: the exact OL(c, q) plus the
+         margin. No candidate whose lower bound exceeds it can be the
+         frame's minimum. *)
+      let ceiling =
+        if lb_on then
+          Array.unsafe_get sm ((c * stride) + rounds_needed qm c q)
+          *. lb_hi
+        else infinity
+      in
       let i = ref 1 in
       if !returning then begin
         (* the child the frame suspended on just settled *)
@@ -439,14 +605,19 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
         if q - qhi - hi + 1 < 0 then i := hi + 1
         else if
           dp_prune
-          && lin_d +. (lin_a *. float_of_int qhi) +. Array.unsafe_get ub lo
-             >= !best
+          &&
+          let bound =
+            lin_d +. (lin_a *. float_of_int qhi) +. Array.unsafe_get ub lo
+          in
+          bound >= !best || bound > ceiling
         then begin
           (* L(Q) is minimal at hi and ub at lo, so every guard-passing
-             candidate in the run has round +. ub.(c') >= this bound
-             >= best: the per-pair scan would prune each one. Count
-             them in closed form so [ub_pruned_branches] stays
-             bit-identical to the unskipped scan. *)
+             candidate in the run has round +. ub.(c') >= this bound:
+             either >= best, so the per-pair scan would prune each one,
+             or above the frame's optimum (the round-count ceiling), so
+             none of them can be its minimum. Count the guard-passing
+             ones in closed form, as the per-pair scan would count the
+             branches it prunes. *)
           let g_lo = q - qlo - lo + 1 in
           let s = -step - 1 in
           let cnt =
@@ -477,6 +648,24 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
                 best := round +. bound;
                 bnext := c'
               end
+              else if
+                lb_on
+                &&
+                let low =
+                  round
+                  +. Array.unsafe_get sm
+                       ((c' * stride) + rounds_needed qm c' rem)
+                     *. lb_lo
+                in
+                low >= !best || low > ceiling
+              then
+                (* The round-count bound rules the child out: its DP value
+                   is at least [low] (the margin covers the float sums'
+                   rounding), so it either cannot beat the incumbent
+                   under strict < or lies strictly above the frame's
+                   optimum — never the first argmin. Not probed, not
+                   settled; value and decision stay bit-identical. *)
+                incr pruned
               else begin
                 let k = (c' lsl qbits) lor rem in
                 let s = find_slot t.keys t.mask k in
@@ -573,8 +762,9 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
   let sequence = rebuild c0 q0 [ c0 ] in
   let allocation = Allocation.of_count_sequence sequence in
   (* [states_visited] counts the states this solve settled (every miss
-     settles exactly one): on a fresh solve this equals the historical
-     memo size; on a cache-warm solve it is the incremental work only. *)
+     settles exactly one): on a fresh solve at most the seed solver's
+     memo size (equal outside the round-count bound); on a cache-warm
+     solve it is the incremental work only. *)
   let new_states = t.count - count0 in
   Metrics.incr (Metrics.counter metrics ~section:"planner" "plans");
   Metrics.add m_hits !hits;

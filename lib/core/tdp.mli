@@ -26,7 +26,18 @@
     [L(q)] is inlined for linear models and memoized into a float array
     for the rest. {!Cache} exposes the working state as a reusable
     handle so budget sweeps and re-plans skip the table build and
-    explore only unsettled states. *)
+    explore only unsettled states.
+
+    For a [Linear] model with [delta, alpha >= 0] (the paper's L(q),
+    every [Estimate] fit, [Contention.effective]) a plan of R rounds and
+    Q questions costs [R delta + alpha Q], so the exact optimum of any
+    state is a lookup in the {!min_questions} table. The scan uses that
+    value only as a pruning bound, with a relative margin far above the
+    float sums' rounding: a child whose bound cannot beat the incumbent,
+    or lies above its parent's own optimum, is never probed. The float
+    DP, its scan order and its tie-breaks are untouched, so solutions
+    stay bit-identical while a cold solve settles a handful of states
+    instead of tens of thousands. *)
 
 type solution = {
   sequence : int list;  (** (c_i): [elements] down to 1 *)
@@ -34,10 +45,12 @@ type solution = {
   latency : float;  (** optimal objective value, seconds *)
   questions_used : int;  (** may be below the budget (Sec. 6.5) *)
   states_visited : int;
-      (** constrained DP states this solve settled (= its memo misses).
-          Without a cache this is the historical "memo entries created";
-          against a warm {!Cache} it is the incremental work only, and 0
-          when every state was already settled. Fig. 15 diagnostics. *)
+      (** constrained DP states this solve settled (= its memo misses),
+          at most the seed solver's memo size for the same problem:
+          equal to it for models outside the round-count bound, usually
+          far below it for linear ones. Against a warm {!Cache} it is
+          the incremental work only, and 0 when every state was already
+          settled. Fig. 15 diagnostics. *)
 }
 
 (** A reusable planner cache: the [ub]/[ub_next] unconstrained tables,
@@ -94,8 +107,9 @@ val solve :
     [metrics] (default disabled) registers planner instruments in the
     ["planner"] section: [plans], [states_visited], [memo_hits] /
     [memo_misses] (hits include the sequence-reconstruction replay),
-    [ub_pruned_branches] (branches whose unconstrained lower bound
-    could not beat the incumbent), [plan_cache_hits] /
+    [ub_pruned_branches] (branches a lower bound — the unconstrained
+    optimum, or for linear models the round-count bound — showed
+    could not be the optimum), [plan_cache_hits] /
     [plan_cache_misses] (cache reuses/rebuilds — recorded only when
     [cache] is supplied), and the [plan_seconds] real-time span. All
     counters are pure functions of the problem and cache state, so they
@@ -108,11 +122,24 @@ val solve :
 val optimal_latency : Problem.t -> float
 (** Just the objective value. *)
 
+val min_questions : rounds:int -> int -> int
+(** [min_questions ~rounds c] is Qmin_r(c): the fewest questions that
+    reduce [c] candidates to 1 in at most [rounds] rounds — row 1 is
+    [choose2 c], and every row from [log2_ceil c] on is [c - 1] (the
+    knockout plan). A pure function of
+    {!Crowdmax_tournament.Tournament.questions}, read from the calling
+    domain's table (built on first use, grown by doubling). For a
+    [Linear] model with [delta, alpha >= 0] and [c >= 2],
+    [OL(c, q) = min { R delta + alpha Qmin_R(c) | Qmin_R(c) <= q }],
+    which {!solve} uses as its pruning bound. Raises [Invalid_argument]
+    unless [c >= 1] and [rounds >= 1]. *)
+
 val solve_hashtbl : Problem.t -> solution
 (** The pre-arena solver: boxed [Hashtbl] memo over [(int * int)] keys,
-    recursive [ol]. Identical answers (the equivalence properties pin
-    this); kept as the baseline the planner bench measures the flat
-    arena against and as a reference oracle in tests. *)
+    recursive [ol], no round-count bound. Identical answers (the
+    equivalence properties pin this); kept as the baseline the planner
+    bench measures the flat arena against and as a reference oracle in
+    tests. *)
 
 val solve_bottom_up : Problem.t -> solution
 (** Reference implementation filling the full [b x c0] table (no

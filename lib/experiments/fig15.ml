@@ -81,7 +81,7 @@ let print_grid ~title ~value t =
                    (fun p -> p.elements = c && p.budget_multiple = m)
                    t.points
                with
-               | Some p -> Printf.sprintf "%.3f" (value p)
+               | Some p -> Printf.sprintf "%.4f" (1000.0 *. value p)
                | None -> "-")
              sizes
       in
@@ -90,10 +90,10 @@ let print_grid ~title ~value t =
   Table.print table
 
 let print t =
-  print_grid ~title:"Fig 15: tDP running time (s) vs budget multiple"
+  print_grid ~title:"Fig 15: tDP running time (ms) vs budget multiple"
     ~value:(fun p -> p.seconds)
     t;
   print_grid
-    ~title:"Fig 15 (warm): re-solve against a primed plan cache (s)"
+    ~title:"Fig 15 (warm): re-solve against a primed plan cache (ms)"
     ~value:(fun p -> p.warm_seconds)
     t

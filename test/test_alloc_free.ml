@@ -108,23 +108,26 @@ let test_int_kernels () =
    with the work done inside the [@@alloc_free] loops. *)
 
 let test_tdp_solve_bounded () =
-  (* Same c0, wildly different DP work: 44887 settled states at the
-     tight budget vs 6 at the loose one. The per-solve setup (latency
+  (* Same c0, wildly different DP work: tens of thousands of settled
+     states at the tight budget vs a handful at the loose one. The model
+     is a power L, outside the linear round-count bound, so the tight
+     solve still walks the whole DP. The per-solve setup (latency
      tables, ub table, arena — rebuilt each uncached solve, boxed
      latency evals and all) is identical between the two, so the
      difference isolates what the [@@alloc_free] run_stack loop itself
-     allocates: one 2-word float box per state would show as ~90k
-     words. Measured delta on the dev profile: ~68 words. *)
-  let solve_words c0 b =
-    let p = Problem.create ~elements:c0 ~budget:b ~latency:Model.paper_mturk in
+     allocates: one 2-word float box per state would show as ~10^5
+     words. *)
+  let solve_words model c0 b =
+    let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
     let sol = Tdp.solve p in
     (sol.Tdp.states_visited, words_for ~n:1 (fun () -> ignore (Tdp.solve p)))
   in
-  let tight_states, tight_words = solve_words 500 999 in
-  let loose_states, loose_words = solve_words 500 4000 in
-  Alcotest.(check int) "tight solve settles the pinned state count" 44887
+  let power = Model.power ~delta:239.0 ~alpha:0.002 ~p:1.5 in
+  let tight_states, tight_words = solve_words power 500 999 in
+  let loose_states, loose_words = solve_words power 500 4000 in
+  Alcotest.(check int) "tight solve settles the pinned state count" 36096
     tight_states;
-  Alcotest.(check int) "loose solve settles the pinned state count" 6
+  Alcotest.(check int) "loose solve settles the pinned state count" 45
     loose_states;
   let delta = tight_words -. loose_words in
   if delta > 2_048.0 then
@@ -132,7 +135,26 @@ let test_tdp_solve_bounded () =
       "Tdp.solve c0=500: %.0f minor words more at b=999 (%d states) than at \
        b=4000 (%d states) — the run_stack loop is leaking per-state \
        allocations"
-      delta tight_states loose_states
+      delta tight_states loose_states;
+  (* Under the paper's linear L the round-count bound settles the same
+     tight instance in a handful of states. Its own hot path — a
+     [rounds_needed] lookup per surviving candidate — gets the same
+     contrast on a lean c0=1000 pair: 127 settled states, each scanning
+     up to 999 candidates, against 2. *)
+  let linear = Model.paper_mturk in
+  let linear_states, _ = solve_words linear 500 999 in
+  Alcotest.(check int) "linear tight solve settles the pinned state count"
+    4 linear_states;
+  let lean_states, lean_words = solve_words linear 1000 2000 in
+  let roomy_states, roomy_words = solve_words linear 1000 8000 in
+  Alcotest.(check int) "linear lean solve settles the pinned state count" 127
+    lean_states;
+  let delta = lean_words -. roomy_words in
+  if delta > 2_048.0 then
+    Alcotest.failf
+      "Tdp.solve c0=1000: %.0f minor words more at b=2000 (%d states) than \
+       at b=8000 (%d states) — the round-bound scan is allocating"
+      delta lean_states roomy_states
 
 let test_platform_simulate_bounded () =
   let p = Platform.create () in

@@ -441,7 +441,8 @@ let prop_flat_solver_equivalence =
   (* The flat-arena solver, the bottom-up table, and the boxed hashtbl
      reference all compute the same optimum; flat and hashtbl share
      float-for-float the same operations, so those two must agree
-     bit-for-bit, sequence included. *)
+     bit-for-bit, sequence included. The round-count bound may only
+     remove work: flat settles at most the hashtbl memo's states. *)
   Q.Test.make ~name:"flat solver = bottom-up = hashtbl reference" ~count:60
     wide_instance (fun (c0, s) ->
       let p = Problem.create ~elements:c0 ~budget:(c0 - 1 + s) ~latency:model in
@@ -451,8 +452,42 @@ let prop_flat_solver_equivalence =
       flat.Tdp.sequence = boxed.Tdp.sequence
       && Float.equal flat.Tdp.latency boxed.Tdp.latency
       && flat.Tdp.questions_used = boxed.Tdp.questions_used
-      && flat.Tdp.states_visited = boxed.Tdp.states_visited
+      && flat.Tdp.states_visited <= boxed.Tdp.states_visited
       && Float.abs (flat.Tdp.latency -. bu.Tdp.latency) < 1e-9)
+
+let prop_linear_latency_is_round_bound =
+  (* For L(q) = delta + alpha q with delta, alpha >= 0, an R-round plan
+     costs R delta + alpha Q, so the optimum is the best round count's
+     min R delta + alpha Qmin_R(c0) over the R whose Qmin fits the
+     budget. The DP's float sums must land within 1e-9 relative of it
+     (exactly on it when both parameters are 0). *)
+  let param hi = Q.Gen.(oneof [ return 0.0; float_range 0.0 hi ]) in
+  Q.Test.make ~name:"linear tDP latency = round-count optimum" ~count:150
+    (Q.make
+       ~print:(fun (c0, s, d, a) ->
+         Printf.sprintf "(c0=%d, slack=%d, delta=%g, alpha=%g)" c0 s d a)
+       Q.Gen.(
+         int_range 2 200 >>= fun c0 ->
+         int_range 0 3000 >>= fun s ->
+         param 500.0 >>= fun d ->
+         param 3.0 >>= fun a -> return (c0, s, d, a)))
+    (fun (c0, s, delta, alpha) ->
+      let b = c0 - 1 + s in
+      let p =
+        Problem.create ~elements:c0 ~budget:b
+          ~latency:(Model.linear ~delta ~alpha)
+      in
+      let q0 = min b (Ints.choose2 c0) in
+      let best = ref infinity in
+      for r = 1 to max 1 (Ints.log2_ceil c0) do
+        let qm = Tdp.min_questions ~rounds:r c0 in
+        if qm <= q0 then
+          best :=
+            Float.min !best
+              ((float_of_int r *. delta) +. (alpha *. float_of_int qm))
+      done;
+      let got = (Tdp.solve p).Tdp.latency in
+      Float.abs (got -. !best) <= 1e-9 *. !best)
 
 let prop_cached_sweep_equals_fresh =
   (* Interleaved solves over a shuffled budget sweep against one shared
@@ -682,6 +717,7 @@ let suite =
           prop_rng_split_streams_independent;
           prop_selection_rounds_valid;
           prop_flat_solver_equivalence;
+          prop_linear_latency_is_round_bound;
           prop_cached_sweep_equals_fresh;
           prop_piecewise_eval_sane;
           prop_metrics_deterministic;

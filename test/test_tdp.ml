@@ -198,10 +198,10 @@ let test_planner_metrics () =
 (* --- flat arena vs the boxed reference solver --------------------------- *)
 
 (* Bit-identical, not approximately equal: the flat solver keeps the
-   seed's scan order and float operations, so every field must match
-   exactly — including [states_visited], whose cold-solve semantics
-   (states settled = memo misses) coincide with the hashtbl solver's
-   memo size. *)
+   seed's scan order and float operations, so every decision field must
+   match exactly. [states_visited] is checked by the callers: the
+   round-count bound lets linear models settle fewer states than the
+   hashtbl solver's memo, every other model exactly as many. *)
 let check_solutions_identical label (a : Tdp.solution) (b : Tdp.solution) =
   Alcotest.check Alcotest.(list int) (label ^ ": sequence") a.Tdp.sequence
     b.Tdp.sequence;
@@ -227,9 +227,110 @@ let test_flat_matches_hashtbl () =
     check_solutions_identical
       (Printf.sprintf "c0=%d b=%d" c0 b)
       boxed flat;
-    check_int "cold states = hashtbl memo size" boxed.Tdp.states_visited
-      flat.Tdp.states_visited
+    check_bool "cold states <= hashtbl memo size" true
+      (flat.Tdp.states_visited <= boxed.Tdp.states_visited)
   done
+
+let test_flat_matches_hashtbl_unbounded () =
+  (* Models outside the round-count bound (a decreasing linear L, a
+     power L) take the unpruned scan: every state the hashtbl solver
+     memoizes is settled, no more and no fewer. *)
+  let rng = Rng.create 19 in
+  for k = 1 to 40 do
+    let c0 = 2 + Rng.int rng 39 in
+    let b = c0 - 1 + Rng.int rng 1000 in
+    let delta = float_of_int (300 + Rng.int rng 300) in
+    let model =
+      if k mod 2 = 0 then linear delta (-.Rng.float rng 0.3)
+      else Model.power ~delta ~alpha:(0.05 +. Rng.float rng 2.0) ~p:1.5
+    in
+    let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
+    let flat = Tdp.solve p and boxed = Tdp.solve_hashtbl p in
+    let label = Format.asprintf "c0=%d b=%d %a" c0 b Model.pp model in
+    check_solutions_identical label boxed flat;
+    check_int (label ^ ": cold states = hashtbl memo size")
+      boxed.Tdp.states_visited flat.Tdp.states_visited
+  done
+
+(* Qmin_r(c) straight from its definition: the fewest questions over
+   every first step c -> c' followed by an (r-1)-round plan from c'. *)
+let naive_qmin cmax rmax =
+  let inf = max_int / 4 in
+  let t = Array.make_matrix (rmax + 1) (cmax + 1) inf in
+  t.(0).(1) <- 0;
+  for r = 1 to rmax do
+    t.(r).(1) <- 0;
+    for c = 2 to cmax do
+      for c' = 1 to c - 1 do
+        let v = Crowdmax_tournament.Tournament.questions c c' + t.(r - 1).(c') in
+        if v < t.(r).(c) then t.(r).(c) <- v
+      done
+    done
+  done;
+  t
+
+let test_min_questions_table () =
+  let cmax = 150 in
+  let rmax = Ints.log2_ceil cmax + 1 in
+  let naive = naive_qmin cmax rmax in
+  for r = 1 to rmax do
+    for c = 1 to cmax do
+      let got = Tdp.min_questions ~rounds:r c in
+      if got <> naive.(r).(c) then
+        Alcotest.failf "Qmin_%d(%d) = %d, naive recomputation %d" r c got
+          naive.(r).(c);
+      if c > 1 && got < Tdp.min_questions ~rounds:r (c - 1) then
+        Alcotest.failf "Qmin_%d decreases at c=%d" r c;
+      if r > 1 && got > Tdp.min_questions ~rounds:(r - 1) c then
+        Alcotest.failf "Qmin_.(%d) increases at r=%d" c r
+    done
+  done;
+  for c = 1 to cmax do
+    check_int
+      (Printf.sprintf "Qmin_1(%d) = choose2" c)
+      (Ints.choose2 c)
+      (Tdp.min_questions ~rounds:1 c);
+    check_int
+      (Printf.sprintf "last row Qmin(%d) = c - 1" c)
+      (c - 1)
+      (Tdp.min_questions ~rounds:(max 1 (Ints.log2_ceil c)) c)
+  done;
+  Alcotest.check_raises "rounds = 0 rejected"
+    (Invalid_argument "Tdp.min_questions: need c >= 1 and rounds >= 1")
+    (fun () -> ignore (Tdp.min_questions ~rounds:0 5))
+
+let test_cache_across_table_doubling () =
+  (* A fresh domain starts with an empty Qmin table, so this sequence
+     crosses its doublings (64 -> 128 -> 512) at fixed points: the
+     shared cache is built on a small table, the domain's table then
+     grows under an uncached solve, and the cache keeps answering from
+     the table it was built with. Every answer must equal a fresh solve
+     made elsewhere. *)
+  let model = linear 150.0 0.5 in
+  let steps =
+    [
+      (`Cached, 100, 250); (`Fresh, 300, 700); (`Cached, 80, 200);
+      (`Cached, 100, 180); (`Cached, 300, 650); (`Cached, 60, 70);
+    ]
+  in
+  let in_domain () =
+    let cache = Tdp.Cache.create () in
+    List.map
+      (fun (how, c0, b) ->
+        let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
+        match how with
+        | `Cached -> Tdp.solve ~cache p
+        | `Fresh -> Tdp.solve p)
+      steps
+  in
+  let got = Domain.join (Domain.spawn in_domain) in
+  List.iter2
+    (fun (_, c0, b) sol ->
+      let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
+      check_solutions_identical
+        (Printf.sprintf "c0=%d b=%d across doublings" c0 b)
+        (Tdp.solve p) sol)
+    steps got
 
 let test_cached_sweep_bit_identical () =
   (* A shuffled budget sweep against one shared cache must reproduce the
@@ -352,6 +453,11 @@ let suite =
         tc "non-finite L fails loudly" `Quick test_non_finite_latency_fails_loudly;
         tc "planner metrics" `Quick test_planner_metrics;
         tc "flat arena = hashtbl reference" `Slow test_flat_matches_hashtbl;
+        tc "flat = hashtbl outside the round bound" `Slow
+          test_flat_matches_hashtbl_unbounded;
+        tc "Qmin table = naive recomputation" `Quick test_min_questions_table;
+        tc "cache across Qmin table doublings" `Quick
+          test_cache_across_table_doubling;
         tc "cached shuffled sweep bit-identical" `Quick
           test_cached_sweep_bit_identical;
         tc "cache reuse and invalidation" `Quick
