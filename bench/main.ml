@@ -1018,16 +1018,19 @@ let engine_opcheck () =
    CROWDMAX_OPCHECK_PRINT=1 after an intentional planner change. *)
 
 let planner_opcheck_cold_expected =
-  (* c0, b, states_visited, memo_hits, memo_misses, ub_pruned_branches.
-     The last row is a lean budget (2 c0) at c0=1000: the round-count
-     bound settles ~10^2 states there against 84283 without it, so a
-     refactor that silently disables the bound fails this pin loudly. *)
+  (* c0, b, states_visited, memo_hits, memo_misses, ub_pruned_branches,
+     ub_entries. The last row is a lean budget (2 c0) at c0=1000: the
+     round-count bound settles ~10^2 states there against 84283 without
+     it, so a refactor that silently disables the bound fails this pin
+     loudly. ub_entries (Tdp.Cache.ub_entries, not a metrics counter)
+     pins the on-demand unconstrained table: c0 - 1 would mean the
+     eager build came back. *)
   [
-    (40, 108, 1, 1, 1, 30);
-    (200, 1600, 1, 1, 1, 182);
-    (500, 999, 4, 4, 4, 878);
-    (500, 4000, 1, 1, 1, 461);
-    (1000, 2000, 127, 184, 127, 46662);
+    (40, 108, 1, 1, 1, 30, 3);
+    (200, 1600, 1, 1, 1, 182, 6);
+    (500, 999, 4, 4, 4, 878, 5);
+    (500, 4000, 1, 1, 1, 461, 9);
+    (1000, 2000, 127, 184, 127, 46662, 35);
   ]
 
 (* c0=300: first budget is binding (c0*2 - 1), the middle ones span the
@@ -1060,30 +1063,35 @@ let planner_opcheck () =
     end
   in
   List.iter
-    (fun (c0, b, exp_states, exp_hits, exp_misses, exp_pruned) ->
+    (fun (c0, b, exp_states, exp_hits, exp_misses, exp_pruned, exp_ub) ->
       let metrics = Metrics.create () in
+      let cache = Tdp.Cache.create () in
       let sol =
-        Tdp.solve ~metrics (Problem.create ~elements:c0 ~budget:b ~latency:model)
+        Tdp.solve ~metrics ~cache
+          (Problem.create ~elements:c0 ~budget:b ~latency:model)
       in
+      let ub = Tdp.Cache.ub_entries cache in
       let snap = Metrics.snapshot metrics in
       let states = count snap "states_visited" in
       let hits = count snap "memo_hits" in
       let misses = count snap "memo_misses" in
       let pruned = count snap "ub_pruned_branches" in
       if print_mode then
-        Printf.printf "    (%d, %d, %d, %d, %d, %d);\n%!" c0 b states hits
-          misses pruned
+        Printf.printf "    (%d, %d, %d, %d, %d, %d, %d);\n%!" c0 b states hits
+          misses pruned ub
       else begin
         let label = Printf.sprintf "cold c0=%d b=%d" c0 b in
         check label "states_visited" states exp_states;
         check label "memo_hits" hits exp_hits;
         check label "memo_misses" misses exp_misses;
         check label "ub_pruned_branches" pruned exp_pruned;
+        check label "ub_entries" ub exp_ub;
         (* the solve's own accounting must agree with the counter *)
         check label "states_visited(sol)" sol.Tdp.states_visited exp_states;
         if !failures = 0 then
-          Printf.printf "  %s ok: %d states, %d hits, %d misses, %d pruned\n"
-            label states hits misses pruned
+          Printf.printf
+            "  %s ok: %d states, %d hits, %d misses, %d pruned, %d ub entries\n"
+            label states hits misses pruned ub
       end)
     planner_opcheck_cold_expected;
   (* cached sweep: one cache and one metrics registry across all solves *)
@@ -1433,7 +1441,7 @@ let history_counters () =
     engine_opcheck_expected;
   (* planner: the cold opcheck scenarios *)
   List.iter
-    (fun (c0, b, _, _, _, _) ->
+    (fun (c0, b, _, _, _, _, _) ->
       let metrics = Metrics.create () in
       ignore
         (Tdp.solve ~metrics

@@ -25,9 +25,12 @@ let checked_latency_of fn latency q =
 (* The solver's working state, reusable across solves (the plan cache).
 
    Everything here is a pure function of (model, capacity) alone:
-   - [ub]/[ub_next]: unconstrained optima, ub.(c) = OL(choose2 c, c);
+   - [ub]/[ub_next]: unconstrained optima, ub.(c) = OL(choose2 c, c).
+     Models under the round-count bound fill them on demand (NaN =
+     not computed yet, see [force_ub]); every other model builds them
+     eagerly in [eager_ub]. [ub_count] counts the entries computed;
    - [ch2]: choose2 memo; [lq]: L by batch size, filled lazily by the
-     table build for non-linear models — every batch size the DP can
+     eager build for non-linear models — every batch size the DP can
      touch appears as some Q(c, c') the build scans, so the DP reads it
      with a plain load. Linear models never allocate [lq]: L is three
      flops, cheaper inline than a 4 MB table ([lq] stays [||]).
@@ -39,8 +42,9 @@ let checked_latency_of fn latency q =
      states have c >= 3 and hence a positive key). Values live in an
      unboxed float array ([lat]) and an int array ([nxt]) — no tuple or
      option allocation on the probe path;
-   - the work stack: frames of the explicit DFS that replaces the
-     recursive [ol], depth <= capacity;
+   - the work stacks: frames of the explicit DFS that replaces the
+     recursive [ol] ([st_*]), and of the one that forces [ub] entries
+     ([uf_*]); depth <= capacity each;
    - [qmin]/[smin]: the domain's round-count table and this model's
      suffix minima over it, for the linear-model pruning bound (both
      [||] when the bound does not apply).
@@ -53,8 +57,9 @@ type cache = {
   mutable model : Model.t option;  (* None = empty, must rebuild *)
   mutable capacity : int;  (* largest c0 the tables cover *)
   mutable qbits : int;  (* low bits of a packed key hold q *)
-  mutable ub : float array;
+  mutable ub : float array;  (* NaN = not computed yet *)
   mutable ub_next : int array;
+  mutable ub_count : int;  (* ub entries computed *)
   mutable ch2 : int array;
   mutable lq : float array;  (* [||] for linear models: L is inlined *)
   mutable qmin : int array array;  (* the domain's Qmin table, rows r *)
@@ -69,9 +74,12 @@ type cache = {
   mutable st_i : int array;  (* candidate c' a suspended frame waits on *)
   mutable st_best : float array;
   mutable st_next : int array;
+  mutable uf_c : int array;  (* [force_ub] frames; [||] when eager *)
+  mutable uf_i : int array;
+  mutable uf_best : float array;
+  mutable uf_next : int array;
   mutable reuses : int;
   mutable rebuilds : int;
-  mutable mono : bool;  (* ub non-decreasing on [1, capacity]? *)
 }
 
 module Cache = struct
@@ -84,6 +92,7 @@ module Cache = struct
       qbits = 1;
       ub = [||];
       ub_next = [||];
+      ub_count = 0;
       ch2 = [||];
       lq = [||];
       qmin = [||];
@@ -98,38 +107,52 @@ module Cache = struct
       st_i = [||];
       st_best = [||];
       st_next = [||];
+      uf_c = [||];
+      uf_i = [||];
+      uf_best = [||];
+      uf_next = [||];
       reuses = 0;
       rebuilds = 0;
-      mono = true;
     }
 
   let clear t =
-    t.model <- None;
-    t.capacity <- -1;
-    t.ub <- [||];
-    t.ub_next <- [||];
-    t.ch2 <- [||];
-    t.lq <- [||];
-    t.qmin <- [||];
-    t.smin <- [||];
-    t.keys <- [||];
-    t.lat <- [||];
-    t.nxt <- [||];
-    t.mask <- 0;
-    t.count <- 0;
-    t.st_c <- [||];
-    t.st_q <- [||];
-    t.st_i <- [||];
-    t.st_best <- [||];
-    t.st_next <- [||];
-    t.reuses <- 0;
-    t.rebuilds <- 0;
-    t.mono <- true
+    let e = create () in
+    t.model <- e.model;
+    t.capacity <- e.capacity;
+    t.qbits <- e.qbits;
+    t.ub <- e.ub;
+    t.ub_next <- e.ub_next;
+    t.ub_count <- e.ub_count;
+    t.ch2 <- e.ch2;
+    t.lq <- e.lq;
+    t.qmin <- e.qmin;
+    t.smin <- e.smin;
+    t.keys <- e.keys;
+    t.lat <- e.lat;
+    t.nxt <- e.nxt;
+    t.mask <- e.mask;
+    t.count <- e.count;
+    t.st_c <- e.st_c;
+    t.st_q <- e.st_q;
+    t.st_i <- e.st_i;
+    t.st_best <- e.st_best;
+    t.st_next <- e.st_next;
+    t.uf_c <- e.uf_c;
+    t.uf_i <- e.uf_i;
+    t.uf_best <- e.uf_best;
+    t.uf_next <- e.uf_next;
+    t.reuses <- e.reuses;
+    t.rebuilds <- e.rebuilds
 
   let hits t = t.reuses
   let misses t = t.rebuilds
   let states_settled t = t.count
   let capacity t = max 0 t.capacity
+  let ub_entries t = t.ub_count
+
+  let ub_entry t c =
+    if c < 1 || c > t.capacity || Float.is_nan t.ub.(c) then None
+    else Some (t.ub.(c), t.ub_next.(c))
 end
 
 (* Fibonacci-hash open addressing (the Pair_set scheme): multiply by the
@@ -175,7 +198,7 @@ let bits_for n =
   done;
   !k
 
-let initial_arena = 4096
+let initial_arena = 256
 
 (* --- the round-count lower bound (linear models) ------------------------ *)
 
@@ -311,6 +334,167 @@ let build_smin qm ~delta ~alpha c0 =
   done;
   sm
 
+(* --- the unconstrained table ------------------------------------------- *)
+
+(* ub.(c) is the best latency reachable from [c] candidates when the
+   budget never binds (a budget of choose2 c is as good as infinite):
+   the first argmin, under strict <, of L(Q(c, c')) +. ub.(c') over
+   c' = 1..c-1 ascending — the seed's [unconstrained_table] scan, which
+   both functions below reproduce value for value and argmin for argmin.
+
+   Both scan c' in runs of constant quotient v = c / c'. Within a run,
+   Q(c, c') = r * choose2 (v+1) + (c' - r) * choose2 v with
+   r = c - v * c', which simplifies to c*v + c' * (choose2 v - v*v) —
+   linear in c', so a scan needs one division per run (O(sqrt c) runs)
+   instead of a div/mod pair per (c, c'). Within a run Q falls as c'
+   rises (the step -v(v+1)/2 is negative), so with L non-decreasing,
+   L(Q(c, hi)) plus a lower bound on ub at the run's first c' bounds
+   every candidate in the run from below: [force_ub] skips a run that
+   bound rules out with one comparison — half of all pairs for v = 1
+   alone. *)
+
+(* Round-bound models: ub on demand. Entries start NaN and [force_ub t c]
+   computes ub.(c) with an explicit stack (c0-deep chains, e.g. delta =
+   0, cannot overflow the OCaml stack). The sandwich
+     smin(c', 1) (1 - m) <= ub.(c') <= smin(c', 1) (1 + m)
+   (the round-count optimum, see [lb_margin]) lets the scan skip every
+   candidate whose lower bound L(Q) +. smin(c', 1) (1 - m) is >= the
+   incumbent or above ceiling(c) = smin(c, 1) (1 + m) >= ub.(c): such a
+   candidate can neither lower the incumbent nor be the first argmin.
+   Only the survivors are forced — for the paper's L(q) a handful per
+   entry. Run skipping needs no monotonicity check of ub: smin(., 1) is
+   non-decreasing in c because Qmin_R is and float ops are monotone. *)
+let force_ub t c =
+  let ub = t.ub and ub_next = t.ub_next and ch2 = t.ch2 and sm = t.smin in
+  (* [smin_stride t.capacity], read off the layout without the call *)
+  let stride = Array.length sm / (t.capacity + 1) in
+  let delta =
+    match t.model with Some (Model.Linear { delta; _ }) -> delta | _ -> 0.0
+  in
+  let alpha =
+    match t.model with Some (Model.Linear { alpha; _ }) -> alpha | _ -> 0.0
+  in
+  let lb_lo = 1.0 -. lb_margin and lb_hi = 1.0 +. lb_margin in
+  let uf_c = t.uf_c and uf_i = t.uf_i in
+  let uf_best = t.uf_best and uf_next = t.uf_next in
+  Array.unsafe_set uf_c 0 c;
+  Array.unsafe_set uf_i 0 1;
+  Array.unsafe_set uf_best 0 infinity;
+  Array.unsafe_set uf_next 0 1;
+  let sp = ref 1 in
+  while !sp > 0 do
+    let f = !sp - 1 in
+    let c = Array.unsafe_get uf_c f in
+    let best = ref (Array.unsafe_get uf_best f) in
+    let bnext = ref (Array.unsafe_get uf_next f) in
+    let ceiling = Array.unsafe_get sm ((c * stride) + 1) *. lb_hi in
+    let i = ref (Array.unsafe_get uf_i f) in
+    let suspended = ref false in
+    while (not !suspended) && !i < c do
+      let lo = !i in
+      let v = c / lo in
+      let hi = min (c / v) (c - 1) in
+      let step = Array.unsafe_get ch2 v - (v * v) in
+      let qlo = (c * v) + (lo * step) in
+      let bound =
+        delta
+        +. (alpha *. float_of_int (qlo + ((hi - lo) * step)))
+        +. (Array.unsafe_get sm ((lo * stride) + 1) *. lb_lo)
+      in
+      if bound >= !best || bound > ceiling then i := hi + 1
+      else begin
+        let q = ref qlo in
+        while (not !suspended) && !i <= hi do
+          let c' = !i in
+          let round = delta +. (alpha *. float_of_int !q) in
+          let u = Array.unsafe_get ub c' in
+          if not (Float.is_nan u) then begin
+            if round +. u < !best then begin
+              best := round +. u;
+              bnext := c'
+            end
+          end
+          else begin
+            let low =
+              round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
+            in
+            if low < !best && low <= ceiling then begin
+              (* a survivor: compute ub.(c') first, then resume on it *)
+              Array.unsafe_set uf_i f c';
+              Array.unsafe_set uf_best f !best;
+              Array.unsafe_set uf_next f !bnext;
+              let g = !sp in
+              Array.unsafe_set uf_c g c';
+              Array.unsafe_set uf_i g 1;
+              Array.unsafe_set uf_best g infinity;
+              Array.unsafe_set uf_next g 1;
+              sp := g + 1;
+              suspended := true
+            end
+          end;
+          q := !q + step;
+          incr i
+        done
+      end
+    done;
+    if not !suspended then begin
+      Array.unsafe_set ub c !best;
+      Array.unsafe_set ub_next c !bnext;
+      t.ub_count <- t.ub_count + 1;
+      sp := f
+    end
+  done
+[@@alloc_free]
+
+(* Every other model: the whole table, eagerly, with no pruning — such
+   models have no cheap lower bound on ub. Linear models evaluate L
+   inline with the exact float expression [Model.eval] uses ([delta +.
+   (alpha *. float_of_int q)]), so every value is bit-identical to a
+   memoized evaluation; the rest memoize L into [lq] (NaN =
+   unevaluated), which this scan fills for every batch size the DP can
+   later touch. *)
+let eager_ub t latency_of c0 =
+  let ub = t.ub and ub_next = t.ub_next and ch2 = t.ch2 and lq = t.lq in
+  let lin, delta, alpha =
+    match t.model with
+    | Some (Model.Linear { delta; alpha }) -> (true, delta, alpha)
+    | _ -> (false, 0.0, 0.0)
+  in
+  for c = 2 to c0 do
+    let best = ref infinity and bnext = ref 1 in
+    let i = ref 1 in
+    while !i < c do
+      let v = c / !i in
+      let hi = min (c / v) (c - 1) in
+      let step = Array.unsafe_get ch2 v - (v * v) in
+      let q = ref ((c * v) + (!i * step)) in
+      while !i <= hi do
+        let qv = !q in
+        let l =
+          if lin then delta +. (alpha *. float_of_int qv)
+          else
+            let x = Array.unsafe_get lq qv in
+            if Float.is_nan x then begin
+              let x = latency_of qv in
+              Array.unsafe_set lq qv x;
+              x
+            end
+            else x
+        in
+        let cand = l +. Array.unsafe_get ub !i in
+        if cand < !best then begin
+          best := cand;
+          bnext := !i
+        end;
+        q := qv + step;
+        incr i
+      done
+    done;
+    ub.(c) <- !best;
+    ub_next.(c) <- !bnext
+  done;
+  t.ub_count <- max 0 (c0 - 1)
+
 let rebuild_tables t latency_of mdl c0 =
   let qmax = Ints.choose2 c0 in
   let qbits = bits_for (max 1 (qmax - 1)) in
@@ -324,140 +508,38 @@ let rebuild_tables t latency_of mdl c0 =
     ch2.(c) <- Ints.choose2 c
   done;
   t.ch2 <- ch2;
-  let ub = Array.make (c0 + 1) 0.0 in
-  let ub_next = Array.make (c0 + 1) 1 in
-  t.ub <- ub;
-  t.ub_next <- ub_next;
-  (* Linear models — the paper's fitted MTurk function and the common
-     experimental case — evaluate L inline with the exact float
-     expression [Model.eval] uses ([delta +. (alpha *. float_of_int q)]),
-     so every value is bit-identical to a memoized evaluation while the
-     scan stays pure arithmetic (no lq table, no loads). Finiteness
-     needs checking only at the endpoints: a linear function's interior
-     values lie between L(0) and L(qmax), and NaN parameters surface at
-     both. Other models memoize L into [lq] (NaN = unevaluated) during
-     the scan, which visits every batch size the DP can later touch. *)
-  let linear_params =
-    match mdl with
-    | Model.Linear { delta; alpha } ->
-        ignore (latency_of 0 : float);
-        ignore (latency_of qmax : float);
-        Some (delta, alpha)
-    | _ -> None
-  in
-  let lq =
-    match linear_params with
-    | Some _ -> [||]
-    | None -> Array.make (qmax + 1) Float.nan
-  in
-  t.lq <- lq;
+  (* A linear L needs its finiteness checked only at the endpoints: its
+     interior values lie between L(0) and L(qmax), and NaN parameters
+     surface at both. *)
+  (match mdl with
+  | Model.Linear _ ->
+      ignore (latency_of 0 : float);
+      ignore (latency_of qmax : float);
+      t.lq <- [||]
+  | _ -> t.lq <- Array.make (qmax + 1) Float.nan);
+  t.ub_next <- Array.make (c0 + 1) 1;
   (match mdl with
   | Model.Linear { delta; alpha } when round_bound_applies ~delta ~alpha c0 ->
       let qm = qmin_table c0 in
       t.qmin <- qm;
-      t.smin <- build_smin qm ~delta ~alpha c0
+      t.smin <- build_smin qm ~delta ~alpha c0;
+      t.ub <- Array.make (c0 + 1) Float.nan;
+      t.ub.(0) <- 0.0;
+      t.ub.(1) <- 0.0;
+      t.ub_count <- 0;
+      t.uf_c <- Array.make (c0 + 1) 0;
+      t.uf_i <- Array.make (c0 + 1) 0;
+      t.uf_best <- Array.make (c0 + 1) 0.0;
+      t.uf_next <- Array.make (c0 + 1) 0
   | _ ->
       t.qmin <- [||];
-      t.smin <- [||]);
-  (* Run-level pruning below is sound only while [ub] is non-decreasing
-     on the prefix built so far and L is non-decreasing in q (alpha >= 0
-     for a linear model — the theory's standing assumption, but cheap to
-     refuse rather than assume). Verified row by row; a violation just
-     falls back to the full scan, never to a wrong answer. *)
-  let mono = ref true in
-  (* Unconstrained optima: ub.(c) is the best latency reachable from [c]
-     candidates when the budget never binds (a budget of choose2 c is as
-     good as infinite). The scan covers every (c, c') pair the DP can
-     ever take, so for non-linear models it also fills [lq] completely. *)
-  for c = 2 to c0 do
-    ((* Scan c' = 1..c-1 in runs of constant quotient v = c / c'. Within
-       a run, Q(c, c') = r * choose2 (v+1) + (c' - r) * choose2 v with
-       r = c - v * c', which simplifies to c*v + c' * (choose2 v - v*v)
-       — linear in c', so the whole scan needs one division per run
-       (O(sqrt c) total) instead of the div/mod pair per (c, c') that
-       dominates the seed solver's table build. Same c' order, same
-       integers, same float ops: [ub] is bit-identical to the seed's. *)
-    match linear_params with
-    | Some (delta, alpha) ->
-        (* Tail-recursive form: the incumbent rides in the call
-           arguments, so without flambda it still lives in a float
-           register instead of a boxed ref — this loop is the whole
-           cost of a cold solve at large budgets. Runs chain left to
-           right under the same strict-<, so value and argmin match
-           the one-pass scan exactly.
-
-           Run pruning: within a run Q is decreasing in c' (the step
-           -v(v+1)/2 is negative), so with L non-decreasing and [ub]
-           non-decreasing every candidate is at least
-           L(Q(c, hi)) +. ub.(run start). When that bound cannot beat
-           the incumbent under strict <, the whole run — half of all
-           pairs for v = 1 alone — is skipped by one comparison,
-           without touching the minimum's value or its first argmin. *)
-        let prune = !mono && alpha >= 0.0 in
-        let rec scan_runs c' best bnext =
-          if c' > c - 1 then begin
-            ub.(c) <- best;
-            ub_next.(c) <- bnext
-          end
-          else begin
-            let v = c / c' in
-            let hi = min (c / v) (c - 1) in
-            let step = Array.unsafe_get ch2 v - (v * v) in
-            if
-              prune
-              && delta
-                 +. (alpha *. float_of_int ((c * v) + (hi * step)))
-                 +. Array.unsafe_get ub c'
-                 >= best
-            then scan_runs (hi + 1) best bnext
-            else begin
-              let rec run i q best bnext =
-                if i > hi then scan_runs i best bnext
-                else
-                  let cand =
-                    delta +. (alpha *. float_of_int q) +. Array.unsafe_get ub i
-                  in
-                  if cand < best then run (i + 1) (q + step) cand i
-                  else run (i + 1) (q + step) best bnext
-              in
-              run c' ((c * v) + (c' * step)) best bnext
-            end
-          end
-        in
-        scan_runs 1 infinity 1
-    | None ->
-        let best = ref infinity and best_next = ref 1 in
-        let c' = ref 1 in
-        while !c' <= c - 1 do
-          let v = c / !c' in
-          let hi = min (c / v) (c - 1) in
-          let step = Array.unsafe_get ch2 v - (v * v) in
-          let q = ref ((c * v) + (!c' * step)) in
-          for i = !c' to hi do
-            let qv = !q in
-            let l =
-              let x = Array.unsafe_get lq qv in
-              if Float.is_nan x then begin
-                let x = latency_of qv in
-                Array.unsafe_set lq qv x;
-                x
-              end
-              else x
-            in
-            let cand = l +. Array.unsafe_get ub i in
-            if cand < !best then begin
-              best := cand;
-              best_next := i
-            end;
-            q := qv + step
-          done;
-          c' := hi + 1
-        done;
-        ub.(c) <- !best;
-        ub_next.(c) <- !best_next);
-    if ub.(c) < ub.(c - 1) then mono := false
-  done;
-  t.mono <- !mono;
+      t.smin <- [||];
+      t.uf_c <- [||];
+      t.uf_i <- [||];
+      t.uf_best <- [||];
+      t.uf_next <- [||];
+      t.ub <- Array.make (c0 + 1) 0.0;
+      eager_ub t latency_of c0);
   t.keys <- Array.make initial_arena 0;
   t.lat <- Array.make initial_arena 0.0;
   t.nxt <- Array.make initial_arena 0;
@@ -526,12 +608,11 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
     | Model.Linear { delta; alpha } -> (true, delta, alpha)
     | _ -> (false, 0.0, 0.0)
   in
-  (* Run-level pruning in the DP scan needs the same preconditions as
-     the table build's: L non-decreasing (alpha >= 0) and ub
-     non-decreasing (verified during the build). *)
-  let dp_prune = lin && lin_a >= 0.0 && t.mono in
   (* The round-count bound (linear models with delta, alpha >= 0; [smin]
-     is [||] otherwise). *)
+     is [||] otherwise, and only then is [ub] filled on demand). It also
+     gates run-level pruning in the DP scan, which needs L non-decreasing
+     and a lower bound on ub that is non-decreasing in c' — smin(c', 1)
+     (1 - m). *)
   let qm = t.qmin and sm = t.smin and stride = smin_stride t.capacity in
   let lb_on = Array.length sm > 0 in
   let lb_lo = 1.0 -. lb_margin and lb_hi = 1.0 +. lb_margin in
@@ -604,20 +685,32 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
            (no value, no counter). *)
         if q - qhi - hi + 1 < 0 then i := hi + 1
         else if
-          dp_prune
+          lb_on
           &&
-          let bound =
-            lin_d +. (lin_a *. float_of_int qhi) +. Array.unsafe_get ub lo
-          in
-          bound >= !best || bound > ceiling
+          let l_hi = lin_d +. (lin_a *. float_of_int qhi) in
+          let s = Array.unsafe_get sm ((lo * stride) + 1) in
+          let low = l_hi +. (s *. lb_lo) in
+          low >= !best || low > ceiling
+          || l_hi +. (s *. lb_hi) > ceiling
+             && begin
+                  (* Inside the 2m band the exact ub.(lo) decides, so the
+                     runs skipped — and hence the counters — stay those
+                     of the eager table's exact test. Sound with no
+                     monotonicity check of ub: the real OL is
+                     non-decreasing in c', and the margin dwarfs the
+                     rounding between it and any float ub.(c'). *)
+                  if Float.is_nan (Array.unsafe_get ub lo) then
+                    force_ub t lo;
+                  l_hi +. Array.unsafe_get ub lo > ceiling
+                end
         then begin
-          (* L(Q) is minimal at hi and ub at lo, so every guard-passing
-             candidate in the run has round +. ub.(c') >= this bound:
-             either >= best, so the per-pair scan would prune each one,
-             or above the frame's optimum (the round-count ceiling), so
-             none of them can be its minimum. Count the guard-passing
-             ones in closed form, as the per-pair scan would count the
-             branches it prunes. *)
+          (* L(Q) is minimal at hi and the ub bound at lo, so every
+             guard-passing candidate in the run has round +. ub.(c') at
+             least that bound: either >= best, so the per-pair scan
+             would prune each one, or above the frame's optimum (the
+             round-count ceiling), so none of them can be its minimum.
+             Count the guard-passing ones in closed form, as the
+             per-pair scan would count the branches it prunes. *)
           let g_lo = q - qlo - lo + 1 in
           let s = -step - 1 in
           let cnt =
@@ -640,14 +733,38 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
               if lin then lin_d +. (lin_a *. float_of_int qq)
               else Array.unsafe_get lq qq
             in
-            let bound = Array.unsafe_get ub c' in
-            if round +. bound < !best then begin
-              if c' = 1 || rem >= Array.unsafe_get ch2 c' then begin
-                (* the tail resolves through ub (0 for c' = 1); the guard
-                   just established round +. ub.(c') < best *)
-                best := round +. bound;
+            if c' = 1 || rem >= Array.unsafe_get ch2 c' then begin
+              (* The tail resolves through ub (0 for c' = 1). A missing
+                 entry is forced only if its lower bound could beat the
+                 incumbent; otherwise it stays NaN and the comparison
+                 below fails, exactly as the entry's value would. *)
+              if
+                Float.is_nan (Array.unsafe_get ub c')
+                && round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
+                   < !best
+              then force_ub t c';
+              let total = round +. Array.unsafe_get ub c' in
+              if total < !best then begin
+                best := total;
                 bnext := c'
               end
+              else incr pruned
+            end
+            else begin
+              (* No tail beats its unconstrained optimum: the child needs
+                 round +. ub.(c') < best. A missing entry is decided by
+                 its sandwich and forced only inside the 2m band. The
+                 round-count test runs before any forcing: it prunes
+                 whatever the ub test says, and both prunes count the
+                 same. *)
+              let u = Array.unsafe_get ub c' in
+              let known = not (Float.is_nan u) in
+              if
+                if known then round +. u >= !best
+                else
+                  round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
+                  >= !best
+              then incr pruned
               else if
                 lb_on
                 &&
@@ -666,6 +783,15 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
                    optimum — never the first argmin. Not probed, not
                    settled; value and decision stay bit-identical. *)
                 incr pruned
+              else if
+                (not known)
+                && round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_hi)
+                   >= !best
+                && begin
+                     force_ub t c';
+                     round +. Array.unsafe_get ub c' >= !best
+                   end
+              then incr pruned
               else begin
                 let k = (c' lsl qbits) lor rem in
                 let s = find_slot t.keys t.mask k in
@@ -692,7 +818,6 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
                 end
               end
             end
-            else incr pruned
           end;
           qrun := qq + step;
           incr i
@@ -719,7 +844,10 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
   let q0 = clamp_budget c0 b in
   let latency =
     if c0 = 1 then 0.0
-    else if q0 >= ch2.(c0) then ub.(c0)
+    else if q0 >= ch2.(c0) then begin
+      if Float.is_nan ub.(c0) then force_ub t c0;
+      ub.(c0)
+    end
     else begin
       let k = (c0 lsl qbits) lor q0 in
       let s = find_slot t.keys t.mask k in
@@ -746,7 +874,13 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
     if c = 1 then List.rev acc
     else begin
       let next =
-        if q >= Array.unsafe_get ch2 c then Array.unsafe_get t.ub_next c
+        if q >= Array.unsafe_get ch2 c then begin
+          (* computed already: the DP, or the entry that chose c,
+             compared this tail exactly; the check only keeps a NaN
+             from ever yielding a default next count *)
+          if Float.is_nan ub.(c) then force_ub t c;
+          Array.unsafe_get t.ub_next c
+        end
         else begin
           let k = (c lsl qbits) lor q in
           let s = find_slot t.keys t.mask k in
@@ -793,7 +927,7 @@ module Memo = Hashtbl.Make (struct
   let hash (a, b) = (a * 1_000_003) + b
 end)
 
-let unconstrained_table latency_of c0 =
+let unconstrained_table_of latency_of c0 =
   let ub = Array.make (c0 + 1) 0.0 in
   let ub_next = Array.make (c0 + 1) 1 in
   for c = 2 to c0 do
@@ -810,11 +944,14 @@ let unconstrained_table latency_of c0 =
   done;
   (ub, ub_next)
 
+let unconstrained_table model c0 =
+  unconstrained_table_of (checked_latency_of "unconstrained_table" model) c0
+
 let solve_hashtbl (problem : Problem.t) =
   let latency_of = checked_latency_of "solve_hashtbl" problem.Problem.latency in
   let c0 = problem.Problem.elements in
   let b = problem.Problem.budget in
-  let ub, ub_next = unconstrained_table latency_of c0 in
+  let ub, ub_next = unconstrained_table_of latency_of c0 in
   (* Memo keyed by the boxed state; only budget-constrained states
      (q < choose2 c) are memoized, the rest resolve through [ub]. *)
   let memo : (float * int) Memo.t = Memo.create 4096 in

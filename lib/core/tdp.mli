@@ -20,9 +20,10 @@
     work stack (deep c0 cannot overflow the OCaml stack). Q(c, c') is
     never tabulated — candidate scans step it linearly through
     constant-quotient runs of c', one division per run — and runs that
-    provably cannot beat the incumbent (by the Theorem 1 guard, or by
-    the unconstrained bound when L and the ub table are non-decreasing)
-    are skipped whole, without changing any value, decision or counter.
+    provably cannot beat the incumbent (by the Theorem 1 guard, or, for
+    models under the round-count bound below, by a lower bound on the
+    unconstrained optimum that is non-decreasing in c') are skipped
+    whole, without changing any value or decision.
     [L(q)] is inlined for linear models and memoized into a float array
     for the rest. {!Cache} exposes the working state as a reusable
     handle so budget sweeps and re-plans skip the table build and
@@ -37,7 +38,10 @@
     or lies above its parent's own optimum, is never probed. The float
     DP, its scan order and its tie-breaks are untouched, so solutions
     stay bit-identical while a cold solve settles a handful of states
-    instead of tens of thousands. *)
+    instead of tens of thousands. The same bound, two-sided, lets these
+    models compute the unconstrained optimum [OL(c, choose2 c)] only for
+    the few [c] whose exact value a comparison needs (a handful per
+    solve instead of [c0 - 1]); other models build that table eagerly. *)
 
 type solution = {
   sequence : int list;  (** (c_i): [elements] down to 1 *)
@@ -53,7 +57,9 @@ type solution = {
           settled. Fig. 15 diagnostics. *)
 }
 
-(** A reusable planner cache: the [ub]/[ub_next] unconstrained tables,
+(** A reusable planner cache: the unconstrained optima [OL(c, choose2 c)]
+    with their first steps (every entry for models outside the
+    round-count bound, the entries computed so far for those under it),
     the L memo (non-linear models) and the flat state arena, retained
     across {!solve} calls.
 
@@ -93,6 +99,16 @@ module Cache : sig
 
   val capacity : t -> int
   (** Largest c0 the current tables cover; 0 when empty. *)
+
+  val ub_entries : t -> int
+  (** Unconstrained optima computed since the last rebuild: [capacity - 1]
+      for a model outside the round-count bound (the eager table), only
+      those some solve needed for one under it. *)
+
+  val ub_entry : t -> int -> (float * int) option
+  (** [ub_entry t c] is [Some (OL(c, choose2 c), best next count)] once
+      the cache has computed that entry ([c = 1] always has), [None]
+      otherwise or outside [1, capacity]. Read-only; for tests. *)
 end
 
 val solve :
@@ -133,6 +149,13 @@ val min_questions : rounds:int -> int -> int
     [OL(c, q) = min { R delta + alpha Qmin_R(c) | Qmin_R(c) <= q }],
     which {!solve} uses as its pruning bound. Raises [Invalid_argument]
     unless [c >= 1] and [rounds >= 1]. *)
+
+val unconstrained_table :
+  Crowdmax_latency.Model.t -> int -> float array * int array
+(** [unconstrained_table model c0] is the seed solver's eager table:
+    index [c] holds [OL(c, choose2 c)] and its first argmin under
+    strict [<] over [c' = 1 .. c-1], by a plain O(c0²) scan. The
+    reference {!Cache.ub_entry} values match bit for bit. *)
 
 val solve_hashtbl : Problem.t -> solution
 (** The pre-arena solver: boxed [Hashtbl] memo over [(int * int)] keys,

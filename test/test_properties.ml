@@ -517,6 +517,94 @@ let prop_cached_sweep_equals_fresh =
       Array.for_all (fun b -> agrees c0 b) budgets
       && agrees (c0 - 1) (2 * c0))
 
+(* --- the on-demand unconstrained table ------------------------------------ *)
+
+(* Linear models under the round-count bound, corners included: delta =
+   0 (every plan asking c - 1 questions ties, so forcing chains run
+   deep), alpha = 0 (every plan of R rounds ties), a tiny alpha (plans a
+   few questions apart differ inside the bound's margin) and large
+   parameters. *)
+let bound_params =
+  Q.Gen.(
+    oneof [ return 0.0; float_range 0.0 500.0; return 1e6 ] >>= fun delta ->
+    oneof [ return 0.0; return 1e-6; float_range 0.0 3.0; return 1e3 ]
+    >>= fun alpha -> return (delta, alpha))
+
+let same_solution (a : Tdp.solution) (b : Tdp.solution) =
+  a.Tdp.sequence = b.Tdp.sequence
+  && Int64.equal
+       (Int64.bits_of_float a.Tdp.latency)
+       (Int64.bits_of_float b.Tdp.latency)
+  && a.Tdp.questions_used = b.Tdp.questions_used
+
+let prop_ub_on_demand_matches_seed =
+  (* c0 up to 1000 at any budget, generous ones (q0 >= choose2 c0, which
+     return ub(c0) itself and must reproduce the seed solver's plan)
+     included, plus fixed generous-budget corners: the paper's L(q) at
+     c0 = 1000, delta = 0 (long forcing chains), alpha = 0 (every plan
+     of R rounds ties) and alpha tiny or large against delta. Generated
+     alpha = 0 stays at c0 <= 200: its ties make tight budgets settle
+     ~10^4 states at c0 = 1000, with or without the on-demand table. *)
+  let corners =
+    [
+      ((239.0, 0.06), 1000); ((0.0, 0.5), 600); ((300.0, 0.0), 400);
+      ((500.0, 1e-6), 700); ((1e6, 1e3), 250); ((1.0, 1e3), 250);
+    ]
+  in
+  Q.Test.make ~name:"on-demand ub entries = seed table" ~count:40
+    (Q.make
+       ~print:(fun ((d, a), c0, b) ->
+         Printf.sprintf "(delta=%g, alpha=%g, c0=%d, b=%d)" d a c0 b)
+       Q.Gen.(
+         frequency
+           [
+             ( 3,
+               bound_params >>= fun (d, a) ->
+               int_range 2 (if Float.equal a 0.0 then 200 else 1000)
+               >>= fun c0 ->
+               oneof
+                 [ int_range (c0 - 1) (4 * c0); return (Ints.choose2 c0) ]
+               >>= fun b -> return ((d, a), c0, b) );
+             ( 1,
+               oneofl corners >|= fun (params, c0) ->
+               (params, c0, Ints.choose2 c0) );
+           ]))
+    (fun ((delta, alpha), c0, b) ->
+      let model = Model.linear ~delta ~alpha in
+      let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
+      let cache = Tdp.Cache.create () in
+      let sol = Tdp.solve ~cache p in
+      Test_tdp.ub_entries_match_seed model cache
+      && (b < Ints.choose2 c0 || same_solution sol (Tdp.solve_hashtbl p)))
+
+let prop_forced_cache_sweep_equals_fresh =
+  (* A cache that computed its entries at one (c0, budget), then reused
+     across a shuffled budget sweep and a smaller c0, answers every
+     solve exactly as a fresh solver does. *)
+  Q.Test.make ~name:"forced ub cache, shuffled sweep = fresh solves" ~count:40
+    (Q.make
+       ~print:(fun ((d, a), seed, c0) ->
+         Printf.sprintf "(delta=%g, alpha=%g, seed=%d, c0=%d)" d a seed c0)
+       Q.Gen.(
+         bound_params >>= fun params ->
+         int_range 0 10000 >>= fun seed ->
+         int_range 3 300 >>= fun c0 -> return (params, seed, c0)))
+    (fun ((delta, alpha), seed, c0) ->
+      let model = Model.linear ~delta ~alpha in
+      let rng = Rng.create seed in
+      let budget () = c0 - 1 + Rng.int rng (4 * c0) in
+      let cache = Tdp.Cache.create () in
+      let agrees elements b =
+        let p = Problem.create ~elements ~budget:b ~latency:model in
+        same_solution (Tdp.solve ~cache p) (Tdp.solve p)
+      in
+      let b0 = budget () in
+      let sweep = Rng.shuffle rng (Array.init 8 (fun _ -> budget ())) in
+      agrees c0 b0
+      && Array.for_all (agrees c0) sweep
+      && agrees (c0 - 1) (2 * c0)
+      && Test_tdp.ub_entries_match_seed model cache)
+
 (* --- latency models ------------------------------------------------------ *)
 
 let valid_knots_and_q =
@@ -719,6 +807,8 @@ let suite =
           prop_flat_solver_equivalence;
           prop_linear_latency_is_round_bound;
           prop_cached_sweep_equals_fresh;
+          prop_ub_on_demand_matches_seed;
+          prop_forced_cache_sweep_equals_fresh;
           prop_piecewise_eval_sane;
           prop_metrics_deterministic;
           prop_fit_recovers_model;

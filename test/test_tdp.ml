@@ -430,6 +430,55 @@ let test_cached_trivial_instances () =
   Alcotest.check Alcotest.(list int) "c0=2 cached" [ 2; 1 ] two.Tdp.sequence;
   checkf "c0=2 latency" 101.0 two.Tdp.latency
 
+(* Every unconstrained optimum the cache computed equals the seed's
+   eager table bit for bit, value and first argmin, and [ub_entries]
+   counts exactly those. Shared with the property tests. *)
+let ub_entries_match_seed model cache =
+  let c0 = Tdp.Cache.capacity cache in
+  let seed_ub, seed_next = Tdp.unconstrained_table model c0 in
+  let computed = ref 0 and ok = ref true in
+  for c = 2 to c0 do
+    match Tdp.Cache.ub_entry cache c with
+    | None -> ()
+    | Some (v, next) ->
+        incr computed;
+        if
+          not
+            (Int64.equal (Int64.bits_of_float v)
+               (Int64.bits_of_float seed_ub.(c))
+            && next = seed_next.(c))
+        then ok := false
+  done;
+  !ok && !computed = Tdp.Cache.ub_entries cache
+
+let test_ub_on_demand () =
+  (* The paper's L(q) at c0 = 1000, b = 4 c0: the round-count bound
+     decides almost every comparison, so the solve computes a handful of
+     unconstrained optima instead of the c0 - 1 an eager table builds. *)
+  let paper = Model.paper_mturk in
+  let cache = Tdp.Cache.create () in
+  let p = Problem.create ~elements:1000 ~budget:4000 ~latency:paper in
+  let sol = Tdp.solve ~cache p in
+  let entries = Tdp.Cache.ub_entries cache in
+  if entries > 16 then
+    Alcotest.failf "paper c0=1000 b=4000 computed %d ub entries (want <= 16)"
+      entries;
+  check_bool "paper c0=1000 b=4000 entries = seed table" true
+    (ub_entries_match_seed paper cache);
+  check_solutions_identical "paper c0=1000 b=4000 cached = fresh" (Tdp.solve p)
+    sol;
+  (* A power L has no cheap bound: the table is built whole. *)
+  let power = Model.power ~delta:239.0 ~alpha:0.002 ~p:1.5 in
+  let cache = Tdp.Cache.create () in
+  ignore
+    (Tdp.solve ~cache (Problem.create ~elements:300 ~budget:1200 ~latency:power));
+  check_int "power c0=300 computes c0 - 1 entries" 299
+    (Tdp.Cache.ub_entries cache);
+  check_bool "power c0=300 entries = seed table" true
+    (ub_entries_match_seed power cache);
+  Tdp.Cache.clear cache;
+  check_int "cleared ub entries" 0 (Tdp.Cache.ub_entries cache)
+
 let suite =
   [
     ( "tdp",
@@ -466,5 +515,6 @@ let suite =
           test_warm_resolve_settles_nothing;
         tc "plan cache metrics" `Quick test_plan_cache_metrics;
         tc "cached trivial instances" `Quick test_cached_trivial_instances;
+        tc "ub on demand = seed table" `Quick test_ub_on_demand;
       ] );
   ]
