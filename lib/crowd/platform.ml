@@ -511,6 +511,11 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
           unassigned_total := !unassigned_total + q
         end)
       qs;
+    (* A query is pickable while it has unassigned questions and is not
+       withdrawn. [pick_weight] and [pick_count] are the pickable
+       queries' total posted size and their number, kept current by
+       [withdraw_sweep] and [assign]. *)
+    let pick_weight = ref !visible and pick_count = ref !remaining in
     let next_deadline = ref Float.infinity in
     let recompute_next_deadline () =
       let d = ref Float.infinity in
@@ -545,6 +550,10 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
     let withdraw_sweep time =
       for i = 0 to nq - 1 do
         if (not done_.(i)) && time > deadlines.(i) then begin
+          if next_q.(i) < qs.(i) then begin
+            pick_weight := !pick_weight - qs.(i);
+            decr pick_count
+          end;
           withdrawn.(i) <- true;
           done_.(i) <- true;
           decr remaining;
@@ -555,10 +564,11 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
       done;
       recompute_next_deadline ()
     in
-    (* One pickable query (unassigned questions, not withdrawn) always
-       exists when this runs ([unassigned_total > 0] is checked at both
-       call sites). The single-candidate case draws nothing — that is
-       what makes the one-query run identical to [simulate]. *)
+    (* One pickable query always exists when this runs
+       ([unassigned_total > 0] is checked at both call sites). The
+       single-candidate case draws nothing — that is what makes the
+       one-query run identical to [simulate] — and its scan, starting
+       from [r = 0], stops at that candidate. *)
     let pick_query () =
       match pick with
       | Fifo ->
@@ -568,27 +578,16 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
           done;
           !i
       | Proportional ->
-          let total_w = ref 0 and count = ref 0 and first = ref (-1) in
-          for i = 0 to nq - 1 do
-            if (not withdrawn.(i)) && next_q.(i) < qs.(i) then begin
-              total_w := !total_w + qs.(i);
-              incr count;
-              if !first < 0 then first := i
-            end
+          let r = ref (if !pick_count = 1 then 0 else Rng.int rng !pick_weight) in
+          let j = ref (-1) in
+          let i = ref 0 in
+          while !j < 0 do
+            if (not withdrawn.(!i)) && next_q.(!i) < qs.(!i) then begin
+              if !r < qs.(!i) then j := !i else r := !r - qs.(!i)
+            end;
+            incr i
           done;
-          if !count = 1 then !first
-          else begin
-            let r = ref (Rng.int rng !total_w) in
-            let j = ref (-1) in
-            let i = ref 0 in
-            while !j < 0 do
-              if (not withdrawn.(!i)) && next_q.(!i) < qs.(!i) then begin
-                if !r < qs.(!i) then j := !i else r := !r - qs.(!i)
-              end;
-              incr i
-            done;
-            !j
-          end
+          !j
     in
     let next_slot = ref 0 in
     let completions_seen = ref 0 in
@@ -602,6 +601,10 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
       slot_query.(slot) <- qi;
       slot_local.(slot) <- next_q.(qi);
       next_q.(qi) <- next_q.(qi) + 1;
+      if next_q.(qi) = qs.(qi) then begin
+        pick_weight := !pick_weight - qs.(qi);
+        decr pick_count
+      end;
       decr unassigned_total;
       Metrics.record_peak m_peak (!next_slot - !completions_seen);
       let sv = if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma in

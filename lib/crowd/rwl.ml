@@ -13,173 +13,143 @@ type outcome = {
   accuracy : float;
 }
 
-(* Tarjan's strongly connected components over the voted answer digraph,
-   restricted to the elements that appear in this round's questions. *)
-let scc_of ~nodes ~succ =
-  let index = Hashtbl.create 64 in
-  let lowlink = Hashtbl.create 64 in
-  let on_stack = Hashtbl.create 64 in
-  let comp = Hashtbl.create 64 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let comp_count = ref 0 in
-  let rec strongconnect v =
-    Hashtbl.replace index v !counter;
-    Hashtbl.replace lowlink v !counter;
-    incr counter;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    List.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          let lv = Hashtbl.find lowlink v and lw = Hashtbl.find lowlink w in
-          if lw < lv then Hashtbl.replace lowlink v lw
-        end
-        else if Hashtbl.mem on_stack w then begin
-          let lv = Hashtbl.find lowlink v and iw = Hashtbl.find index w in
-          if iw < lv then Hashtbl.replace lowlink v iw
-        end)
-      (succ v);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let rec popall () =
-        match !stack with
-        | [] -> ()
-        | w :: rest ->
-            stack := rest;
-            Hashtbl.remove on_stack w;
-            Hashtbl.replace comp w !comp_count;
-            if w <> v then popall ()
-      in
-      popall ();
-      incr comp_count
+(* Scratch for the resolution kernel, one per domain (like [Tdp]'s Qmin
+   table), grown geometrically and never shrunk, so a steady-state call
+   allocates little beyond its result lists. [local] maps an element id to its
+   compact node number and is all -1 between calls; everything else is
+   overwritten before it is read. Node arrays are indexed by compact
+   node (at most two per voted question, and at most the truth size);
+   [start] holds one extra CSR end offset. *)
+type workspace = {
+  mutable local : int array;
+  (* per voted question, in question order *)
+  mutable win : int array;
+  mutable lose : int array;
+  mutable adj : int array;
+  (* per compact node *)
+  mutable start : int array;
+  mutable next : int array;
+  mutable index : int array;
+  mutable lowlink : int array;
+  mutable comp : int array;
+  mutable stack : int array;
+  mutable frames : int array;
+  mutable score : int array;
+}
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        local = [||];
+        win = [||];
+        lose = [||];
+        adj = [||];
+        start = [||];
+        next = [||];
+        index = [||];
+        lowlink = [||];
+        comp = [||];
+        stack = [||];
+        frames = [||];
+        score = [||];
+      })
+
+let ensure a need init =
+  if Array.length a >= need then a
+  else begin
+    let cap = ref (max 64 (Array.length a)) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    Array.make !cap init
+  end
+
+(* The workspace for a call over [questions] questions on a truth of
+   [elements] elements. *)
+let workspace ~elements ~questions =
+  let ws = Domain.DLS.get workspace_key in
+  ws.local <- ensure ws.local elements (-1);
+  ws.win <- ensure ws.win questions 0;
+  ws.lose <- ensure ws.lose questions 0;
+  ws.adj <- ensure ws.adj questions 0;
+  let nodes = min (2 * questions) elements + 1 in
+  ws.start <- ensure ws.start nodes 0;
+  ws.next <- ensure ws.next nodes 0;
+  ws.index <- ensure ws.index nodes 0;
+  ws.lowlink <- ensure ws.lowlink nodes 0;
+  ws.comp <- ensure ws.comp nodes 0;
+  ws.stack <- ensure ws.stack nodes 0;
+  ws.frames <- ensure ws.frames nodes 0;
+  ws.score <- ensure ws.score nodes 0;
+  ws
+
+(* Cycle resolution shared by both front ends. [ws.win.(i)] beat
+   [ws.lose.(i)] on the [i]-th voted question ([i < m]); every id is a
+   truth element (the front ends' [Ground_truth.better] calls checked
+   that). Inside each strongly connected component of the voted digraph
+   the edges are re-oriented by the component-local win/loss score
+   (ties to the larger id), which makes the result acyclic; edges
+   between components are kept.
+
+   The answers are a pure function of the SCC *partition* and the
+   within-component scores, so node numbering and Tarjan's visit order
+   are unobservable: nodes are numbered compactly in first-appearance
+   order, the successor lists are a CSR over those numbers, and Tarjan
+   runs iteratively on it. A visited node not yet in a component is on
+   Tarjan's stack, so no separate on-stack flag is kept. *)
+let outcome_of ws ~truth ~raw_questions ~vote_flips ~unanswered m =
+  let local = ws.local and win = ws.win and lose = ws.lose in
+  let k = ref 0 in
+  for i = 0 to m - 1 do
+    let w = win.(i) and l = lose.(i) in
+    if local.(w) < 0 then begin
+      local.(w) <- !k;
+      incr k
+    end;
+    if local.(l) < 0 then begin
+      local.(l) <- !k;
+      incr k
     end
-  in
-  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) nodes;
-  comp
-
-(* Cycle resolution shared by both front ends: given one voted
-   (winner, loser) per question, re-orient the edges inside each
-   strongly connected component by the component-local win/loss score so
-   the result is acyclic. Returns the final answers and how many edges
-   were flipped.
-
-   Two interchangeable implementations. The output is a pure function
-   of the SCC *partition* and the within-component scores — both
-   canonical properties of the edge set, independent of traversal or
-   component numbering — so any correct SCC algorithm yields identical
-   answers. [break_cycles_flat] runs Tarjan iteratively over flat
-   arrays indexed by element id (the resolve hot path: ids are dense
-   small naturals); [break_cycles_tbl] is the general hashtable version
-   kept for sparse or negative ids. *)
-let break_cycles_tbl voted =
-  let succ_tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (w, l) ->
-      let cur = Option.value ~default:[] (Hashtbl.find_opt succ_tbl w) in
-      Hashtbl.replace succ_tbl w (l :: cur))
-    voted;
-  (* Visit nodes in sorted order: SCC component numbering then depends
-     only on the voted edge set, never on hash-table iteration order
-     (lint R2). Only component *equality* is consumed downstream, but a
-     deterministic visit order keeps replicated runs bit-identical. *)
-  let nodes =
-    List.sort_uniq Int.compare
-      (List.concat_map (fun (w, l) -> [ w; l ]) voted)
-  in
-  let succ v = Option.value ~default:[] (Hashtbl.find_opt succ_tbl v) in
-  let comp = scc_of ~nodes ~succ in
-  let score = Hashtbl.create 64 in
-  List.iter
-    (fun (w, l) ->
-      if Hashtbl.find comp w = Hashtbl.find comp l then begin
-        Hashtbl.replace score w (1 + Option.value ~default:0 (Hashtbl.find_opt score w));
-        Hashtbl.replace score l (Option.value ~default:0 (Hashtbl.find_opt score l) - 1)
-      end)
-    voted;
-  let flipped = ref 0 in
-  let final =
-    List.map
-      (fun (w, l) ->
-        if Hashtbl.find comp w <> Hashtbl.find comp l then (w, l)
-        else begin
-          let sw = Option.value ~default:0 (Hashtbl.find_opt score w) in
-          let sl = Option.value ~default:0 (Hashtbl.find_opt score l) in
-          (* Lexicographic (score, id): explicit [Int.compare], not a
-             polymorphic [>] on a boxed tuple (lint R1). *)
-          let c = Int.compare sw sl in
-          if c > 0 || (c = 0 && Int.compare w l > 0) then (w, l)
-          else begin
-            incr flipped;
-            (l, w)
-          end
-        end)
-      voted
-  in
-  (final, !flipped)
-
-(* Flat-array path: CSR successor lists plus an iterative Tarjan, no
-   hashing, no per-node allocation. Visits roots in ascending id order
-   like the sorted-node hashtable path; only component equality is
-   consumed downstream, so the differing component numbering is
-   unobservable. *)
-let break_cycles_flat voted ~max_id ~n_edges =
-  let n = max_id + 1 in
-  let ws = Array.make n_edges 0 in
-  let ls = Array.make n_edges 0 in
-  List.iteri
-    (fun i (w, l) ->
-      ws.(i) <- w;
-      ls.(i) <- l)
-    voted;
-  let present = Array.make n false in
-  (* CSR: [start.(v) .. start.(v+1) - 1] indexes v's successors. *)
-  let start = Array.make (n + 1) 0 in
-  for i = 0 to n_edges - 1 do
-    let w = ws.(i) in
-    start.(w + 1) <- start.(w + 1) + 1;
-    present.(w) <- true;
-    present.(ls.(i)) <- true
   done;
-  for v = 1 to n do
+  let k = !k in
+  (* CSR: [start.(v) .. start.(v+1) - 1] indexes v's successors. *)
+  let start = ws.start and next = ws.next and adj = ws.adj in
+  Array.fill start 0 (k + 1) 0;
+  for i = 0 to m - 1 do
+    let v = local.(win.(i)) + 1 in
+    start.(v) <- start.(v) + 1
+  done;
+  for v = 1 to k do
     start.(v) <- start.(v) + start.(v - 1)
   done;
-  let fill = Array.make n 0 in
-  Array.blit start 0 fill 0 n;
-  let adj = Array.make n_edges 0 in
-  for i = 0 to n_edges - 1 do
-    let w = ws.(i) in
-    adj.(fill.(w)) <- ls.(i);
-    fill.(w) <- fill.(w) + 1
+  Array.blit start 0 next 0 k;
+  for i = 0 to m - 1 do
+    let v = local.(win.(i)) in
+    adj.(next.(v)) <- local.(lose.(i));
+    next.(v) <- next.(v) + 1
   done;
-  let index = Array.make n (-1) in
-  let lowlink = Array.make n 0 in
-  let comp = Array.make n (-1) in
-  let on_stack = Array.make n false in
-  let stack = Array.make n 0 in
-  let sp = ref 0 in
-  let counter = ref 0 in
-  let comp_count = ref 0 in
-  (* Explicit DFS frames: [dfs_v] the node, [dfs_i] its next unexplored
-     CSR cursor. Depth is bounded by the number of distinct nodes <= n. *)
-  let dfs_v = Array.make n 0 in
-  let dfs_i = Array.make n 0 in
-  for root = 0 to n - 1 do
-    if present.(root) && index.(root) < 0 then begin
-      let top = ref 0 in
-      dfs_v.(0) <- root;
-      dfs_i.(0) <- start.(root);
+  (* Tarjan. [next.(v)] is v's unexplored CSR cursor; [frames] is the
+     DFS path, at most k deep. *)
+  let index = ws.index and lowlink = ws.lowlink and comp = ws.comp in
+  let stack = ws.stack and frames = ws.frames in
+  Array.blit start 0 next 0 k;
+  Array.fill index 0 k (-1);
+  Array.fill comp 0 k (-1);
+  let counter = ref 0 and sp = ref 0 and n_comp = ref 0 in
+  for root = 0 to k - 1 do
+    if index.(root) < 0 then begin
       index.(root) <- !counter;
       lowlink.(root) <- !counter;
       incr counter;
       stack.(!sp) <- root;
       incr sp;
-      on_stack.(root) <- true;
+      frames.(0) <- root;
+      let top = ref 0 in
       while !top >= 0 do
-        let v = dfs_v.(!top) in
-        let i = dfs_i.(!top) in
+        let v = frames.(!top) in
+        let i = next.(v) in
         if i < start.(v + 1) then begin
-          dfs_i.(!top) <- i + 1;
+          next.(v) <- i + 1;
           let w = adj.(i) in
           if index.(w) < 0 then begin
             index.(w) <- !counter;
@@ -187,12 +157,10 @@ let break_cycles_flat voted ~max_id ~n_edges =
             incr counter;
             stack.(!sp) <- w;
             incr sp;
-            on_stack.(w) <- true;
             incr top;
-            dfs_v.(!top) <- w;
-            dfs_i.(!top) <- start.(w)
+            frames.(!top) <- w
           end
-          else if on_stack.(w) && index.(w) < lowlink.(v) then
+          else if comp.(w) < 0 && index.(w) < lowlink.(v) then
             lowlink.(v) <- index.(w)
         end
         else begin
@@ -201,15 +169,14 @@ let break_cycles_flat voted ~max_id ~n_edges =
             while !continue_ do
               decr sp;
               let w = stack.(!sp) in
-              on_stack.(w) <- false;
-              comp.(w) <- !comp_count;
+              comp.(w) <- !n_comp;
               if w = v then continue_ := false
             done;
-            incr comp_count
+            incr n_comp
           end;
           decr top;
           if !top >= 0 then begin
-            let parent = dfs_v.(!top) in
+            let parent = frames.(!top) in
             if lowlink.(v) < lowlink.(parent) then
               lowlink.(parent) <- lowlink.(v)
           end
@@ -217,72 +184,50 @@ let break_cycles_flat voted ~max_id ~n_edges =
       done
     end
   done;
-  let score = Array.make n 0 in
-  for i = 0 to n_edges - 1 do
-    let w = ws.(i) and l = ls.(i) in
+  let score = ws.score in
+  Array.fill score 0 k 0;
+  for i = 0 to m - 1 do
+    let w = local.(win.(i)) and l = local.(lose.(i)) in
     if comp.(w) = comp.(l) then begin
       score.(w) <- score.(w) + 1;
       score.(l) <- score.(l) - 1
     end
   done;
-  let flipped = ref 0 in
-  let final =
-    List.map
-      (fun ((w, l) as edge) ->
-        if comp.(w) <> comp.(l) then edge
-        else begin
-          let c = Int.compare score.(w) score.(l) in
-          if c > 0 || (c = 0 && Int.compare w l > 0) then edge
-          else begin
-            incr flipped;
-            (l, w)
-          end
-        end)
-      voted
-  in
-  (final, !flipped)
-
-let break_cycles voted =
-  match voted with
-  | [] -> ([], 0)
-  | _ ->
-      let min_id = ref max_int in
-      let max_id = ref min_int in
-      let n_edges = ref 0 in
-      List.iter
-        (fun (w, l) ->
-          incr n_edges;
-          if w < !min_id then min_id := w;
-          if l < !min_id then min_id := l;
-          if w > !max_id then max_id := w;
-          if l > !max_id then max_id := l)
-        voted;
-      (* The flat path allocates O(max_id) arrays: take it for the dense
-         nonnegative ids the engine produces, fall back to hashing for
-         negative or very sparse id spaces. The choice is a pure
-         function of the edge set, so replicated runs stay
-         deterministic. *)
-      if !min_id >= 0 && !max_id <= (8 * !n_edges) + 1024 then
-        break_cycles_flat voted ~max_id:!max_id ~n_edges:!n_edges
-      else break_cycles_tbl voted
-
-let outcome_of ~truth ~raw_questions ~vote_flips ~unanswered voted =
-  let final, flipped = break_cycles voted in
-  let correct =
-    List.fold_left
-      (fun acc (w, l) -> if Ground_truth.better truth w l = w then acc + 1 else acc)
-      0 final
-  in
-  let n_answered = List.length final in
+  (* The answer list, built once from the back; correctness is counted
+     on the way and [local] is reset to all -1. *)
+  let ranks = Ground_truth.ranks truth in
+  let answers = ref [] and flipped = ref 0 and correct = ref 0 in
+  for i = m - 1 downto 0 do
+    let w = win.(i) and l = lose.(i) in
+    let cw = local.(w) and cl = local.(l) in
+    let keep =
+      comp.(cw) <> comp.(cl)
+      ||
+      let c = Int.compare score.(cw) score.(cl) in
+      c > 0 || (c = 0 && w > l)
+    in
+    if keep then begin
+      if ranks.(w) > ranks.(l) then incr correct;
+      answers := (w, l) :: !answers
+    end
+    else begin
+      incr flipped;
+      if ranks.(l) > ranks.(w) then incr correct;
+      answers := (l, w) :: !answers
+    end
+  done;
+  for i = 0 to m - 1 do
+    local.(win.(i)) <- -1;
+    local.(lose.(i)) <- -1
+  done;
   {
-    answers = final;
+    answers = !answers;
     unanswered;
     raw_questions;
     vote_flips;
-    cycle_edges_flipped = flipped;
+    cycle_edges_flipped = !flipped;
     accuracy =
-      (if n_answered = 0 then 1.0
-       else float_of_int correct /. float_of_int n_answered);
+      (if m = 0 then 1.0 else float_of_int !correct /. float_of_int m);
   }
 
 let check_questions name questions =
@@ -292,17 +237,16 @@ let check_questions name questions =
 
 (* Validate an optional per-question received-vote vector (deadline
    support): when absent, every question got its full [votes]. *)
-let check_received name votes questions = function
-  | None -> fun _ -> votes
+let check_received name votes n_questions = function
+  | None -> ()
   | Some received ->
-      if Array.length received <> List.length questions then
+      if Array.length received <> n_questions then
         invalid_arg (name ^ ": votes_received length mismatch");
       Array.iter
         (fun v ->
           if v < 0 || v > votes then
             invalid_arg (name ^ ": votes_received out of [0, votes]"))
-        received;
-      fun qi -> received.(qi)
+        received
 
 (* An exact split: award the question by a fair draw rather than the
    historical (biased) award-to-[b]. Only consulted on actual ties, so
@@ -310,53 +254,68 @@ let check_received name votes questions = function
 let fair_tie rng a b = if Rng.bool rng then a else b
 
 let resolve ?votes_received rng cfg ~truth questions =
-  if cfg.votes < 1 then invalid_arg "Rwl.resolve: votes < 1";
+  let votes = cfg.votes in
+  if votes < 1 then invalid_arg "Rwl.resolve: votes < 1";
   check_questions "Rwl.resolve" questions;
-  let received = check_received "Rwl.resolve" cfg.votes questions votes_received in
-  (* One raw vote, specialized by error model: the model is fixed for
-     the whole call, so the [Uniform] clamp (and [Perfect]'s no-draw
-     short-circuit — [Rng.bernoulli] at p <= 0 never draws) hoists out
-     of the per-answer path. Draw-for-draw identical to
-     [Worker.answer ... = a]. *)
-  let vote_is_a =
-    match cfg.error with
-    | Worker.Perfect -> fun a b -> Ground_truth.better truth a b = a
-    | Worker.Uniform p ->
-        let p = Float.max 0.0 (Float.min 1.0 p) in
-        fun a b ->
-          let truthful = Ground_truth.better truth a b = a in
-          if Rng.bernoulli rng p then not truthful else truthful
-    | Worker.Distance_sensitive _ ->
-        fun a b -> Worker.answer rng cfg.error truth a b = a
+  let n_questions = List.length questions in
+  check_received "Rwl.resolve" votes n_questions votes_received;
+  let ws =
+    workspace ~elements:(Ground_truth.size truth) ~questions:n_questions
   in
-  (* Repetition + majority vote per question. *)
-  let vote_flips = ref 0 in
-  let unanswered = ref [] in
-  let voted = ref [] in
-  List.iteri
-    (fun qi (a, b) ->
-      let v = received qi in
-      if v = 0 then unanswered := (a, b) :: !unanswered
-      else begin
-        let wins_a = ref 0 in
-        for _ = 1 to v do
-          if vote_is_a a b then incr wins_a
-        done;
-        let winner =
-          if 2 * !wins_a > v then a
-          else if 2 * !wins_a < v then b
-          else fair_tie rng a b
-        in
-        if winner <> Ground_truth.better truth a b then incr vote_flips;
-        let loser = if winner = a then b else a in
-        voted := (winner, loser) :: !voted
-      end)
-    questions;
-  outcome_of ~truth
-    ~raw_questions:(cfg.votes * List.length questions)
+  let win = ws.win and lose = ws.lose in
+  (* Repetition + majority vote per question, in question order. A raw
+     vote is wrong with the model's error probability, which is fixed
+     per question, so each vote is one [Rng.bernoulli] — draw for draw
+     [Worker.answer] (no draw at p <= 0 or p >= 1) — and an exact split
+     then draws [fair_tie]. [Ground_truth.better] rejects an
+     out-of-range id before the question's first draw, as the first
+     [Worker.answer] would; a question with no received votes is never
+     looked at. *)
+  (* Only [Distance_sensitive] depends on the pair; the other models'
+     [Worker.error_probability] is computed once, since its clamp costs
+     two sign-bit calls. *)
+  let fixed_p =
+    match cfg.error with
+    | Worker.Perfect -> Some 0.0
+    | Worker.Uniform p -> Some (Float.max 0.0 (Float.min 1.0 p))
+    | Worker.Distance_sensitive _ -> None
+  in
+  let m = ref 0 and vote_flips = ref 0 and unanswered = ref [] in
+  let rec vote qi = function
+    | [] -> ()
+    | ((a, b) as q) :: rest ->
+        let v = match votes_received with None -> votes | Some r -> r.(qi) in
+        if v = 0 then unanswered := q :: !unanswered
+        else begin
+          let true_winner = Ground_truth.better truth a b in
+          let p =
+            match fixed_p with
+            | Some p -> p
+            | None -> Worker.error_probability cfg.error truth a b
+          in
+          let errors = ref 0 in
+          for _ = 1 to v do
+            if Rng.bernoulli rng p then incr errors
+          done;
+          let wins_a = if true_winner = a then v - !errors else !errors in
+          let winner =
+            if 2 * wins_a > v then a
+            else if 2 * wins_a < v then b
+            else fair_tie rng a b
+          in
+          if winner <> true_winner then incr vote_flips;
+          win.(!m) <- winner;
+          lose.(!m) <- (if winner = a then b else a);
+          incr m
+        end;
+        vote (qi + 1) rest
+  in
+  vote 0 questions;
+  outcome_of ws ~truth
+    ~raw_questions:(votes * n_questions)
     ~vote_flips:!vote_flips
     ~unanswered:(List.rev !unanswered)
-    (List.rev !voted)
+    !m
 
 (* Keep, per question, only the first [received qi] collected votes —
    under a deadline the earliest-assigned workers are the ones whose
@@ -377,7 +336,11 @@ let truncate_votes received votes =
 let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
   if votes < 1 then invalid_arg "Rwl.resolve_pool: votes < 1";
   check_questions "Rwl.resolve_pool" questions;
-  let received = check_received "Rwl.resolve_pool" votes questions votes_received in
+  let n_questions = List.length questions in
+  check_received "Rwl.resolve_pool" votes n_questions votes_received;
+  let received qi =
+    match votes_received with None -> votes | Some r -> r.(qi)
+  in
   match questions with
   | [] ->
       {
@@ -403,7 +366,7 @@ let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
         {
           answers = [];
           unanswered = questions;
-          raw_questions = votes * List.length questions;
+          raw_questions = votes * n_questions;
           vote_flips = 0;
           cycle_edges_flipped = 0;
           accuracy = 1.0;
@@ -415,12 +378,13 @@ let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
           Worker_pool.estimate_accuracies ~questions:question_array
             ~workers:(Worker_pool.size pool) raw_votes
         in
-        let vote_flips = ref 0 in
-        let unanswered = ref [] in
-        let voted = ref [] in
+        let ws =
+          workspace ~elements:(Ground_truth.size truth) ~questions:n_questions
+        in
+        let m = ref 0 and vote_flips = ref 0 and unanswered = ref [] in
         List.iteri
-          (fun qi (a, b) ->
-            if received qi = 0 then unanswered := (a, b) :: !unanswered
+          (fun qi ((a, b) as q) ->
+            if received qi = 0 then unanswered := q :: !unanswered
             else begin
               let winner =
                 (* The estimator's exactly-zero scores fall back to a
@@ -429,15 +393,16 @@ let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
                 else est.Worker_pool.consensus.(qi)
               in
               if winner <> Ground_truth.better truth a b then incr vote_flips;
-              let loser = if winner = a then b else a in
-              voted := (winner, loser) :: !voted
+              ws.win.(!m) <- winner;
+              ws.lose.(!m) <- (if winner = a then b else a);
+              incr m
             end)
           questions;
-        outcome_of ~truth
-          ~raw_questions:(votes * List.length questions)
+        outcome_of ws ~truth
+          ~raw_questions:(votes * n_questions)
           ~vote_flips:!vote_flips
           ~unanswered:(List.rev !unanswered)
-          (List.rev !voted)
+          !m
       end
 
 let is_conflict_free ~n answers =

@@ -330,12 +330,12 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
         let counts =
           Array.map (fun (_, _, posted, _) -> Array.make posted 0) live
         in
+        let posted = Array.map (fun (_, _, posted, _) -> posted) live in
         (* Raw slot [i] of a query is repetition [i mod posted] — the
            engine's interleaved raw-slot layout, so early completions
            spread across the whole batch. *)
         let on_complete ~query idx _time =
-          let (_, _, posted, _) = live.(query) in
-          let slot = idx mod posted in
+          let slot = idx mod posted.(query) in
           counts.(query).(slot) <- counts.(query).(slot) + 1
         in
         let reports =

@@ -116,10 +116,18 @@ let remove_min t =
        smaller child (left preferred on ties) rises one level while the
        entry is strictly larger than it; one final store places the
        entry. Positions match the swap formulation comparison for
-       comparison. *)
+       comparison.
+
+       The vacated slot [n] becomes a +inf sentinel, so a live left
+       child [l < n] always has a readable right sibling [l + 1 <= n]:
+       the child pick needs no [r < n] test and is branch-free. A real
+       right child compares exactly as before; the sentinel never wins
+       ([+inf < x] is false for every non-NaN [x]), which is the old
+       "no right child, take the left" case. *)
     let tt = Array.unsafe_get times n in
     let aa = Array.unsafe_get pa n in
     let bb = Array.unsafe_get pb n in
+    Array.unsafe_set times n Float.infinity;
     let i = ref 0 in
     let continue_ = ref true in
     while !continue_ do
@@ -127,11 +135,10 @@ let remove_min t =
       let l = (2 * j) + 1 in
       if l >= n then continue_ := false
       else begin
-        let r = l + 1 in
         let c =
-          if r < n && Array.unsafe_get times r < Array.unsafe_get times l then
-            r
-          else l
+          l
+          + Bool.to_int
+              (Array.unsafe_get times (l + 1) < Array.unsafe_get times l)
         in
         if Array.unsafe_get times c < tt then begin
           Array.unsafe_set times j (Array.unsafe_get times c);

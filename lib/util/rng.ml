@@ -75,15 +75,25 @@ let[@inline] accept_max bound =
    compiler turns into a mutable stack slot) rather than a local [rec]
    redraw function: the int64 temporaries stay in registers and the
    draw sequence — one [bits64] per attempt until the first accepted
-   value — is unchanged. *)
+   value — is unchanged.
+
+   [accept_max bound] costs a division, so it is not computed up front:
+   [accept_max bound >= 2^63 - bound > Int64.max_int - bound], hence a
+   draw [x <= Int64.max_int - bound] is accepted without it. Only the
+   last [bound] draw values (probability [bound / 2^63]) take the exact
+   test. Every accept/reject decision is the same as testing against
+   [accept_max] alone, so the values and the draw count are unchanged;
+   the common case pays one division, the [rem] that forms the result. *)
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   let b = Int64.of_int bound in
-  let limit = accept_max bound in
+  let fast = Int64.sub Int64.max_int b in
   let r = ref (-1) in
   while !r < 0 do
     let x = Int64.shift_right_logical (bits64 t) 1 in
-    if Int64.compare x limit <= 0 then r := Int64.to_int (Int64.rem x b)
+    if
+      Int64.compare x fast <= 0 || Int64.compare x (accept_max bound) <= 0
+    then r := Int64.to_int (Int64.rem x b)
   done;
   !r
 [@@alloc_free]

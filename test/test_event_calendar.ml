@@ -132,6 +132,80 @@ let test_clear () =
   EC.add cal ~time:9.0 7 8;
   check_bool "usable after clear" true (EC.min_time cal = 9.0 && EC.min_a cal = 7)
 
+(* Scripted edge cases against the Heap model. [`Push t] pushes a fresh
+   payload at key [t], [`Pop] compares and removes the root, [`Clear]
+   empties both; every step compares length and root, and the tail is
+   drained in order. *)
+let scripted ~capacity ops =
+  let cal = EC.create ~capacity () in
+  let heap = ref (ref_heap ()) in
+  let k = ref 0 in
+  let same_root () =
+    match Heap.peek !heap with
+    | None -> EC.is_empty cal
+    | Some (t, a, b) ->
+        (not (EC.is_empty cal))
+        && Float.equal (EC.min_time cal) t
+        && EC.min_a cal = a && EC.min_b cal = b
+  in
+  let pop () =
+    check_bool "root agrees" true (same_root ());
+    ignore (Heap.pop_exn !heap);
+    EC.remove_min cal
+  in
+  List.iter
+    (fun op ->
+      (match op with
+      | `Push t ->
+          EC.add cal ~time:t !k (-(!k));
+          Heap.push !heap (t, !k, -(!k));
+          incr k
+      | `Pop -> pop ()
+      | `Clear ->
+          EC.clear cal;
+          heap := ref_heap ());
+      check_int "length" (Heap.length !heap) (EC.length cal);
+      check_bool "root agrees" true (same_root ()))
+    ops;
+  while not (Heap.is_empty !heap) do
+    pop ()
+  done;
+  check_bool "drained" true (EC.is_empty cal)
+
+let pushes ts = List.map (fun t -> `Push t) ts
+let pops n = List.init n (fun _ -> `Pop)
+let inf = Float.infinity
+
+let test_capacity_one_and_two () =
+  scripted ~capacity:1 [ `Push 1.0; `Pop; `Push 2.0; `Push 1.0; `Pop; `Pop ];
+  scripted ~capacity:2
+    (pushes [ 3.0; 1.0 ] @ [ `Pop ] @ pushes [ 0.5; 2.0 ] @ pops 2
+   @ pushes [ 1.0; 1.0; 1.0 ])
+
+(* The sentinel slot is the one just past the live entries. At full
+   capacity there is none until a pop frees one; the next push then
+   overwrites it, and the push after that grows the arrays. *)
+let test_growth_at_sentinel_boundary () =
+  List.iter
+    (fun capacity ->
+      let fill = List.init capacity (fun i -> float_of_int ((i * 7) mod 5)) in
+      scripted ~capacity
+        (pushes fill @ [ `Pop ] @ pushes [ 0.0; 4.0; 2.0 ] @ pops 2
+       @ pushes [ 1.0; 1.0 ]))
+    [ 1; 2; 3; 4; 7; 8 ]
+
+(* +inf keys tie with the sentinel; they must still pop in the model's
+   order, after every finite key. *)
+let test_infinite_keys () =
+  scripted ~capacity:2
+    (pushes [ inf; 1.0; inf; 0.0; inf ] @ pops 3 @ pushes [ inf; 2.0 ]);
+  scripted ~capacity:4 (pushes [ inf; inf; inf; inf; inf ] @ pops 2)
+
+let test_clear_after_drain () =
+  scripted ~capacity:2
+    (pushes [ 2.0; 1.0; 3.0 ] @ pops 3 @ [ `Clear ] @ pushes [ 5.0; 4.0 ]
+   @ [ `Pop; `Clear; `Clear ] @ pushes [ 1.0; inf; 0.0 ])
+
 let suite =
   [
     ( "event_calendar",
@@ -140,5 +214,10 @@ let suite =
           tc "empty and NaN guards raise" `Quick test_empty_raises;
           tc "growth keeps pop order sorted" `Quick test_growth_and_order;
           tc "clear resets and stays usable" `Quick test_clear;
+          tc "capacity 1 and 2" `Quick test_capacity_one_and_two;
+          tc "growth at the sentinel boundary" `Quick
+            test_growth_at_sentinel_boundary;
+          tc "+inf keys" `Quick test_infinite_keys;
+          tc "clear after drain" `Quick test_clear_after_drain;
         ] );
   ]

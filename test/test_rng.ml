@@ -93,6 +93,52 @@ let test_accept_max_rejects_bad_bound () =
     (Invalid_argument "Rng.accept_max: bound must be positive") (fun () ->
       ignore (Rng.accept_max 0))
 
+(* The rejection rule [Rng.int] used before its fast accept: every draw
+   is tested against [accept_max bound]. Kept as the differential
+   reference for the current rule, which must accept and reject exactly
+   the same draws. *)
+let int_reference t bound =
+  if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
+  let b = Int64.of_int bound in
+  let limit = Rng.accept_max bound in
+  let r = ref (-1) in
+  while !r < 0 do
+    let x = Int64.shift_right_logical (Rng.bits64 t) 1 in
+    if Int64.compare x limit <= 0 then r := Int64.to_int (Int64.rem x b)
+  done;
+  !r
+
+(* Bounds across the whole range: small, powers of two, arbitrary, the
+   top of the int range (max_int = 2^62 - 1), and the band just above
+   2^63 / 3 where about a third of all draws are rejected — there the
+   exact test decides most draws instead of the fast accept. *)
+let bound_gen =
+  let open QCheck.Gen in
+  let third = Int64.to_int (Int64.div Int64.max_int 3L) in
+  oneof
+    [
+      int_range 1 1000;
+      map (fun k -> 1 lsl k) (int_range 0 61);
+      int_range 1 max_int;
+      map (fun d -> max_int - d) (int_range 0 1000);
+      map (fun d -> third + d) (int_range (-1000) 1000);
+    ]
+
+let prop_int_matches_reference =
+  QCheck.Test.make ~name:"Rng.int = accept_max-only rule (values, draws)"
+    ~count:500
+    (QCheck.make
+       ~print:(fun (seed, bound) -> Printf.sprintf "seed=%d bound=%d" seed bound)
+       QCheck.Gen.(pair (int_range 0 1_000_000) bound_gen))
+    (fun (seed, bound) ->
+      let base = Rng.create seed in
+      let a = Rng.copy base and b = Rng.copy base in
+      let ok = ref true in
+      for _ = 1 to 64 do
+        if Rng.int a bound <> int_reference b bound then ok := false
+      done;
+      !ok && Rng.draws_since ~base a = Rng.draws_since ~base b)
+
 let test_int_covers_range () =
   let rng = Rng.create 9 in
   let counts = Array.make 8 0 in
@@ -245,5 +291,6 @@ let suite =
         tc "sample without replacement" `Quick test_sample_without_replacement;
         tc "sample rejects" `Quick test_sample_rejects;
         tc "choose" `Quick test_choose;
+        QCheck_alcotest.to_alcotest prop_int_matches_reference;
       ] );
   ]

@@ -296,6 +296,162 @@ let test_pool_all_zero_votes () =
     "everything unanswered" qs o.Rwl.unanswered;
   Alcotest.check (Alcotest.float 1e-9) "vacuous accuracy" 1.0 o.Rwl.accuracy
 
+(* --- differential: array kernel vs the list-and-closure reference ------- *)
+
+module Ref = Rwl_reference
+
+type case = {
+  seed : int;
+  elements : int;
+  votes : int;
+  error : W.error_model;
+  questions : (int * int) list;
+  received : int array option;
+}
+
+let print_case c =
+  Printf.sprintf "seed=%d elements=%d votes=%d questions=%d received=%s error=%s"
+    c.seed c.elements c.votes (List.length c.questions)
+    (match c.received with
+    | None -> "none"
+    | Some r ->
+        String.concat "," (Array.to_list (Array.map string_of_int r)))
+    (match c.error with
+    | W.Perfect -> "perfect"
+    | W.Uniform p -> Printf.sprintf "uniform %g" p
+    | W.Distance_sensitive { base; halfwidth } ->
+        Printf.sprintf "distance %g/%g" base halfwidth)
+
+(* Few elements and many questions make dense vote graphs with large
+   SCCs; many elements make sparse ones. Questions may repeat. *)
+let case_gen =
+  let open QCheck.Gen in
+  let* seed = int_range 0 1_000_000 in
+  let* elements = oneof [ int_range 2 12; int_range 2 1000 ] in
+  let* votes = int_range 1 5 in
+  let* error =
+    oneof
+      [
+        return W.Perfect;
+        map (fun p -> W.Uniform p) (oneofl [ -0.2; 0.0; 0.15; 0.5; 1.0; 1.3 ]);
+        map2
+          (fun base halfwidth -> W.Distance_sensitive { base; halfwidth })
+          (float_range 0.0 1.2) (float_range 0.1 100.0);
+      ]
+  in
+  let* n_q = oneof [ int_range 0 30; int_range 0 1000 ] in
+  let pair =
+    let* a = int_bound (elements - 1) in
+    let+ d = int_bound (elements - 2) in
+    (a, (a + 1 + d) mod elements)
+  in
+  let* questions = list_repeat n_q pair in
+  let+ received =
+    option
+      (array_repeat n_q (frequency [ (1, return 0); (3, int_range 0 votes) ]))
+  in
+  { seed; elements; votes; error; questions; received }
+
+let insert_at i x l =
+  List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+
+(* One defect per case: a bad vote count, a self-comparison (with a
+   [votes_received] now one short, so the checks' order shows), an
+   out-of-range id (on a question that may have received no votes,
+   which is not rejected), or a malformed [votes_received]. *)
+let bad_case_gen =
+  let open QCheck.Gen in
+  let* c = case_gen in
+  let n_q = List.length c.questions in
+  let* pos = int_bound n_q in
+  oneof
+    [
+      map (fun votes -> { c with votes }) (oneofl [ 0; -1 ]);
+      map
+        (fun x -> { c with questions = insert_at pos (x, x) c.questions })
+        (int_bound (c.elements - 1));
+      (let* bad = oneofl [ (c.elements, 0); (-1, 1); (0, c.elements + 7) ] in
+       let+ got = int_range 0 c.votes in
+       let old i =
+         match c.received with Some r -> r.(i) | None -> c.votes
+       in
+       {
+         c with
+         questions = insert_at pos bad c.questions;
+         received =
+           Some
+             (Array.init (n_q + 1) (fun i ->
+                  if i < pos then old i else if i = pos then got else old (i - 1)));
+       });
+      return { c with received = Some (Array.make (n_q + 1) 0) };
+      map
+        (fun v -> { c with received = Some (Array.make (max 1 n_q) v) })
+        (oneofl [ -1; c.votes + 1 ]);
+    ]
+
+let run f = match f () with o -> Ok o | exception Invalid_argument msg -> Error msg
+
+let same_outcome (x : Rwl.outcome) (y : Rwl.outcome) =
+  x.Rwl.answers = y.Rwl.answers
+  && x.Rwl.unanswered = y.Rwl.unanswered
+  && x.Rwl.raw_questions = y.Rwl.raw_questions
+  && x.Rwl.vote_flips = y.Rwl.vote_flips
+  && x.Rwl.cycle_edges_flipped = y.Rwl.cycle_edges_flipped
+  && Int64.equal
+       (Int64.bits_of_float x.Rwl.accuracy)
+       (Int64.bits_of_float y.Rwl.accuracy)
+
+(* Same result (outcome or [Invalid_argument] message) and the same
+   number of rng draws, from one seed. *)
+let agrees ~kernel ~reference c =
+  let base = Rng.create c.seed in
+  let truth = G.random (Rng.create (c.seed + 1)) (max 0 c.elements) in
+  let r1 = Rng.copy base and r2 = Rng.copy base in
+  let same =
+    match (run (fun () -> kernel r1 truth c), run (fun () -> reference r2 truth c)) with
+    | Ok x, Ok y -> same_outcome x y
+    | Error a, Error b -> String.equal a b
+    | _ -> false
+  in
+  same && Rng.draws_since ~base r1 = Rng.draws_since ~base r2
+
+let resolve_with f rng truth c =
+  f ?votes_received:c.received rng { Rwl.votes = c.votes; error = c.error } ~truth
+    c.questions
+
+let pool_with f rng truth c =
+  let pool =
+    mk_pool ~good_fraction:0.4 ~bad:0.5 (Rng.create (c.seed + 2))
+  in
+  f ?votes_received:c.received rng ~pool ~votes:c.votes ~truth c.questions
+
+let resolve_agrees =
+  agrees
+    ~kernel:(resolve_with (fun ?votes_received -> Rwl.resolve ?votes_received))
+    ~reference:(resolve_with (fun ?votes_received -> Ref.resolve ?votes_received))
+
+let pool_agrees =
+  agrees
+    ~kernel:(pool_with (fun ?votes_received -> Rwl.resolve_pool ?votes_received))
+    ~reference:
+      (pool_with (fun ?votes_received -> Ref.resolve_pool ?votes_received))
+
+let prop_resolve_matches_reference =
+  QCheck.Test.make ~name:"resolve = list reference (outcome, draws)" ~count:300
+    (QCheck.make ~print:print_case case_gen)
+    resolve_agrees
+
+let prop_resolve_errors_match_reference =
+  QCheck.Test.make ~name:"resolve = list reference on bad input" ~count:300
+    (QCheck.make ~print:print_case bad_case_gen)
+    resolve_agrees
+
+let prop_pool_matches_reference =
+  QCheck.Test.make ~name:"resolve_pool = list reference (outcome, draws)"
+    ~count:60
+    (QCheck.make ~print:print_case case_gen)
+    pool_agrees
+
 let suite =
   [
     ( "rwl",
@@ -324,5 +480,11 @@ let suite =
         tc "self comparison rejected" `Quick test_self_comparison_rejected;
         tc "is_conflict_free" `Quick test_is_conflict_free;
         tc "cycle resolution exercised" `Quick test_cycle_resolution_flips_some_edge;
-      ] );
+      ]
+      @ List.map QCheck_alcotest.to_alcotest
+          [
+            prop_resolve_matches_reference;
+            prop_resolve_errors_match_reference;
+            prop_pool_matches_reference;
+          ] );
   ]

@@ -126,6 +126,8 @@ let primitives =
     "Int.compare"; "Int.equal"; "Int.max"; "Int.min"; "Int.abs";
     "Float.compare"; "Float.equal"; "Float.is_nan"; "Float.abs";
     "Float.of_int"; "Float.to_int";
+    (* [%identity] on an immediate: a compare result as a 0/1 int *)
+    "Bool.to_int";
     (* unboxed int64 externals (results may box at call boundaries —
        the dynamic harness's concern, not a heap-block allocation) *)
     "Int64.add"; "Int64.sub"; "Int64.mul"; "Int64.div"; "Int64.rem";

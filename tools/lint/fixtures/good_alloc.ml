@@ -31,3 +31,12 @@ let sum t =
   done;
   !acc
 [@@alloc_free]
+
+(* A branch-free count: [Bool.to_int] is a [%identity] external. *)
+let count_below t x =
+  let acc = ref 0 in
+  for i = 0 to t.len - 1 do
+    acc := !acc + Bool.to_int (Array.unsafe_get t.data i < x)
+  done;
+  !acc
+[@@alloc_free]
