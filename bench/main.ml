@@ -950,7 +950,7 @@ let engine_opcheck_seed = 99
 
 let engine_opcheck_expected =
   (* n, events_drained, worker_arrivals, completions *)
-  [ (100, 6617, 902, 5715); (500, 60795, 8670, 52125) ]
+  [ (100, 6641, 926, 5715); (500, 60618, 8493, 52125) ]
 
 let engine_opcheck () =
   section
@@ -1164,7 +1164,7 @@ let adaptive_opcheck_seed = 107
 let adaptive_opcheck_expected =
   (* total_replans, total_refits, total_drift_detected,
      total_replans_on_drift *)
-  (20, 6, 6, 5)
+  (18, 7, 7, 6)
 
 let adaptive_opcheck_scaled_source scale =
   let c = Crowdmax_crowd.Platform.default_config in
@@ -1282,7 +1282,7 @@ let server_opcheck_expected =
   (* queries_admitted, queries_completed, fleet_steps, rounds_run,
      questions_posted, replans, contention_replans, deadline_hits,
      shared_calls, shared_discarded_answers *)
-  (4, 4, 6, 10, 1109, 10, 5, 5, 5, 63)
+  (4, 4, 6, 10, 1109, 10, 5, 5, 5, 50)
 
 let server_opcheck_specs () =
   [|

@@ -33,24 +33,54 @@ let default_config =
 type t = { cfg : config }
 
 (* Config validation happens at construction, not inside the event
-   loop: a [diurnal_amplitude >= 1.0] drives the modulation factor
-   [1 + a*sin(...)] negative for part of every period, which turns the
-   thinning acceptance probability in [arrival_after] negative —
-   Bernoulli draws then silently never accept in the trough and the
-   arrival stream freezes without any error. Rejecting the config is
-   the loud failure; anyone wanting "market closes overnight" semantics
-   needs an explicit zero-clamped rate, not a sign flip. *)
+   loop, where a bad field fails silently or never: a NaN or infinite
+   [patience_mean] makes every patience draw meaningless, a NaN rate or
+   exponent yields plausible-looking latencies, and a NaN [sigma] only
+   surfaces deep in the event calendar. A [diurnal_amplitude >= 1.0]
+   drives the modulation factor [1 + a*sin(...)] negative for part of
+   every period, which turns the thinning acceptance probability in
+   [arrival_after] negative — Bernoulli draws then silently never
+   accept in the trough and the arrival stream freezes without any
+   error. Anyone wanting "market closes overnight" semantics needs an
+   explicit zero-clamped rate, not a sign flip. *)
 let create ?(config = default_config) () =
-  let a = config.diurnal_amplitude in
+  let c = config in
+  let require ok field rule =
+    if not ok then
+      invalid_arg (Printf.sprintf "Platform.create: %s must be %s" field rule)
+  in
+  let non_negative x = Float.is_finite x && x >= 0.0 in
+  require (non_negative c.post_overhead) "post_overhead" "finite and >= 0";
+  require (non_negative c.base_rate) "base_rate" "finite and >= 0";
+  require
+    (non_negative c.attract_per_question)
+    "attract_per_question" "finite and >= 0";
+  require
+    (non_negative c.visibility_exponent)
+    "visibility_exponent" "finite and >= 0";
+  require (non_negative c.burst_seconds) "burst_seconds" "finite and >= 0";
+  require
+    (non_negative c.tail_rate && c.tail_rate > 0.0)
+    "tail_rate" "finite and > 0";
+  require
+    (non_negative c.patience_mean && c.patience_mean >= 1.0)
+    "patience_mean" "finite and >= 1";
+  let { Worker.median_seconds; sigma } = c.service in
+  require (non_negative sigma) "service.sigma" "finite and >= 0";
+  require
+    (non_negative median_seconds
+    && (Float.equal sigma 0.0 || median_seconds > 0.0))
+    "service.median_seconds" "finite and > 0 (>= 0 when sigma = 0)";
+  let a = c.diurnal_amplitude in
   if Float.is_nan a || a < 0.0 || a >= 1.0 then
     invalid_arg "Platform.create: diurnal_amplitude must be in [0, 1)";
   if a > 0.0 then begin
     if
-      Float.is_nan config.diurnal_period
-      || (not (Float.is_finite config.diurnal_period))
-      || config.diurnal_period <= 0.0
+      Float.is_nan c.diurnal_period
+      || (not (Float.is_finite c.diurnal_period))
+      || c.diurnal_period <= 0.0
     then invalid_arg "Platform.create: diurnal_period must be finite and > 0";
-    if Float.is_nan config.diurnal_phase then
+    if Float.is_nan c.diurnal_phase then
       invalid_arg "Platform.create: diurnal_phase must not be NaN"
   end;
   { cfg = config }
@@ -76,18 +106,17 @@ let scratch () =
     slot_local = [||];
   }
 
-(* One simulated worker sitting: how many questions they will answer
-   before switching tasks (geometric, mean patience_mean, at least 1).
-   [p] is the precomputed success probability 1 / max 1 patience_mean. *)
-let draw_patience rng p =
-  (* A local [rec loop] would capture [rng]/[p] in a fresh closure on
-     every sitting; the while form draws the same geometric sequence
-     without one. *)
-  let k = ref 1 in
-  while not (Rng.bernoulli rng p) do
-    incr k
-  done;
-  !k
+(* One simulated worker sitting: how many questions they answer before
+   switching tasks — geometric on {1, 2, ...} with success probability
+   p = 1 / patience_mean. Drawn by inversion from one uniform U on
+   (0, 1]: k = 1 + floor (log U / log (1 - p)), since
+   P(k > n) = P(U <= (1 - p)^n) = (1 - p)^n. [log_q] is log1p (-p),
+   hoisted per batch; at p = 1 it is -infinity and every sitting is 1.
+   The quotient is non-negative (or -0.), so truncation is the floor;
+   it is capped at 1e15 because a tiny p overflows it to infinity. *)
+let draw_patience rng ~log_q =
+  let r = log (1.0 -. Rng.float rng 1.0) /. log_q in
+  1 + int_of_float (if r < 1e15 then r else 1e15)
 [@@alloc_free]
 
 (* Time-of-day modulation of worker availability. *)
@@ -194,7 +223,6 @@ let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
     ?scratch:scr t rng q ~on_complete =
   let cfg = t.cfg in
   if q < 0 then invalid_arg "Platform: negative batch size";
-  if cfg.tail_rate <= 0.0 then invalid_arg "Platform: tail_rate must be > 0";
   if Float.is_nan deadline || deadline <= 0.0 then
     invalid_arg "Platform: deadline must be > 0";
   let m_batches = Metrics.counter metrics ~section:"platform" "batches" in
@@ -244,7 +272,7 @@ let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
     let median = cfg.service.Worker.median_seconds in
     let sigma = cfg.service.Worker.sigma in
     let mu = if sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service in
-    let p_patience = 1.0 /. Float.max 1.0 cfg.patience_mean in
+    let log_q = Float.log1p (-.(1.0 /. cfg.patience_mean)) in
     (* Draw-for-draw the same arrival stream as [next_arrival]: the
        clamp, the burst/tail split and the draw order are identical —
        only the per-call constant recomputation is gone. *)
@@ -312,7 +340,7 @@ let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
                else burst_end +. Rng.exponential rng tail_mean
              end
              else time +. Rng.exponential rng tail_mean);
-          let patience = draw_patience rng p_patience in
+          let patience = draw_patience rng ~log_q in
           (* patience >= 1 and a question is free: always take one. *)
           let idx = !next_question in
           incr next_question;
@@ -434,7 +462,6 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
   Array.iter
     (fun q -> if q < 0 then invalid_arg "Platform: negative batch size")
     qs;
-  if cfg.tail_rate <= 0.0 then invalid_arg "Platform: tail_rate must be > 0";
   let deadlines =
     match deadlines with
     | None -> Array.make nq Float.infinity
@@ -534,7 +561,7 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
     let median = cfg.service.Worker.median_seconds in
     let sigma = cfg.service.Worker.sigma in
     let mu = if sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service in
-    let p_patience = 1.0 /. Float.max 1.0 cfg.patience_mean in
+    let log_q = Float.log1p (-.(1.0 /. cfg.patience_mean)) in
     let next_arr t =
       if diurnal then arrival_after rng cfg !visible t
       else begin
@@ -626,7 +653,7 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
           Metrics.incr m_arrivals;
           Metrics.observe m_arrival_h time;
           st.arr_time <- next_arr time;
-          let patience = draw_patience rng p_patience in
+          let patience = draw_patience rng ~log_q in
           assign time (patience - 1)
         end
         else arrivals_alive := false

@@ -47,14 +47,25 @@ val default_config : config
 type t
 
 val create : ?config:config -> unit -> t
-(** Validates the diurnal fields: [diurnal_amplitude] must be in
-    [0, 1) (an amplitude at or above 1 drives the modulation factor
-    [1 + a*sin] negative for part of every period, which silently turns
-    the thinning acceptance probability in the arrival process negative
-    and freezes the stream in the trough), and when the amplitude is
-    positive, [diurnal_period] must be finite and > 0 and
-    [diurnal_phase] non-NaN. Raises [Invalid_argument] otherwise —
-    loudly at construction, not silently inside the event loop. *)
+(** Validates every field and raises [Invalid_argument] naming the
+    first bad one — loudly at construction, not silently inside the
+    event loop:
+    - [post_overhead], [base_rate], [attract_per_question],
+      [visibility_exponent] and [burst_seconds] must be finite and
+      [>= 0];
+    - [tail_rate] must be finite and [> 0];
+    - [patience_mean] must be finite and [>= 1] (a sitting answers at
+      least one question);
+    - [service.sigma] must be finite and [>= 0], and
+      [service.median_seconds] finite and [> 0] ([>= 0] when
+      [sigma = 0], a fixed service time);
+    - [diurnal_amplitude] must be in [0, 1) (an amplitude at or above 1
+      drives the modulation factor [1 + a*sin] negative for part of
+      every period, which silently turns the thinning acceptance
+      probability in the arrival process negative and freezes the
+      stream in the trough), and when the amplitude is positive,
+      [diurnal_period] must be finite and > 0 and [diurnal_phase]
+      non-NaN. *)
 
 val config : t -> config
 
@@ -68,6 +79,15 @@ type scratch
     everywhere: omitting it allocates fresh buffers per call. *)
 
 val scratch : unit -> scratch
+
+val draw_patience : Crowdmax_util.Rng.t -> log_q:float -> int
+(** One worker sitting's patience: the number of questions the worker
+    answers before switching away, geometric on [{1, 2, ...}] with
+    success probability [p] and [log_q = Float.log1p (-. p)] (the event
+    loops hoist it per batch, with [p = 1 / patience_mean]). Drawn by
+    inversion, [1 + floor (log U / log_q)], from exactly one uniform
+    [U] on (0, 1]; [p = 1] ([log_q = neg_infinity]) always gives 1.
+    Exposed for the distribution tests. *)
 
 val next_arrival : t -> Crowdmax_util.Rng.t -> q:int -> after:float -> float
 (** The arrival process alone: the time of the next worker arrival
@@ -120,8 +140,8 @@ val simulate :
     are kept, [on_complete] never fires for later ones, and the report
     says what was cut off. [deadline = infinity] draws the exact
     historical rng sequence — bit-identical results. Raises
-    [Invalid_argument] on negative [q], a non-positive [tail_rate], or a
-    NaN/non-positive [deadline].
+    [Invalid_argument] on negative [q] or a NaN/non-positive
+    [deadline].
 
     [metrics] (default disabled) records into the ["platform"] section:
     [batches], [events_drained], [worker_arrivals], [completions], the
@@ -147,8 +167,7 @@ val batch_latency :
   float
 (** Time (seconds) from posting a [q]-question batch until the last
     answer returns ([report.latency]). [q = 0] costs just the posting
-    overhead. Raises [Invalid_argument] on negative [q] or a
-    non-positive [tail_rate]. *)
+    overhead. Raises [Invalid_argument] on negative [q]. *)
 
 type answered = {
   question : int * int;
@@ -232,5 +251,4 @@ val simulate_shared :
     the same instruments as {!simulate} ([batches] advances by the
     query count) plus [shared_calls] and [shared_discarded_answers].
     Raises [Invalid_argument] on an empty [qs], a negative count, a
-    deadlines-length mismatch, a NaN/non-positive deadline, or a
-    non-positive [tail_rate]. *)
+    deadlines-length mismatch or a NaN/non-positive deadline. *)

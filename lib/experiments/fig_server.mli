@@ -39,10 +39,13 @@ val calibrate_beta :
     batch q alongside a foreign batch o), one-parameter fit of beta on
     top of the fixed solo base. *)
 
-val run : ?jobs:int -> ?runs:int -> ?seed:int -> unit -> t
-(** Calibrate (solo ladder, then a two-query shared-supply ladder for
-    beta), then serve the six-query staggered fleet under both arms.
-    Deterministic given [seed]; bit-identical for any [jobs]. *)
+val run :
+  ?jobs:int -> ?runs:int -> ?seed:int -> ?calibration_seed:int -> unit -> t
+(** Calibrate (solo ladder of 200 batches per size seeded by
+    [calibration_seed], default 17; then a two-query shared-supply
+    ladder for beta), then serve the six-query staggered fleet under
+    both arms. Deterministic given [seed] and [calibration_seed];
+    bit-identical for any [jobs]. *)
 
 val improvement : t -> float
 (** Fractional fleet-mean-latency saving of the aware arm over the

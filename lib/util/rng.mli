@@ -64,10 +64,18 @@ val exponential : t -> float -> float
     given mean. Raises [Invalid_argument] if [mean <= 0]. *)
 
 val gaussian : t -> mu:float -> sigma:float -> float
-(** Box-Muller normal draw. *)
+(** [gaussian t ~mu ~sigma] is [mu +. sigma *. z] for a standard normal
+    [z] drawn by a 256-layer ziggurat (Marsaglia & Tsang, 2000). About
+    98.5% of draws take the fast path: one {!bits64}, whose bits 0-7
+    pick the layer and bits 11-63 give a signed uniform on (-1, 1).
+    The rest take the out-of-line slow path (the tail beyond
+    R = 3.6541528853610088, or a wedge test and a fresh candidate), which
+    consumes further raw draws. The draw count depends on the stream
+    alone, so results are deterministic given the seed. Table layout
+    and draw contract: DESIGN.md, "The samplers". *)
 
 val lognormal : t -> mu:float -> sigma:float -> float
-(** [lognormal t ~mu ~sigma] is [exp] of a normal draw; a standard model
+(** [lognormal t ~mu ~sigma] is [exp] of {!gaussian}; a standard model
     for human task service times. *)
 
 val shuffle_in_place : t -> 'a array -> unit

@@ -267,17 +267,48 @@ let test_wait_all_ignores_straggler_policy () =
       check_bool "no deadline hit" false ra.E.deadline_hit)
     a.E.trace b.E.trace
 
+(* A [Fixed] cutoff that binds on any draw stream, derived from the
+   platform config rather than tuned to one. Round 1 of [alloc] posts
+   [raw] = budget * votes questions; the batch is invisible for
+   [post_overhead] seconds, and then at its peak arrival rate — every
+   arrival bringing [patience_mean] answers on average — needs about
+   [raw / (peak_rate * patience_mean)] seconds more. The cutoff allows a
+   quarter of that, so closing the batch in time would take several
+   times the expected work in a window where a handful of workers
+   arrive. The preconditions are asserted, not assumed. *)
+let binding_cutoff platform alloc ~votes =
+  let c = Platform.config platform in
+  let raw =
+    match Allocation.round_budgets alloc with q :: _ -> q * votes | [] -> 0
+  in
+  let peak =
+    c.Platform.base_rate
+    +. (c.Platform.attract_per_question
+       *. (float_of_int raw ** c.Platform.visibility_exponent))
+  in
+  let need = float_of_int raw /. (peak *. c.Platform.patience_mean) in
+  let post = c.Platform.post_overhead in
+  let cutoff = post +. (need /. 4.0) in
+  check_bool "round 1 posts raw questions" true (raw > 0);
+  check_bool "cutoff falls after the batch becomes visible" true (cutoff > post);
+  check_bool "cutoff falls well inside round 1's work window" true
+    (cutoff < post +. need);
+  cutoff
+
 let test_deadline_cuts_round_latency () =
   (* a fixed deadline bounds every round's recorded latency *)
   let alloc = tdp_alloc 30 150 in
+  let cutoff = binding_cutoff (Platform.create ()) alloc ~votes:3 in
   let rng = Rng.create 67 in
   let truth = G.random rng 30 in
   let r =
-    E.run rng (simulated_cfg ~deadline:(E.Fixed 250.0) ~straggler:E.Drop alloc) truth
+    E.run rng
+      (simulated_cfg ~deadline:(E.Fixed cutoff) ~straggler:E.Drop alloc)
+      truth
   in
   List.iter
     (fun rr ->
-      check_bool "bounded" true (rr.E.round_latency <= 250.0 +. 1e-9))
+      check_bool "bounded" true (rr.E.round_latency <= cutoff +. 1e-9))
     r.E.trace;
   check_bool "some round hit the deadline" true
     (List.exists (fun rr -> rr.E.deadline_hit) r.E.trace)
@@ -287,10 +318,11 @@ let test_carry_forward_reissues () =
      Carry_forward later rounds must repost them; under Drop they must
      not *)
   let alloc = tdp_alloc 60 400 in
+  let cutoff = binding_cutoff (Platform.create ()) alloc ~votes:3 in
   let go straggler =
     let rng = Rng.create 3 in
     let truth = G.random rng 60 in
-    E.run rng (simulated_cfg ~deadline:(E.Fixed 200.0) ~straggler alloc) truth
+    E.run rng (simulated_cfg ~deadline:(E.Fixed cutoff) ~straggler alloc) truth
   in
   let dropped = go E.Drop and carried = go E.Carry_forward in
   check_bool "round 1 stranded questions" true

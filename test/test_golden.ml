@@ -97,7 +97,11 @@ let test_paper_22_example () =
    [Drop]) must keep reproducing them exactly, for any [jobs]: that is
    the guarantee that the new code paths are truly dormant by default.
    The simulated configs use odd vote counts (3, 5), so the even-vote
-   tie-break fix cannot perturb them either.
+   tie-break fix cannot perturb them either. The two simulated rows were
+   re-pinned once, deliberately, when the platform's service-time and
+   patience samplers changed (ziggurat normals, inverted geometric
+   patience): same stream, different variates. The oracle rows draw
+   nothing from those samplers and did not move.
 
    Field order: mean, stddev, median, p95 latency; singleton, correct
    rate; mean questions, mean rounds. *)
@@ -115,13 +119,13 @@ let golden_aggregates =
         "4051800000000000"; "4000000000000000" ] );
     ( "simulated_rwl",
       `Simulated, `Tournament, 30, 200, 5, 10,
-      [ "4080cf7acd12537d"; "40355634e6725332"; "4080db8e8444bb7a";
-        "40817713733e804e"; "3ff0000000000000"; "3fe3333333333333";
+      [ "40803e06f297ecbb"; "4043ba15a0d4537b"; "40805bfbcc81e7fe";
+        "40820cd12c2707b0"; "3ff0000000000000"; "3fe0000000000000";
         "4051800000000000"; "4000000000000000" ] );
     ( "simulated_pool",
       `Pool, `Tournament, 25, 150, 9, 8,
-      [ "4080f108f15004ac"; "404bdfdf25ca4a80"; "408033bda5016482";
-        "408389add526ce15"; "3ff0000000000000"; "3fec000000000000";
+      [ "408084dc4c690398"; "403a1431dab435c0"; "40805eecda4de19e";
+        "408185956fe6e877"; "3ff0000000000000"; "3fec000000000000";
         "404b000000000000"; "4000000000000000" ] );
   ]
 
@@ -185,9 +189,10 @@ let test_engine_aggregate_hex () =
    closed-loop (observe -> re-fit -> re-solve) machinery landed: with
    [refit = Off] the controller must consume the exact historical rng
    draw sequence, so these hexes are the guarantee the closed loop is
-   truly dormant by default. The simulated row pins the (new)
-   platform-driven path at its first-run values, for any [jobs] — the
-   ISSUE 9 acceptance pin for [--refit off]. Field order as above. *)
+   truly dormant by default. The simulated row pins the
+   platform-driven path for any [jobs] — the acceptance pin for
+   [--refit off] — and was re-pinned with the engine's simulated rows
+   when the platform samplers changed. Field order as above. *)
 let adaptive_golden_aggregates =
   [
     ( "adaptive_oracle_a",
@@ -202,8 +207,8 @@ let adaptive_golden_aggregates =
         "4072c00000000000"; "3ff0000000000000" ] );
     ( "adaptive_simulated",
       `Simulated, 30, 200, 35, 8,
-      [ "408079a06098a2eb"; "4045b1af0f95bf0d"; "40803b605ef8384a";
-        "40828f3e96e25e55"; "3ff0000000000000"; "3fec000000000000";
+      [ "4080928d05b9c672"; "403f452271761925"; "40809706246d827e";
+        "4081efcc19b97428"; "3ff0000000000000"; "3fe8000000000000";
         "4051800000000000"; "4000000000000000" ] );
   ]
 

@@ -2,7 +2,7 @@
 
 let () =
   Alcotest.run "crowdmax"
-    (Test_rng.suite @ Test_stats.suite @ Test_parallel.suite
+    (Test_rng.suite @ Test_samplers.suite @ Test_stats.suite @ Test_parallel.suite
    @ Test_heap.suite @ Test_table.suite
    @ Test_ints.suite @ Test_json.suite @ Test_csv.suite @ Test_metrics.suite @ Test_alloc_free.suite
    @ Test_event_calendar.suite @ Test_answer_dag.suite

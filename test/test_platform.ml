@@ -23,10 +23,9 @@ let test_negative_rejected () =
 
 let test_bad_tail_rate_rejected () =
   let cfg = { P.default_config with P.tail_rate = 0.0 } in
-  let p = P.create ~config:cfg () in
-  let rng = Rng.create 3 in
-  Alcotest.check_raises "tail" (Invalid_argument "Platform: tail_rate must be > 0")
-    (fun () -> ignore (P.batch_latency p rng 5))
+  Alcotest.check_raises "tail"
+    (Invalid_argument "Platform.create: tail_rate must be finite and > 0")
+    (fun () -> ignore (P.create ~config:cfg ()))
 
 let test_latency_exceeds_overhead () =
   let p = P.create () in
@@ -434,10 +433,92 @@ let test_diurnal_config_validation () =
   ignore (P.create ~config:(amp 0.999) ());
   ignore (P.create ~config:{ (amp 0.0) with P.diurnal_period = Float.nan } ())
 
+(* One bad field at a time: each must be rejected at construction with
+   a message naming it. Every one of these used to be accepted; some
+   then hung the event loop (a NaN or infinite [patience_mean]), some
+   returned plausible latencies (NaN rates or exponent), and some
+   failed only deep inside it. *)
+let test_config_validation_table () =
+  let d = P.default_config in
+  let svc median_seconds sigma = { W.median_seconds; sigma } in
+  let bad =
+    [
+      ("post_overhead", "finite and >= 0", { d with P.post_overhead = -1.0 });
+      ("post_overhead", "finite and >= 0", { d with P.post_overhead = Float.nan });
+      ("base_rate", "finite and >= 0", { d with P.base_rate = Float.nan });
+      ("base_rate", "finite and >= 0", { d with P.base_rate = -0.1 });
+      ("base_rate", "finite and >= 0", { d with P.base_rate = Float.infinity });
+      ( "attract_per_question",
+        "finite and >= 0",
+        { d with P.attract_per_question = Float.nan } );
+      ( "attract_per_question",
+        "finite and >= 0",
+        { d with P.attract_per_question = -1e-4 } );
+      ( "visibility_exponent",
+        "finite and >= 0",
+        { d with P.visibility_exponent = Float.nan } );
+      ( "visibility_exponent",
+        "finite and >= 0",
+        { d with P.visibility_exponent = Float.neg_infinity } );
+      ("burst_seconds", "finite and >= 0", { d with P.burst_seconds = Float.nan });
+      ( "burst_seconds",
+        "finite and >= 0",
+        { d with P.burst_seconds = Float.infinity } );
+      ("burst_seconds", "finite and >= 0", { d with P.burst_seconds = -5.0 });
+      ("tail_rate", "finite and > 0", { d with P.tail_rate = 0.0 });
+      ("tail_rate", "finite and > 0", { d with P.tail_rate = Float.nan });
+      ("tail_rate", "finite and > 0", { d with P.tail_rate = Float.infinity });
+      ("patience_mean", "finite and >= 1", { d with P.patience_mean = Float.nan });
+      ( "patience_mean",
+        "finite and >= 1",
+        { d with P.patience_mean = Float.infinity } );
+      ("patience_mean", "finite and >= 1", { d with P.patience_mean = 0.5 });
+      ("service.sigma", "finite and >= 0", { d with P.service = svc 3.0 Float.nan });
+      ("service.sigma", "finite and >= 0", { d with P.service = svc 3.0 (-0.6) });
+      ( "service.median_seconds",
+        "finite and > 0 (>= 0 when sigma = 0)",
+        { d with P.service = svc (-3.0) 0.6 } );
+      ( "service.median_seconds",
+        "finite and > 0 (>= 0 when sigma = 0)",
+        { d with P.service = svc (-3.0) 0.0 } );
+      ( "service.median_seconds",
+        "finite and > 0 (>= 0 when sigma = 0)",
+        { d with P.service = svc 0.0 0.6 } );
+      ( "service.median_seconds",
+        "finite and > 0 (>= 0 when sigma = 0)",
+        { d with P.service = svc Float.infinity 0.6 } );
+    ]
+  in
+  List.iter
+    (fun (field, rule, config) ->
+      Alcotest.check_raises field
+        (Invalid_argument
+           (Printf.sprintf "Platform.create: %s must be %s" field rule))
+        (fun () -> ignore (P.create ~config ())))
+    bad;
+  (* The boundary values stay usable: zero overhead, rates, exponent
+     and burst; patience exactly 1; a fixed zero service time. *)
+  let edge =
+    {
+      d with
+      P.post_overhead = 0.0;
+      base_rate = 0.0;
+      attract_per_question = 0.0;
+      visibility_exponent = 0.0;
+      burst_seconds = 0.0;
+      patience_mean = 1.0;
+      service = svc 0.0 0.0;
+    }
+  in
+  let p = P.create ~config:edge () in
+  let r = P.simulate p (Rng.create 4) 5 ~on_complete:(fun _ _ -> ()) in
+  check_int "edge config answers everything" 5 r.P.completed
+
 let suite =
   [
     ( "platform",
       [
+        tc "config validation table" `Quick test_config_validation_table;
         tc "diurnal config validation" `Quick test_diurnal_config_validation;
         tc "diurnal draw budget bounded" `Quick test_diurnal_draw_budget_bounded;
         tc "arrival clamp equivalence" `Quick test_arrival_clamp_equivalence;

@@ -98,15 +98,20 @@ let test_aggregate_pre_timing_compat () =
 let deadline_result () =
   let rng = Rng.create 3 in
   let sol = Tdp.solve (Problem.create ~elements:60 ~budget:400 ~latency:model) in
+  (* The cutoff comes from the platform config (see
+     [Test_engine.binding_cutoff]), so it strands round-1 questions on
+     any draw stream. *)
+  let platform = Crowdmax_crowd.Platform.create () in
+  let cutoff = Test_engine.binding_cutoff platform sol.Tdp.allocation ~votes:3 in
   let cfg =
     E.config
       ~source:
         (E.Simulated
            {
-             platform = Crowdmax_crowd.Platform.create ();
+             platform;
              rwl = { Crowdmax_crowd.Rwl.votes = 3; error = Crowdmax_crowd.Worker.Uniform 0.15 };
            })
-      ~deadline:(E.Fixed 200.0) ~straggler:E.Carry_forward
+      ~deadline:(E.Fixed cutoff) ~straggler:E.Carry_forward
       ~allocation:sol.Tdp.allocation ~selection:S.tournament
       ~latency_model:model ()
   in

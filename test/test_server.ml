@@ -242,12 +242,12 @@ let test_replicate_golden () =
   Alcotest.(check (list string))
     "aggregate bit patterns"
     [
-      "408227dc92761f8b";
-      "4093aa63cf96e9c1";
-      "3fee40538ff395e4";
-      "3f6a79b36b26b60f";
-      "3fe0000000000000";
-      "3fe2aaaaaaaaaaab";
+      "4083b9487cb99deb";
+      "40940b3ba41de681";
+      "3fed087e2e8ccd64";
+      "3f69c54acd8baba4";
+      "3fe4000000000000";
+      "3fe8000000000000";
     ]
     (List.map hex
        [
