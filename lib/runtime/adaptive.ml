@@ -1,15 +1,11 @@
-open Crowdmax_util
 module Metrics = Crowdmax_obs.Metrics
-module Dag = Crowdmax_graph.Answer_dag
-module Scoring = Crowdmax_graph.Scoring
 module Model = Crowdmax_latency.Model
 module Estimate = Crowdmax_latency.Estimate
 module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
-module Allocation = Crowdmax_core.Allocation
-module Selection = Crowdmax_selection.Selection
 module Ground_truth = Crowdmax_crowd.Ground_truth
 module Platform = Crowdmax_crowd.Platform
+module Query = Engine.Query
 
 type refit_policy = Off | Every_k_rounds of int | On_drift of float
 
@@ -40,15 +36,6 @@ let check_refit_policy ~refit ~refit_window =
       if Float.is_nan t || t <= 0.0 then
         invalid_arg "Adaptive.run: On_drift threshold must be > 0");
   if refit_window < 2 then invalid_arg "Adaptive.run: refit_window < 2"
-
-let check_deadline = function
-  | Engine.Wait_all -> ()
-  | Engine.Fixed d ->
-      if Float.is_nan d || d <= 0.0 then
-        invalid_arg "Adaptive.run: Fixed deadline must be > 0"
-  | Engine.Quantile p ->
-      if Float.is_nan p || p <= 0.0 || p > 1.0 then
-        invalid_arg "Adaptive.run: Quantile must be in (0, 1]"
 
 (* First [k] elements of a list (all of them if fewer): the observation
    window keeps the newest [refit_window] entries of a newest-first
@@ -105,11 +92,10 @@ let attempt_anchored_refit ~qmax model obs =
 let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
     ?(refit = Off) ?(refit_window = 8) ?(metrics = Metrics.disabled) ?scratch
     ?source_shift ?model_shift rng ~problem ~selection truth =
-  let n = Ground_truth.size truth in
-  if n <> problem.Problem.elements then
+  if Ground_truth.size truth <> problem.Problem.elements then
     invalid_arg "Adaptive.run: ground truth size mismatch";
   check_refit_policy ~refit ~refit_window;
-  check_deadline deadline;
+  Engine.check_deadline ~caller:"Adaptive.run" deadline;
   (* Adaptive instruments (all simulated quantities; recording is a
      no-op branch when the registry is disabled, so the default run is
      bit-identical to a metrics-free one). *)
@@ -125,12 +111,9 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
   let model = ref problem.Problem.latency in
   let current_source = ref source in
   let scratch =
-    match source, source_shift with
-    | Engine.Oracle, None -> scratch (* never consulted *)
-    | _ -> (
-        match scratch with
-        | Some _ -> scratch
-        | None -> Some (Platform.scratch ()))
+    match (scratch, source, source_shift) with
+    | Some _, _, _ | None, Engine.Oracle, None -> scratch (* oracle: unused *)
+    | None, _, _ -> Some (Platform.scratch ())
   in
   (* Every replan shares one plan cache: the first solve (at the full
      collection) builds the tables, the shrinking-c0 replans reuse them
@@ -141,11 +124,7 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
      cache keys on [Model.equal]), which is exactly the re-plan the
      closed loop wants. *)
   let cache = match cache with Some c -> c | None -> Tdp.Cache.create () in
-  let dag = Dag.create n in
-  let remaining_budget = ref problem.Problem.budget in
-  let total_latency = ref 0.0 in
-  let questions_posted = ref 0 in
-  let rounds_run = ref 0 in
+  let q = Query.create ~selection ~budget:problem.Problem.budget truth in
   let replans = ref 0 in
   let refits = ref 0 in
   let drift_detected = ref 0 in
@@ -160,65 +139,106 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
   let window = ref [] in
   let observations = ref [] in
   let rounds_since_refit = ref 0 in
-  let trace = ref [] in
+  let install fitted =
+    incr refits;
+    Metrics.incr m_refits;
+    model := fitted
+  in
+  (* Closed-loop bookkeeping: collect the observation, test the current
+     model against the recent window, re-fit when the policy says so.
+     All of it is pure arithmetic on already-drawn values — no rng
+     draws — so [Off] skips it without changing any draw. *)
+  let observe batch_size seconds =
+    let obs = { Estimate.batch_size; seconds } in
+    observations := obs :: !observations;
+    window := take refit_window (obs :: !window)
+  in
+  let refit_step posted observed =
+    match refit with
+    | Off -> ()
+    | Every_k_rounds k ->
+        observe posted observed;
+        incr rounds_since_refit;
+        if !rounds_since_refit >= k then begin
+          match attempt_refit ~qmax:problem.Problem.budget !model !window with
+          | Some fitted ->
+              rounds_since_refit := 0;
+              install fitted
+          | None -> ()
+        end
+    | On_drift threshold ->
+        observe posted observed;
+        let rms = Estimate.residual_rms !model !window in
+        Metrics.observe m_residual rms;
+        let rel = rms /. Float.max (mean_seconds !window) 1e-9 in
+        if rel > threshold then begin
+          incr drift_detected;
+          Metrics.incr m_drift;
+          (* Re-fit on the disagreeing points only: the window may
+             straddle the shift, and pre-shift observations agree with
+             the current model, so the points that violate the threshold
+             individually are the new regime's evidence. *)
+          let fresh =
+            List.filter
+              (fun { Estimate.batch_size; seconds } ->
+                Float.abs (Model.eval !model batch_size -. seconds)
+                /. Float.max seconds 1e-9
+                > threshold)
+              !window
+          in
+          let fitted =
+            match attempt_refit ~qmax:problem.Problem.budget !model fresh with
+            | Some _ as f -> f
+            | None ->
+                attempt_anchored_refit ~qmax:problem.Problem.budget !model fresh
+          in
+          match fitted with
+          | Some fitted ->
+              if not (Model.equal fitted !model) then
+                drift_replan_pending := true;
+              install fitted;
+              (* Drop the window: its points were judged against the
+                 replaced model, and the old regime's observations would
+                 read as fresh drift under the new one — keeping them
+                 makes the detector oscillate between regimes. *)
+              window := []
+          | None -> ()
+        end
+  in
   let continue_ = ref true in
   while !continue_ do
     (match source_shift with
-    | Some (k, shifted) when !rounds_run = k -> current_source := shifted
+    | Some (k, shifted) when Query.rounds q = k -> current_source := shifted
     | _ -> ());
     (match model_shift with
-    | Some (k, shifted) when !rounds_run = k -> model := shifted
+    | Some (k, shifted) when Query.rounds q = k -> model := shifted
     | _ -> ());
-    let candidates = Dag.candidates dag in
-    let c = Array.length candidates in
-    if c <= 1 || !remaining_budget < c - 1 then continue_ := false
-    else begin
-      (* Re-plan for the actual state; the suffix of the previous plan is
-         only optimal for its worst case, this is optimal for reality. *)
-      let plan =
-        Tdp.solve ~cache
-          (Problem.create ~elements:c ~budget:!remaining_budget
-             ~latency:!model)
-      in
-      incr replans;
-      if !drift_replan_pending then begin
-        drift_replan_pending := false;
-        incr replans_on_drift;
-        Metrics.incr m_replans_on_drift
-      end;
-      let round_budget =
-        match Allocation.round_budgets plan.Tdp.allocation with
-        | q :: _ -> min q !remaining_budget
-        | [] -> 0
-      in
-      if round_budget = 0 then continue_ := false
-      else begin
-        let input =
-          {
-            Selection.budget = round_budget;
-            candidates;
-            history = dag;
-            round_index = !rounds_run;
-            (* adaptive re-planning has no fixed horizon; report the
-               current plan's length for phase-split selectors *)
-            total_rounds = !rounds_run + Allocation.rounds plan.Tdp.allocation;
-            carried = [];
-          }
-        in
-        let questions = selection.Selection.select rng input in
-        let posted = List.length questions in
+    (* Re-plan for the actual state; the suffix of the previous plan is
+       only optimal for its worst case, this is optimal for reality.
+       Adaptive re-planning has no fixed horizon: phase-split selectors
+       see the current plan's length. *)
+    match Query.replan ~cache q !model with
+    | None -> continue_ := false
+    | Some (budget, horizon) ->
+        incr replans;
+        if !drift_replan_pending then begin
+          drift_replan_pending := false;
+          incr replans_on_drift;
+          Metrics.incr m_replans_on_drift
+        end;
+        let round = Query.select q rng ~budget ~horizon in
+        let posted = Query.posted round in
         if posted = 0 then continue_ := false
         else begin
-          (* The engine's round step answers the questions through the
-             configured source — the oracle draws nothing from the rng,
-             so the default configuration consumes the exact historical
-             draw sequence. Adaptive never pads: distinct = posted. *)
+          (* Adaptive never pads: distinct = posted. Cut-off questions
+             are simply dropped: the next round's re-plan and
+             re-selection subsume any carry-forward. *)
           let outcome =
             Engine.answer_round ?scratch ~metrics rng ~source:!current_source
-              ~deadline ~latency_model:!model truth dag questions
-              ~distinct:posted ~posted
+              ~deadline ~latency_model:!model truth (Query.dag q)
+              (Query.questions round) ~distinct:posted ~posted
           in
-          let latency = outcome.Engine.round_seconds in
+          ignore (Query.absorb q round outcome);
           (* The refit window must see the platform's honest measurement,
              not the deadline-clipped round cost: when a deadline fires,
              [round_seconds] is pinned to the cutoff (under [Quantile] it
@@ -230,121 +250,11 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
              actually counted, never clipped. The clipped value still
              prices the round for [total_latency] and the trace: the
              caller really did stop waiting at the deadline. *)
-          let observed = outcome.Engine.observed_seconds in
-          total_latency := !total_latency +. latency;
-          questions_posted := !questions_posted + posted;
-          remaining_budget := !remaining_budget - posted;
-          let after = Dag.candidate_count dag in
-          trace :=
-            {
-              Engine.round_index = !rounds_run;
-              round_budget;
-              distinct_questions = posted;
-              padded_questions = 0;
-              candidates_before = c;
-              candidates_after = after;
-              round_latency = latency;
-              (* cut-off questions are simply dropped: the next round's
-                 re-plan and re-selection subsume any carry-forward *)
-              unanswered_questions = List.length outcome.Engine.unanswered;
-              reissued_questions = 0;
-              deadline_hit = outcome.Engine.round_deadline_hit;
-            }
-            :: !trace;
-          incr rounds_run;
-          (* Closed-loop bookkeeping: collect the observation, test the
-             current model against the recent window, re-fit when the
-             policy says so. All of it is pure arithmetic on already-
-             drawn values — no rng draws — so [Off] skips it without
-             changing any draw. *)
-          (match refit with
-          | Off -> ()
-          | Every_k_rounds k ->
-              let obs = { Estimate.batch_size = posted; seconds = observed } in
-              observations := obs :: !observations;
-              window := take refit_window (obs :: !window);
-              incr rounds_since_refit;
-              if !rounds_since_refit >= k then begin
-                match attempt_refit ~qmax:problem.Problem.budget !model !window with
-                | Some fitted ->
-                    rounds_since_refit := 0;
-                    incr refits;
-                    Metrics.incr m_refits;
-                    model := fitted
-                | None -> ()
-              end
-          | On_drift threshold ->
-              let obs = { Estimate.batch_size = posted; seconds = observed } in
-              observations := obs :: !observations;
-              window := take refit_window (obs :: !window);
-              let rms = Estimate.residual_rms !model !window in
-              Metrics.observe m_residual rms;
-              let rel = rms /. Float.max (mean_seconds !window) 1e-9 in
-              if rel > threshold then begin
-                incr drift_detected;
-                Metrics.incr m_drift;
-                (* Re-fit on the disagreeing points only: the window may
-                   straddle the shift, and pre-shift observations agree
-                   with the current model, so the points that violate
-                   the threshold individually are the new regime's
-                   evidence. *)
-                let fresh =
-                  List.filter
-                    (fun { Estimate.batch_size; seconds } ->
-                      Float.abs (Model.eval !model batch_size -. seconds)
-                      /. Float.max seconds 1e-9
-                      > threshold)
-                    !window
-                in
-                let fitted =
-                  match
-                    attempt_refit ~qmax:problem.Problem.budget !model fresh
-                  with
-                  | Some _ as f -> f
-                  | None ->
-                      attempt_anchored_refit ~qmax:problem.Problem.budget
-                        !model fresh
-                in
-                match fitted with
-                | Some fitted ->
-                    incr refits;
-                    Metrics.incr m_refits;
-                    if not (Model.equal fitted !model) then
-                      drift_replan_pending := true;
-                    model := fitted;
-                    (* Drop the window: its points were judged against
-                       the replaced model, and the old regime's
-                       observations would read as fresh drift under the
-                       new one — keeping them makes the detector
-                       oscillate between regimes. *)
-                    window := []
-                | None -> ()
-              end)
+          refit_step posted outcome.Engine.observed_seconds
         end
-      end
-    end
   done;
-  let remaining = Dag.remaining_candidates dag in
-  let singleton = match remaining with [ _ ] -> true | _ -> false in
-  let chosen =
-    match remaining with
-    | [ w ] -> w
-    | _ -> (
-        match Scoring.ranked_candidates dag with
-        | best :: _ -> best
-        | [] -> assert false)
-  in
   {
-    engine_result =
-      {
-        Engine.chosen;
-        correct = chosen = Ground_truth.max_element truth;
-        singleton;
-        rounds_run = !rounds_run;
-        questions_posted = !questions_posted;
-        total_latency = !total_latency;
-        trace = List.rev !trace;
-      };
+    engine_result = Query.finish q;
     replans = !replans;
     refits = !refits;
     drift_detected = !drift_detected;
@@ -366,40 +276,18 @@ let replicate ?(jobs = 1) ?source ?deadline ?refit ?refit_window ?source_shift
   if runs < 1 then invalid_arg "Adaptive.replicate: runs < 1";
   if jobs < 1 then invalid_arg "Adaptive.replicate: jobs < 1";
   let t0 = Crowdmax_obs.Clock.now () in
-  let rngs = Engine.per_run_rngs ~runs ~seed in
-  (* Every run replans the same problem family, so runs on the same
-     domain share one plan cache. A cache is single-domain mutable
-     state: under [jobs > 1] the runs chunk exactly like
-     [Engine.replicate_with_metrics] and each chunk owns a private
-     cache, which keeps the aggregate bit-identical for every [jobs]
-     (cached solves equal fresh solves bit-for-bit). The same goes for
-     the platform scratch each chunk threads through its runs. *)
-  let one cache scratch rng =
-    let truth = Ground_truth.random rng problem.Problem.elements in
-    run ~cache ?source ?deadline ?refit ?refit_window ?source_shift
-      ?model_shift ?scratch rng ~problem ~selection truth
-  in
+  (* Every run replans the same problem family, so the runs of a chunk
+     share one plan cache (and one platform scratch): cached solves
+     equal fresh solves bit-for-bit, so the aggregate stays
+     bit-identical for every [jobs]. *)
   let results =
-    if jobs = 1 then begin
-      let cache = Tdp.Cache.create () in
-      let scratch = Some (Platform.scratch ()) in
-      Array.map (one cache scratch) rngs
-    end
-    else begin
-      let nchunks = min runs jobs in
-      let bound i = i * runs / nchunks in
-      let chunk ci =
-        let cache = Tdp.Cache.create () in
-        let scratch = Some (Platform.scratch ()) in
-        let lo = bound ci in
-        Array.init (bound (ci + 1) - lo) (fun k ->
-            one cache scratch rngs.(lo + k))
-      in
-      let chunks =
-        Parallel.with_pool ~jobs (fun pool -> Parallel.init pool nchunks chunk)
-      in
-      Array.concat (Array.to_list chunks)
-    end
+    Engine.map_chunked ~jobs
+      ~init:(fun () -> (Tdp.Cache.create (), Platform.scratch ()))
+      (fun (cache, scratch) rng ->
+        let truth = Ground_truth.random rng problem.Problem.elements in
+        run ~cache ?source ?deadline ?refit ?refit_window ?source_shift
+          ?model_shift ~scratch rng ~problem ~selection truth)
+      (Engine.per_run_rngs ~runs ~seed)
   in
   let sum f = Array.fold_left (fun acc r -> acc + f r) 0 results in
   {

@@ -54,15 +54,17 @@ let plan_config ?metrics ?cache ?source ?pad_to_round_budget ?deadline
     ~allocation:sol.Tdp.allocation ~selection
     ~latency_model:problem.Problem.latency ()
 
-let check_policies cfg =
-  (match cfg.deadline with
+let check_deadline ~caller = function
   | Wait_all -> ()
   | Fixed d ->
       if Float.is_nan d || d <= 0.0 then
-        invalid_arg "Engine.run: Fixed deadline must be > 0"
+        invalid_arg (caller ^ ": Fixed deadline must be > 0")
   | Quantile p ->
       if Float.is_nan p || p <= 0.0 || p > 1.0 then
-        invalid_arg "Engine.run: Quantile must be in (0, 1]");
+        invalid_arg (caller ^ ": Quantile must be in (0, 1]")
+
+let check_policies cfg =
+  check_deadline ~caller:"Engine.run" cfg.deadline;
   match cfg.straggler with
   | Reissue n ->
       if n < 0 then invalid_arg "Engine.run: Reissue retry cap < 0"
@@ -123,6 +125,40 @@ type round_outcome = {
   round_deadline_hit : bool;
 }
 
+(* Raw-slot layout under a deadline: repetition [i] of the raw batch
+   belongs to posted slot [i mod posted] — repetitions interleave
+   across the batch, so early completions spread over all questions
+   instead of finishing the first few in full. Slots past the counted
+   (distinct) questions are padding and carry no information. *)
+let count_vote counts ~posted idx =
+  let slot = idx mod posted in
+  if slot < Array.length counts then counts.(slot) <- counts.(slot) + 1
+
+let add_answers dag answers =
+  List.iter
+    (fun (winner, loser) -> Dag.add_answer_unchecked dag ~winner ~loser)
+    answers
+
+let full_round latency ~answered =
+  {
+    round_seconds = latency;
+    observed_seconds = latency;
+    answered;
+    unanswered = [];
+    round_deadline_hit = false;
+  }
+
+let resolve_votes ~resolve dag counts (report : Platform.report) =
+  let outcome : Rwl.outcome = resolve counts in
+  add_answers dag outcome.answers;
+  {
+    round_seconds = report.latency;
+    observed_seconds = report.last_completion;
+    answered = List.length outcome.answers;
+    unanswered = outcome.unanswered;
+    round_deadline_hit = report.deadline_hit;
+  }
+
 (* Answer a round's questions, record them in [dag], and return a
    {!round_outcome} — the answer count feeds the consensus-resolutions
    metric without recomputation at the call site, and the observed
@@ -136,36 +172,29 @@ type round_outcome = {
    so aggregates stay bit-identical to the pre-deadline engine. A
    finite deadline needs the platform's completion report *before*
    votes can be drawn (only received repetitions count), so that path
-   runs platform-first; it is a distinct, documented draw schedule.
-
-   Raw-slot layout under a deadline: repetition [i] of the raw batch
-   belongs to posted slot [i mod posted] — repetitions interleave
-   across the batch, so early completions spread over all questions
-   instead of finishing the first few in full. Slots past [distinct]
-   are padding and carry no information. *)
+   runs platform-first; it is a distinct, documented draw schedule. *)
 let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
     ~latency_model truth dag questions ~distinct ~posted =
-  let record (winner, loser) = Dag.add_answer_unchecked dag ~winner ~loser in
-  let partial_counts platform votes ~deadline =
-    let counts = Array.make distinct 0 in
-    let on_complete idx _time =
-      let slot = idx mod posted in
-      if slot < distinct then counts.(slot) <- counts.(slot) + 1
-    in
-    let report =
-      Platform.simulate ~deadline ~metrics ?scratch platform rng
-        (votes * posted) ~on_complete
-    in
-    (counts, report)
-  in
-  let of_report (report : Platform.report) ~answered ~unanswered =
-    {
-      round_seconds = report.Platform.latency;
-      observed_seconds = report.Platform.last_completion;
-      answered;
-      unanswered;
-      round_deadline_hit = report.Platform.deadline_hit;
-    }
+  let simulated platform votes resolve =
+    match round_deadline ~deadline ~latency_model ~posted with
+    | None ->
+        let outcome = resolve None in
+        (* Latency: all raw repetitions of all posted questions
+           (padding included) go to the platform as one batch. *)
+        let latency =
+          Platform.batch_latency ~metrics ?scratch platform rng (votes * posted)
+        in
+        add_answers dag outcome.Rwl.answers;
+        full_round latency ~answered:(List.length outcome.Rwl.answers)
+    | Some deadline ->
+        let counts = Array.make distinct 0 in
+        let report =
+          Platform.simulate ~deadline ~metrics ?scratch platform rng
+            (votes * posted) ~on_complete:(fun idx _time ->
+              count_vote counts ~posted idx)
+        in
+        resolve_votes dag counts report ~resolve:(fun votes_received ->
+            resolve (Some votes_received))
   in
   match source with
   | Oracle ->
@@ -178,67 +207,13 @@ let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
             Dag.add_answer_unchecked dag ~winner:a ~loser:b
           else Dag.add_answer_unchecked dag ~winner:b ~loser:a)
         questions;
-      let latency = Model.eval latency_model posted in
-      {
-        round_seconds = latency;
-        observed_seconds = latency;
-        answered = distinct;
-        unanswered = [];
-        round_deadline_hit = false;
-      }
-  | Simulated { platform; rwl } -> (
-      let raw_posted = rwl.Rwl.votes * posted in
-      match round_deadline ~deadline ~latency_model ~posted with
-      | None ->
-          let outcome = Rwl.resolve rng rwl ~truth questions in
-          (* Latency: all raw repetitions of all posted questions
-             (padding included) go to the platform as one batch. *)
-          let latency =
-            Platform.batch_latency ~metrics ?scratch platform rng raw_posted
-          in
-          List.iter record outcome.Rwl.answers;
-          {
-            round_seconds = latency;
-            observed_seconds = latency;
-            answered = List.length outcome.Rwl.answers;
-            unanswered = [];
-            round_deadline_hit = false;
-          }
-      | Some deadline ->
-          let counts, report = partial_counts platform rwl.Rwl.votes ~deadline in
-          let outcome =
-            Rwl.resolve ~votes_received:counts rng rwl ~truth questions
-          in
-          List.iter record outcome.Rwl.answers;
-          of_report report
-            ~answered:(List.length outcome.Rwl.answers)
-            ~unanswered:outcome.Rwl.unanswered)
-  | Simulated_pool { platform; pool; votes } -> (
-      match round_deadline ~deadline ~latency_model ~posted with
-      | None ->
-          let outcome = Rwl.resolve_pool rng ~pool ~votes ~truth questions in
-          let latency =
-            Platform.batch_latency ~metrics ?scratch platform rng
-              (votes * posted)
-          in
-          List.iter record outcome.Rwl.answers;
-          {
-            round_seconds = latency;
-            observed_seconds = latency;
-            answered = List.length outcome.Rwl.answers;
-            unanswered = [];
-            round_deadline_hit = false;
-          }
-      | Some deadline ->
-          let counts, report = partial_counts platform votes ~deadline in
-          let outcome =
-            Rwl.resolve_pool ~votes_received:counts rng ~pool ~votes ~truth
-              questions
-          in
-          List.iter record outcome.Rwl.answers;
-          of_report report
-            ~answered:(List.length outcome.Rwl.answers)
-            ~unanswered:outcome.Rwl.unanswered)
+      full_round (Model.eval latency_model posted) ~answered:distinct
+  | Simulated { platform; rwl } ->
+      simulated platform rwl.Rwl.votes (fun votes_received ->
+          Rwl.resolve ?votes_received rng rwl ~truth questions)
+  | Simulated_pool { platform; pool; votes } ->
+      simulated platform votes (fun votes_received ->
+          Rwl.resolve_pool ?votes_received rng ~pool ~votes ~truth questions)
 
 (* Split off the first [k] elements (all of them if fewer). *)
 let rec take_at_most k = function
@@ -250,6 +225,207 @@ let rec take_at_most k = function
 
 let pair_eq (a, b) (c, d) = a = c && b = d
 let unordered_pair_eq (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
+
+module Query = struct
+  type round = {
+    budget : int;
+    candidates : int;
+    questions : (int * int) list;
+    distinct : int;
+    padded : int;
+    carried : ((int * int) * int) list;
+    deferred : ((int * int) * int) list;
+  }
+
+  type t = {
+    truth : Ground_truth.t;
+    dag : Dag.t;
+    selection : Selection.t;
+    span : Metrics.span;
+    pad : bool;
+    straggler : straggler_policy;
+    mutable remaining : int;
+    mutable rounds : int;
+    mutable questions : int;
+    mutable latency : float;
+    mutable deadline_hits : int;
+    mutable trace : round_record list;
+    (* Straggler queue: questions cut off with zero received votes, as
+       [(pair, remaining reissues)], oldest first. Always empty under
+       [Wait_all] (nothing is ever cut off) and under [Drop]. *)
+    mutable pending : ((int * int) * int) list;
+  }
+
+  let create ?edge_capacity
+      ?(span = Metrics.span Metrics.disabled ~section:"" "") ?(pad = false)
+      ?(straggler = Drop) ~selection ~budget truth =
+    {
+      truth;
+      dag = Dag.create ?edge_capacity (Ground_truth.size truth);
+      selection;
+      span;
+      pad;
+      straggler;
+      remaining = budget;
+      rounds = 0;
+      questions = 0;
+      latency = 0.0;
+      deadline_hits = 0;
+      trace = [];
+      pending = [];
+    }
+
+  let truth q = q.truth
+  let dag q = q.dag
+  let rounds q = q.rounds
+  let latency q = q.latency
+  let deadline_hits q = q.deadline_hits
+
+  let active q =
+    let c = Dag.candidate_count q.dag in
+    c > 1 && q.remaining >= c - 1
+
+  let replan ~cache q latency =
+    if not (active q) then None
+    else
+      let plan =
+        Tdp.solve ~cache
+          (Problem.create
+             ~elements:(Dag.candidate_count q.dag)
+             ~budget:q.remaining ~latency)
+      in
+      let budget =
+        match Allocation.round_budgets plan.Tdp.allocation with
+        | b :: _ -> min b q.remaining
+        | [] -> 0
+      in
+      Some (budget, q.rounds + Allocation.rounds plan.Tdp.allocation)
+
+  let live dag ((a, b), _) = Dag.losses dag a = 0 && Dag.losses dag b = 0
+
+  let select q rng ~budget ~horizon =
+    let dag = q.dag in
+    (* Carried stragglers go out first, consuming round budget before
+       the selector sees it. Pairs whose elements lost meanwhile are
+       dead — comparing them again cannot change the RC set — so they
+       must never reach [take_at_most]: a dead pair that consumed a
+       budget slot would crowd out a live selector question. [absorb]
+       already prunes the queue; this filter restates the invariant at
+       the consume site so correctness never rests on that alone. *)
+    let carried, deferred =
+      take_at_most budget (List.filter (live dag) q.pending)
+    in
+    let carried_pairs = List.map fst carried in
+    let sel_budget = budget - List.length carried in
+    let selected =
+      if sel_budget = 0 then []
+      else
+        let input =
+          {
+            Selection.budget = sel_budget;
+            candidates = Dag.candidates dag;
+            history = dag;
+            round_index = q.rounds;
+            total_rounds = horizon;
+            carried = carried_pairs;
+          }
+        in
+        Metrics.time q.span (fun () -> q.selection.Selection.select rng input)
+    in
+    (* A selector may independently re-pick a carried pair; keep the
+       carried copy only. *)
+    let questions =
+      match carried_pairs with
+      | [] -> selected
+      | _ ->
+          carried_pairs
+          @ List.filter
+              (fun p -> not (List.exists (unordered_pair_eq p) carried_pairs))
+              selected
+    in
+    let distinct = List.length questions in
+    let padded = if q.pad && distinct < budget then budget - distinct else 0 in
+    {
+      budget;
+      candidates = Dag.candidate_count dag;
+      questions;
+      distinct;
+      padded;
+      carried;
+      deferred;
+    }
+
+  let questions (r : round) = r.questions
+  let distinct r = r.distinct
+  let posted r = r.distinct + r.padded
+
+  let absorb q r o =
+    let posted = posted r in
+    q.latency <- q.latency +. o.round_seconds;
+    q.questions <- q.questions + posted;
+    q.remaining <- q.remaining - posted;
+    if o.round_deadline_hit then q.deadline_hits <- q.deadline_hits + 1;
+    (* Straggler bookkeeping: a reposted pair spent one reissue; a
+       freshly cut-off pair gets the policy's full allowance.
+       Invariant: [pending] holds only pairs of still-live candidates
+       at every round boundary — this round's answers may have
+       eliminated an element of a deferred or freshly cut-off pair, so
+       prune against the post-round DAG before queueing. *)
+    let reissues_left pair =
+      match List.find_opt (fun (p, _) -> pair_eq p pair) r.carried with
+      | Some (_, n) -> if n = max_int then max_int else n - 1
+      | None -> (
+          match q.straggler with
+          | Drop -> 0
+          | Carry_forward -> max_int
+          | Reissue cap -> cap)
+    in
+    q.pending <-
+      List.filter (live q.dag)
+        (r.deferred
+        @ List.filter_map
+            (fun pair ->
+              let n = reissues_left pair in
+              if n > 0 then Some (pair, n) else None)
+            o.unanswered);
+    let record =
+      {
+        round_index = q.rounds;
+        round_budget = r.budget;
+        distinct_questions = r.distinct;
+        padded_questions = r.padded;
+        candidates_before = r.candidates;
+        candidates_after = Dag.candidate_count q.dag;
+        round_latency = o.round_seconds;
+        unanswered_questions = List.length o.unanswered;
+        reissued_questions = List.length r.carried;
+        deadline_hit = o.round_deadline_hit;
+      }
+    in
+    q.trace <- record :: q.trace;
+    q.rounds <- q.rounds + 1;
+    record
+
+  let finish q =
+    let remaining = Dag.remaining_candidates q.dag in
+    let chosen =
+      match remaining with
+      | [ w ] -> w
+      | _ -> (
+          match Scoring.ranked_candidates q.dag with
+          | best :: _ -> best
+          | [] -> 0)
+    in
+    {
+      chosen;
+      correct = chosen = Ground_truth.max_element q.truth;
+      singleton = (match remaining with [ _ ] -> true | _ -> false);
+      rounds_run = q.rounds;
+      questions_posted = q.questions;
+      total_latency = q.latency;
+      trace = List.rev q.trace;
+    }
+end
 
 (* Fixed simulated-round-latency buckets (seconds), sized for the
    paper's platform scale (rounds cost hundreds to a few thousand
@@ -301,221 +477,58 @@ let make_instruments metrics =
     i_sel_span = Metrics.span metrics ~section:"engine" "selector_seconds";
   }
 
-(* The single-run engine proper. Callers must have run [check_policies]
-   and registered [instr] on [metrics] (the registry is still threaded
-   through for the platform's own instruments). [scratch] is reusable
-   simulation storage: replication loops pass one handle per worker so
-   consecutive runs (and rounds within a run) share buffers; when
-   absent, a simulated source gets a fresh handle for the run. *)
-let run_registered ?scratch instr ~metrics rng cfg truth =
-  let scratch =
-    match cfg.source with
-    | Oracle -> None
-    | Simulated _ | Simulated_pool _ -> (
-        match scratch with
-        | Some _ -> scratch
-        | None -> Some (Platform.scratch ()))
-  in
-  let {
-    i_runs = m_runs;
-    i_rounds = m_rounds;
-    i_posted = m_posted;
-    i_distinct = m_distinct;
-    i_padded = m_padded;
-    i_unanswered = m_unanswered;
-    i_reissued = m_reissued;
-    i_consensus = m_consensus;
-    i_deadline_hits = m_deadline_hits;
-    i_round_latency = m_round_latency;
-    i_sel_span = sel_span;
-  } =
-    instr
-  in
-  Metrics.incr m_runs;
-  let n = Ground_truth.size truth in
+(* The single-run engine proper: the fixed allocation vector drives
+   {!Query}, and every round lands in [instr]. Callers must have run
+   [check_policies] and registered [instr] on [metrics] (the registry
+   is still threaded through for the platform's own instruments).
+   [scratch] is reusable simulation storage: replication loops pass one
+   handle per worker so consecutive runs (and rounds within a run)
+   share buffers. *)
+let run_registered ~scratch instr ~metrics rng cfg truth =
+  Metrics.incr instr.i_runs;
   let budgets = Array.of_list (Allocation.round_budgets cfg.allocation) in
+  let total_rounds = Array.length budgets in
   (* At most one answer per posted question, so the total budget bounds
      the edge pool: preallocating it makes every add allocation-free. *)
-  let dag = Dag.create ~edge_capacity:(Array.fold_left ( + ) 0 budgets) n in
-  let total_rounds = Array.length budgets in
-  let trace = ref [] in
-  let total_latency = ref 0.0 in
-  let questions_posted = ref 0 in
-  let rounds_run = ref 0 in
-  let finished = ref false in
-  let round = ref 0 in
-  (* Straggler queue: questions cut off with zero received votes, as
-     [(pair, remaining reissues)], oldest first. Always empty under
-     [Wait_all] (nothing is ever cut off) and under [Drop]. *)
-  let pending = ref [] in
-  while (not !finished) && !round < total_rounds do
-    let candidates = Dag.candidates dag in
-    if Array.length candidates <= 1 then finished := true
+  let budget = Array.fold_left ( + ) 0 budgets in
+  let q =
+    Query.create ~edge_capacity:budget ~span:instr.i_sel_span
+      ~pad:cfg.pad_to_round_budget ~straggler:cfg.straggler
+      ~selection:cfg.selection ~budget truth
+  in
+  while
+    Query.rounds q < total_rounds && Dag.candidate_count (Query.dag q) > 1
+  do
+    let round =
+      Query.select q rng ~budget:budgets.(Query.rounds q) ~horizon:total_rounds
+    in
+    let posted = Query.posted round in
+    Metrics.incr instr.i_rounds;
+    (* A selector that asks nothing cannot make progress, but the round
+       still consumed its slot in the allocation vector: it is recorded
+       (zero questions, zero latency) so trace indices stay dense —
+       trajectory/export consumers assume [trace] covers every round
+       run. *)
+    if posted = 0 then ignore (Query.absorb q round (full_round 0.0 ~answered:0))
     else begin
-      let budget = budgets.(!round) in
-      (* Carried stragglers go out first, consuming round budget before
-         the selector sees it. Pairs whose elements lost meanwhile are
-         dead — comparing them again cannot change the RC set — so they
-         must never reach [take_at_most]: a dead pair that consumed a
-         budget slot would crowd out a live selector question. The
-         queue is already pruned at insertion (below); this filter
-         restates the invariant at the consume site so correctness
-         never rests on the insertion discipline alone. *)
-      let live =
-        List.filter
-          (fun ((a, b), _) -> Dag.losses dag a = 0 && Dag.losses dag b = 0)
-          !pending
+      let outcome =
+        answer_round ~scratch ~metrics rng ~source:cfg.source
+          ~deadline:cfg.deadline ~latency_model:cfg.latency_model truth
+          (Query.dag q) (Query.questions round) ~distinct:(Query.distinct round)
+          ~posted
       in
-      let carried, deferred = take_at_most budget live in
-      let carried_pairs = List.map fst carried in
-      let sel_budget = budget - List.length carried in
-      let input =
-        {
-          Selection.budget = sel_budget;
-          candidates;
-          history = dag;
-          round_index = !round;
-          total_rounds;
-          carried = carried_pairs;
-        }
-      in
-      let selected =
-        if sel_budget = 0 then []
-        else Metrics.time sel_span (fun () -> cfg.selection.Selection.select rng input)
-      in
-      (* A selector may independently re-pick a carried pair; keep the
-         carried copy only. *)
-      let selected =
-        List.filter
-          (fun q -> not (List.exists (unordered_pair_eq q) carried_pairs))
-          selected
-      in
-      let questions = carried_pairs @ selected in
-      let distinct = List.length questions in
-      let padded =
-        if cfg.pad_to_round_budget && distinct < budget then budget - distinct
-        else 0
-      in
-      let posted = distinct + padded in
-      if posted = 0 then begin
-        (* A selector that asks nothing cannot make progress, but the
-           round still consumed its slot in the allocation vector:
-           record it (zero questions, zero latency) so trace indices
-           stay dense — trajectory/export consumers assume
-           [trace] covers every round run. *)
-        trace :=
-          {
-            round_index = !round;
-            round_budget = budget;
-            distinct_questions = 0;
-            padded_questions = 0;
-            candidates_before = Array.length candidates;
-            candidates_after = Array.length candidates;
-            round_latency = 0.0;
-            unanswered_questions = 0;
-            reissued_questions = 0;
-            deadline_hit = false;
-          }
-          :: !trace;
-        Metrics.incr m_rounds;
-        incr rounds_run;
-        incr round
-      end
-      else begin
-        let {
-          round_seconds = latency;
-          observed_seconds = _;
-          answered;
-          unanswered;
-          round_deadline_hit = deadline_hit;
-        } =
-          answer_round ?scratch ~metrics rng ~source:cfg.source
-            ~deadline:cfg.deadline ~latency_model:cfg.latency_model truth dag
-            questions ~distinct ~posted
-        in
-        total_latency := !total_latency +. latency;
-        questions_posted := !questions_posted + posted;
-        incr rounds_run;
-        (* Straggler bookkeeping: a reposted pair spent one reissue; a
-           freshly cut-off pair gets the policy's full allowance.
-           Invariant: [pending] holds only pairs of still-live
-           candidates at every round boundary — this round's answers
-           may have eliminated an element of a deferred or freshly
-           cut-off pair, so prune against the post-round DAG before
-           queueing. *)
-        let reissues_left pair =
-          match List.find_opt (fun (p, _) -> pair_eq p pair) carried with
-          | Some (_, r) -> if r = max_int then max_int else r - 1
-          | None -> (
-              match cfg.straggler with
-              | Drop -> 0
-              | Carry_forward -> max_int
-              | Reissue cap -> cap)
-        in
-        pending :=
-          List.filter
-            (fun ((a, b), _) -> Dag.losses dag a = 0 && Dag.losses dag b = 0)
-            (deferred
-            @ List.filter_map
-                (fun pair ->
-                  let r = reissues_left pair in
-                  if r > 0 then Some (pair, r) else None)
-                unanswered);
-        let unanswered_count = List.length unanswered in
-        let reissued_count = List.length carried in
-        let after = Dag.candidate_count dag in
-        Metrics.incr m_rounds;
-        Metrics.add m_posted posted;
-        Metrics.add m_distinct distinct;
-        Metrics.add m_padded padded;
-        Metrics.add m_unanswered unanswered_count;
-        Metrics.add m_reissued reissued_count;
-        Metrics.add m_consensus answered;
-        if deadline_hit then Metrics.incr m_deadline_hits;
-        Metrics.observe m_round_latency latency;
-        trace :=
-          {
-            round_index = !round;
-            round_budget = budget;
-            distinct_questions = distinct;
-            padded_questions = padded;
-            candidates_before = Array.length candidates;
-            candidates_after = after;
-            round_latency = latency;
-            unanswered_questions = unanswered_count;
-            reissued_questions = reissued_count;
-            deadline_hit;
-          }
-          :: !trace;
-        incr round;
-        if after <= 1 then finished := true
-      end
+      let r = Query.absorb q round outcome in
+      Metrics.add instr.i_posted posted;
+      Metrics.add instr.i_distinct r.distinct_questions;
+      Metrics.add instr.i_padded r.padded_questions;
+      Metrics.add instr.i_unanswered r.unanswered_questions;
+      Metrics.add instr.i_reissued r.reissued_questions;
+      Metrics.add instr.i_consensus outcome.answered;
+      if r.deadline_hit then Metrics.incr instr.i_deadline_hits;
+      Metrics.observe instr.i_round_latency r.round_latency
     end
   done;
-  let remaining = Dag.remaining_candidates dag in
-  let singleton = match remaining with [ _ ] -> true | _ -> false in
-  let chosen =
-    match remaining with
-    | [ w ] -> w
-    | [] -> assert false (* someone always remains unbeaten *)
-    | _ :: _ -> (
-        match Scoring.ranked_candidates dag with
-        | best :: _ -> best
-        | [] -> assert false)
-  in
-  {
-    chosen;
-    correct = chosen = Ground_truth.max_element truth;
-    singleton;
-    rounds_run = !rounds_run;
-    questions_posted = !questions_posted;
-    total_latency = !total_latency;
-    trace = List.rev !trace;
-  }
-
-let run ?(metrics = Metrics.disabled) rng cfg truth =
-  check_policies cfg;
-  run_registered (make_instruments metrics) ~metrics rng cfg truth
+  Query.finish q
 
 (* A reusable runner: policies checked, instruments registered and
    scratch allocated once, shared by every run the closure performs.
@@ -527,6 +540,8 @@ let runner ?(metrics = Metrics.disabled) cfg =
   let instr = make_instruments metrics in
   let scratch = Platform.scratch () in
   fun rng truth -> run_registered ~scratch instr ~metrics rng cfg truth
+
+let run ?metrics rng cfg truth = runner ?metrics cfg rng truth
 
 type timing = { jobs : int; wall_seconds : float; runs_per_sec : float }
 
@@ -597,35 +612,38 @@ let aggregate_results ~runs ~timing results =
     timing;
   }
 
+(* Runs split into at most [jobs] contiguous chunks, one per domain.
+   Each chunk builds its own mutable state ([init]: simulation scratch,
+   plan cache, metrics registry — none of which may cross domains) and
+   maps its runs in order, so per-run results land in run order for
+   any [jobs]. *)
+let map_chunked ~jobs ~init f rngs =
+  let runs = Array.length rngs in
+  let nchunks = min runs jobs in
+  let bound i = i * runs / nchunks in
+  let chunk ci =
+    let state = init () in
+    let lo = bound ci in
+    Array.init (bound (ci + 1) - lo) (fun k -> f state rngs.(lo + k))
+  in
+  Array.concat
+    (Array.to_list
+       (Parallel.with_pool ~jobs (fun pool -> Parallel.init pool nchunks chunk)))
+
 let replicate ?(jobs = 1) ~runs ~seed cfg ~elements =
   if runs < 1 then invalid_arg "Engine.replicate: runs < 1";
   if jobs < 1 then invalid_arg "Engine.replicate: jobs < 1";
   check_policies cfg;
   let t0 = Clock.now () in
-  let rngs = per_run_rngs ~runs ~seed in
+  (* Disabled-registry instrument handles are immutable no-ops, safe to
+     share across domains. *)
+  let instr = make_instruments Metrics.disabled in
   let results =
-    if jobs = 1 then begin
-      (* One worker: hoist the (no-op) instruments and the simulation
-         scratch out of the per-run loop. *)
-      let instr = make_instruments Metrics.disabled in
-      let scratch = Platform.scratch () in
-      Array.map
-        (fun rng ->
-          let truth = Ground_truth.random rng elements in
-          run_registered ~scratch instr ~metrics:Metrics.disabled rng cfg truth)
-        rngs
-    end
-    else begin
-      (* The closure is shared by every pool domain, so it cannot carry
-         a common scratch; each run gets its own. Disabled-registry
-         instrument handles are immutable no-ops, safe to share. *)
-      let instr = make_instruments Metrics.disabled in
-      let one rng =
+    map_chunked ~jobs ~init:Platform.scratch
+      (fun scratch rng ->
         let truth = Ground_truth.random rng elements in
-        run_registered instr ~metrics:Metrics.disabled rng cfg truth
-      in
-      Parallel.with_pool ~jobs (fun pool -> Parallel.map pool one rngs)
-    end
+        run_registered ~scratch instr ~metrics:Metrics.disabled rng cfg truth)
+      (per_run_rngs ~runs ~seed)
   in
   aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results
 
@@ -650,53 +668,43 @@ let replicate_with_metrics ?(jobs = 1) ~runs ~seed cfg ~elements =
   check_policies cfg;
   let t0 = Clock.now () in
   let rngs = per_run_rngs ~runs ~seed in
-  if jobs = 1 then (
-    (* Single chunk: one reused registry with instruments registered
-       once, absorbed into a mutable accumulator after every run.
-       [absorb]'s value grouping is the left-fold merge of the per-run
-       snapshots — exactly the parallel path's final fold — so the
-       merged document is bit-identical for any [jobs] while the
-       sequential path allocates no snapshots at all. *)
+  let chunk_state () =
     let metrics = Metrics.create () in
-    let acc = Metrics.create () in
-    let instr = make_instruments metrics in
-    let scratch = Platform.scratch () in
-    let results =
-      Array.map
-        (fun rng ->
-          Metrics.reset metrics;
-          let truth = Ground_truth.random rng elements in
-          let result = run_registered ~scratch instr ~metrics rng cfg truth in
-          Metrics.absorb ~into:acc metrics;
-          result)
-        rngs
-    in
-    ( aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results,
-      Metrics.snapshot acc ))
-  else
-    let nchunks = min runs jobs in
-    let bound i = i * runs / nchunks in
-    let chunk ci =
-      let lo = bound ci in
-      let metrics = Metrics.create () in
-      let instr = make_instruments metrics in
-      let scratch = Platform.scratch () in
-      Array.init
-        (bound (ci + 1) - lo)
-        (fun k ->
-          let rng = rngs.(lo + k) in
-          Metrics.reset metrics;
-          let truth = Ground_truth.random rng elements in
-          let result = run_registered ~scratch instr ~metrics rng cfg truth in
-          (result, Metrics.snapshot metrics))
-    in
-    let chunks =
-      Parallel.with_pool ~jobs (fun pool -> Parallel.init pool nchunks chunk)
-    in
-    let pairs = Array.concat (Array.to_list chunks) in
-    let results = Array.map fst pairs in
-    let snapshots = Array.to_list (Array.map snd pairs) in
-    let aggregate =
-      aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results
-    in
-    (aggregate, Metrics.merge snapshots)
+    (metrics, make_instruments metrics, Platform.scratch ())
+  in
+  let one (metrics, instr, scratch) rng =
+    Metrics.reset metrics;
+    let truth = Ground_truth.random rng elements in
+    run_registered ~scratch instr ~metrics rng cfg truth
+  in
+  let results, snapshot =
+    if jobs = 1 then begin
+      (* Single chunk: one reused registry, absorbed into a mutable
+         accumulator after every run. [absorb]'s value grouping is the
+         left-fold merge of the per-run snapshots — exactly the parallel
+         path's final fold — so the merged document is bit-identical for
+         any [jobs] while the sequential path allocates no snapshots at
+         all. *)
+      let acc = Metrics.create () in
+      let ((metrics, _, _) as state) = chunk_state () in
+      let results =
+        Array.map
+          (fun rng ->
+            let result = one state rng in
+            Metrics.absorb ~into:acc metrics;
+            result)
+          rngs
+      in
+      (results, Metrics.snapshot acc)
+    end
+    else
+      let pairs =
+        map_chunked ~jobs ~init:chunk_state
+          (fun ((metrics, _, _) as state) rng ->
+            let result = one state rng in
+            (result, Metrics.snapshot metrics))
+          rngs
+      in
+      (Array.map fst pairs, Metrics.merge (Array.to_list (Array.map snd pairs)))
+  in
+  (aggregate_results ~runs ~timing:(make_timing ~jobs ~runs t0) results, snapshot)

@@ -1,8 +1,10 @@
 (** The MAX-operator execution engine (Sec. 1-2).
 
-    Runs the round loop: take the next round budget from the allocation
-    vector, let the question-selection algorithm pick the round's
-    questions among the surviving candidates, obtain answers (from the
+    Home of {!Query}, the per-query round state machine every driver
+    (this engine, [Adaptive], the query server) runs. The engine drives
+    it with a fixed allocation: take the next round budget from the
+    allocation vector, let the question-selection algorithm pick the
+    round's questions among the surviving candidates, obtain answers (from the
     error-free oracle, or from the simulated platform through the RWL),
     fold them into the answer DAG, and advance the winners. Stops early
     as soon as a single candidate remains; if the vector runs out with
@@ -113,6 +115,13 @@ val plan_config :
     collection-size sweep of configs pay the table build once.
     Remaining optionals default as in {!config}. *)
 
+val check_deadline : caller:string -> deadline_policy -> unit
+(** The one deadline-policy check every driver runs at construction.
+    Raises [Invalid_argument] with the message
+    ["<caller>: Fixed deadline must be > 0"] for a [Fixed] deadline not
+    > 0 (or NaN), and ["<caller>: Quantile must be in (0, 1]"] for a
+    [Quantile] outside (0, 1] (or NaN). *)
+
 type round_record = {
   round_index : int;
   round_budget : int;
@@ -184,14 +193,128 @@ val answer_round :
   round_outcome
 (** Answer one round's [questions] (first [distinct] informative, the
     rest padding up to [posted]) and fold the answers into the DAG —
-    the single round step [run] iterates, exposed so other drivers (the
-    adaptive runtime above all) obtain answers and {e observed round
-    seconds} through exactly the engine's draw schedule. Under
-    [Wait_all] the rng is consumed RWL-votes-first then platform, the
-    historical order the golden aggregates pin; a finite deadline runs
-    platform-first (see the draw-order note in [run]). Callers are
-    responsible for policy validation ([run] does it via its config
-    check) and for padding semantics. *)
+    the answer step of every round {!Query} drives, shared by [run] and
+    the adaptive runtime so both obtain answers and {e observed round
+    seconds} through one draw schedule. Under [Wait_all] the rng is
+    consumed RWL-votes-first then platform, the historical order the
+    golden aggregates pin; a finite deadline runs platform-first
+    (platform report, then {!resolve_votes}). Callers are responsible
+    for policy validation ([run] does it via its config check) and for
+    padding semantics. *)
+
+val count_vote : int array -> posted:int -> int -> unit
+(** [count_vote counts ~posted idx] credits raw completion [idx] of a
+    [votes * posted] batch to its question: repetitions interleave, so
+    raw slot [idx] belongs to question [idx mod posted], and slots at
+    or past [Array.length counts] (padding) are not counted. The
+    [on_complete] half of the deadline-bounded vote step. *)
+
+val resolve_votes :
+  resolve:(int array -> Crowdmax_crowd.Rwl.outcome) ->
+  Crowdmax_graph.Answer_dag.t ->
+  int array ->
+  Crowdmax_crowd.Platform.report ->
+  round_outcome
+(** [resolve_votes ~resolve dag counts report] finishes the vote step
+    of a round the platform cut off by [report]: [resolve counts] (an
+    [Rwl.resolve ~votes_received:counts] call) decides each question
+    over the votes that arrived, the answers go into [dag], and the
+    outcome prices the round at the report's (deadline-clipped)
+    latency with its unclipped [last_completion] as observed seconds.
+    [answer_round]'s deadline path and the query server both end their
+    rounds here. *)
+
+(** One query's round state machine: the single implementation of the
+    paper's MAX loop that every driver runs. Each round is [replan]
+    (adaptive drivers) or a fixed budget (the engine), then [select],
+    an answer step ({!answer_round}, or the server's shared platform
+    plus {!resolve_votes}), then [absorb]; [finish] picks the MAX.
+    Drivers own their stop rule, their instruments and their answer
+    source.
+
+    Draw-order contract: the machine draws from the rng only inside
+    [select] (the selector's own draws), so a driver's schedule is its
+    sequence of [select] and answer-step calls. *)
+module Query : sig
+  type t
+  (** Mutable per-query state: ground truth, answer DAG, remaining
+      budget, round index, questions posted, latency sum, deadline hits,
+      the newest-first trace and the straggler queue. *)
+
+  val create :
+    ?edge_capacity:int ->
+    ?span:Crowdmax_obs.Metrics.span ->
+    ?pad:bool ->
+    ?straggler:straggler_policy ->
+    selection:Crowdmax_selection.Selection.t ->
+    budget:int ->
+    Crowdmax_crowd.Ground_truth.t ->
+    t
+  (** A fresh query over the ground truth's elements with [budget]
+      questions to spend. [edge_capacity] preallocates the DAG's edge
+      pool; [span] times every selector call (default: none); [pad]
+      (default [false]) pads short rounds up to their budget;
+      [straggler] (default [Drop]) decides which cut-off questions are
+      carried into later rounds. *)
+
+  val truth : t -> Crowdmax_crowd.Ground_truth.t
+  val dag : t -> Crowdmax_graph.Answer_dag.t
+
+  val rounds : t -> int
+  (** Rounds absorbed so far — the next round's index. *)
+
+  val latency : t -> float
+  (** Sum of absorbed rounds' [round_seconds]. *)
+
+  val deadline_hits : t -> int
+
+  val active : t -> bool
+  (** At least two candidates remain and the remaining budget covers
+      Theorem 1's [c - 1] questions — the state [replan] can plan. *)
+
+  val replan :
+    cache:Crowdmax_core.Tdp.Cache.t ->
+    t ->
+    Crowdmax_latency.Model.t ->
+    (int * int) option
+  (** Solve tDP for the live candidates and the remaining budget under
+      the given model: [Some (round_budget, horizon)], the plan's first
+      round budget (capped by the remaining budget) and the total round
+      count it implies ([rounds] so far plus the plan's length — the
+      selector's [total_rounds]); [None] when the query is not
+      {!active}. *)
+
+  type round
+  (** One selected round, between [select] and [absorb]. *)
+
+  val select : t -> Crowdmax_util.Rng.t -> budget:int -> horizon:int -> round
+  (** The round's questions: carried stragglers of live pairs first (at
+      most [budget]), then the selector's picks for what is left of the
+      budget (not called when nothing is left), then — with [pad] —
+      redundant padding up to [budget]. [horizon] is the selector's
+      [total_rounds]. *)
+
+  val questions : round -> (int * int) list
+  (** Distinct questions, carried ones first. *)
+
+  val distinct : round -> int
+  val posted : round -> int  (** distinct plus padding *)
+
+  val absorb : t -> round -> round_outcome -> round_record
+  (** Close the round: add its seconds, questions and deadline hit to
+      the counters, spend its posted questions from the budget, requeue
+      cut-off questions per the straggler policy (pruned to live
+      pairs), and push and return its trace record. *)
+
+  val finish : t -> result
+  (** The MAX pick: the lone surviving candidate, else the top of
+      {!Crowdmax_graph.Scoring.ranked_candidates}. Total: answers only
+      ever join two unbeaten candidates and each round's answers are
+      conflict-free, so the DAG stays acyclic and a non-empty DAG
+      always keeps an unbeaten element to rank. An empty collection
+      reports element [0], like
+      {!Crowdmax_crowd.Ground_truth.max_element}. *)
+end
 
 val runner :
   ?metrics:Crowdmax_obs.Metrics.t ->
@@ -280,6 +403,22 @@ val make_timing : jobs:int -> runs:int -> float -> timing
 val aggregate_results : runs:int -> timing:timing -> result array -> aggregate
 (** Fold per-run results (in run order) into an aggregate. Raises through
     [Stats] on an empty array. *)
+
+val map_chunked :
+  jobs:int ->
+  init:(unit -> 'state) ->
+  ('state -> Crowdmax_util.Rng.t -> 'a) ->
+  Crowdmax_util.Rng.t array ->
+  'a array
+(** [map_chunked ~jobs ~init f rngs] is [Array.map (f state) rngs]
+    fanned out over at most [jobs] domains: the runs split into
+    contiguous chunks, each chunk calls [init] once for its own mutable
+    state (scratch, plan cache, metrics registry) and maps its runs in
+    order, and results come back in run order. The replication
+    building block of every driver: results are bit-identical for any
+    [jobs] as long as [f]'s result depends only on its rng. Callers
+    validate [jobs >= 1] (each with its own message); [jobs] above 128
+    raises through {!Crowdmax_util.Parallel.create}. *)
 
 val replicate :
   ?jobs:int ->

@@ -1,18 +1,13 @@
-open Crowdmax_util
 module Metrics = Crowdmax_obs.Metrics
-module Dag = Crowdmax_graph.Answer_dag
-module Scoring = Crowdmax_graph.Scoring
 module Model = Crowdmax_latency.Model
 module Contention = Crowdmax_latency.Contention
-module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
-module Allocation = Crowdmax_core.Allocation
-module Selection = Crowdmax_selection.Selection
 module Ground_truth = Crowdmax_crowd.Ground_truth
 module Platform = Crowdmax_crowd.Platform
 module Rwl = Crowdmax_crowd.Rwl
 module Worker = Crowdmax_crowd.Worker
 module Engine = Crowdmax_runtime.Engine
+module Query = Engine.Query
 
 type query_spec = {
   label : string;
@@ -74,15 +69,15 @@ let check_specs specs =
         invalid_arg "Server.run: budget below Theorem 1's minimum";
       if s.votes < 1 then invalid_arg "Server.run: votes < 1";
       if s.admit_step < 0 then invalid_arg "Server.run: admit_step < 0";
-      match s.deadline with
-      | Engine.Wait_all -> ()
-      | Engine.Fixed d ->
-          if Float.is_nan d || d <= 0.0 then
-            invalid_arg "Server.run: Fixed deadline must be > 0"
-      | Engine.Quantile p ->
-          if Float.is_nan p || p <= 0.0 || p > 1.0 then
-            invalid_arg "Server.run: Quantile must be in (0, 1]")
+      (* A query posts at most [budget] rounds, one per fleet step, and
+         then finalizes, so the fleet's step counter reaches at most
+         [admit_step + budget + 1]. *)
+      if s.admit_step > max_int - s.budget - 1 then
+        invalid_arg "Server.run: admit_step overflows the fleet step counter";
+      Engine.check_deadline ~caller:"Server.run" s.deadline)
     specs
+
+let filter_array p a = Array.of_list (List.filter p (Array.to_list a))
 
 (* Fixed whole-query latency buckets (simulated seconds): a query's
    life spans several platform rounds, so the scale sits an order of
@@ -92,25 +87,19 @@ let query_latency_bucket_spec =
   Metrics.bucket_spec
     [| 600.0; 1200.0; 2400.0; 4800.0; 9600.0; 19200.0; 38400.0; 76800.0 |]
 
-(* Per-query live state. [last_posted] feeds the fleet-load estimate
-   the other queries plan against. *)
+(* Per-query server state around the query's round machine.
+   [last_posted] feeds the fleet-load estimate the other queries plan
+   against. *)
 type query_state = {
   spec : query_spec;
-  truth : Ground_truth.t;
-  dag : Dag.t;
-  rwl : Rwl.config;
+  query : Query.t;
   cache : Tdp.Cache.t;
   mutable admitted : bool;
   mutable finished : bool;
   mutable admitted_at : float;
-  mutable remaining : int;
-  mutable rounds : int;
-  mutable questions : int;
-  mutable latency_sum : float;
-  mutable deadline_hits : int;
+  mutable finished_at : float;
   mutable last_posted : int option;
   mutable last_model : Model.t option;
-  mutable report : query_report option;
 }
 
 let run ?(metrics = Metrics.disabled) ?scratch ?contention
@@ -156,21 +145,14 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
       (fun i spec ->
         {
           spec;
-          truth = truths.(i);
-          dag = Dag.create spec.elements;
-          rwl = { Rwl.votes = spec.votes; error = spec.error };
+          query = Query.create ~selection ~budget:spec.budget truths.(i);
           cache = Tdp.Cache.create ();
           admitted = false;
           finished = false;
           admitted_at = 0.0;
-          remaining = spec.budget;
-          rounds = 0;
-          questions = 0;
-          latency_sum = 0.0;
-          deadline_hits = 0;
+          finished_at = 0.0;
           last_posted = None;
           last_model = None;
-          report = None;
         })
       specs
   in
@@ -179,35 +161,24 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let contention_replans = ref 0 in
   let finalize st =
     st.finished <- true;
-    let remaining_c = Dag.remaining_candidates st.dag in
-    let singleton = match remaining_c with [ _ ] -> true | _ -> false in
-    let chosen =
-      match remaining_c with
-      | [ w ] -> w
-      | _ -> (
-          match Scoring.ranked_candidates st.dag with
-          | best :: _ -> best
-          | [] -> 0)
-    in
+    st.finished_at <- !clock;
     Metrics.incr m_completed;
-    Metrics.observe m_query_latency st.latency_sum;
-    st.report <-
-      Some
-        {
-          label = st.spec.label;
-          chosen;
-          correct = chosen = Ground_truth.max_element st.truth;
-          singleton;
-          rounds = st.rounds;
-          questions = st.questions;
-          latency = st.latency_sum;
-          sojourn = !clock -. st.admitted_at;
-          admitted_at = st.admitted_at;
-          deadline_hits = st.deadline_hits;
-        }
+    Metrics.observe m_query_latency (Query.latency st.query)
   in
-  let unfinished () = Array.exists (fun st -> not st.finished) states in
-  while unfinished () do
+  let waiting st = st.admitted && not st.finished in
+  while Array.exists (fun st -> not st.finished) states do
+    (* An idle fleet (no admitted query left unfinished, so some query
+       is still to arrive) skips straight to the next admission: the
+       steps in between would only be counted. *)
+    if not (Array.exists waiting states) then begin
+      let next =
+        Array.fold_left
+          (fun acc st -> if st.admitted then acc else min acc st.spec.admit_step)
+          max_int states
+      in
+      Metrics.add m_steps (next - !step);
+      step := next
+    end;
     (* Admission: the arrival schedule is in fleet steps, deterministic
        by construction. *)
     Array.iter
@@ -222,157 +193,106 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
        between >= 2 candidates with budget to spend. Queries failing
        the candidate/budget test finalize now (at the pre-step clock:
        they post nothing this step). *)
-    let posting = ref [] in
     Array.iter
-      (fun st ->
-        if st.admitted && not st.finished then begin
-          let c = Dag.candidate_count st.dag in
-          if c <= 1 || st.remaining < c - 1 then finalize st
-          else posting := st :: !posting
-        end)
+      (fun st -> if waiting st && not (Query.active st.query) then finalize st)
       states;
-    let posting = Array.of_list (List.rev !posting) in
-    let np = Array.length posting in
-    Metrics.record_peak m_active_peak np;
-    if np > 0 then begin
-      (* Fleet-load estimate per posting query: the raw questions the
-         *others* are about to keep in flight. A query that has posted
-         before is estimated at its previous round's raw size; a fresh
-         one at votes * (c0 - 1) (Theorem 1's floor — conservative, but
-         available without solving the circular "everyone's plan
-         depends on everyone's plan" fixpoint). One step of lag is the
-         price of a deterministic, order-independent estimate. *)
-      let load_of st =
-        st.spec.votes
-        * (match st.last_posted with
-          | Some p -> p
-          | None -> st.spec.elements - 1)
-      in
-      let total_load = Array.fold_left (fun acc st -> acc + load_of st) 0 posting in
-      (* Plan + select, in admission (spec) order: all selection draws
-         happen before any platform draw, a fixed documented schedule. *)
-      let batches =
+    let posting = filter_array waiting states in
+    Metrics.record_peak m_active_peak (Array.length posting);
+    (* Fleet-load estimate per posting query: the raw questions the
+       *others* are about to keep in flight. A query that has posted
+       before is estimated at its previous round's raw size; a fresh
+       one at votes * (c0 - 1) (Theorem 1's floor — conservative, but
+       available without solving the circular "everyone's plan
+       depends on everyone's plan" fixpoint). One step of lag is the
+       price of a deterministic, order-independent estimate. *)
+    let load_of st =
+      st.spec.votes
+      * match st.last_posted with Some p -> p | None -> st.spec.elements - 1
+    in
+    let total_load = Array.fold_left (fun acc st -> acc + load_of st) 0 posting in
+    (* Plan + select, in admission (spec) order: all selection draws
+       happen before any platform draw, a fixed documented schedule. *)
+    let batches =
+      Array.map
+        (fun st ->
+          let model =
+            match contention with
+            | None -> base
+            | Some cm ->
+                Contention.effective cm ~other_load:(total_load - load_of st)
+          in
+          (match st.last_model with
+          | Some m when not (Model.equal m model) ->
+              incr contention_replans;
+              Metrics.incr m_contention_replans
+          | _ -> ());
+          st.last_model <- Some model;
+          (* Every posting query is active, so [replan] always plans. *)
+          let budget, horizon =
+            Option.value (Query.replan ~cache:st.cache st.query model)
+              ~default:(0, 0)
+          in
+          Metrics.incr m_replans;
+          (st, Query.select st.query rng ~budget ~horizon))
+        posting
+    in
+    (* Queries whose selector returned nothing finalize; the rest go to
+       the shared marketplace as one fleet round. *)
+    Array.iter
+      (fun (st, round) -> if Query.posted round = 0 then finalize st)
+      batches;
+    let live = filter_array (fun (_, round) -> Query.posted round > 0) batches in
+    if Array.length live > 0 then begin
+      (* Deadline quotes come from the *advertised* solo model, not the
+         planner's internal contention estimate: the requester's
+         patience is a property of the workload, so a Quantile cutoff
+         must be the same number of seconds whichever planning arm
+         serves it — otherwise a contention-aware server "improves"
+         simply by quoting itself more time per round. *)
+      let deadlines =
         Array.map
-          (fun st ->
-            let candidates = Dag.candidates st.dag in
-            let c = Array.length candidates in
-            let model =
-              match contention with
-              | None -> base
-              | Some cm ->
-                  Contention.effective cm ~other_load:(total_load - load_of st)
-            in
-            (match st.last_model with
-            | Some m when not (Model.equal m model) ->
-                incr contention_replans;
-                Metrics.incr m_contention_replans
-            | _ -> ());
-            st.last_model <- Some model;
-            let plan =
-              Tdp.solve ~cache:st.cache
-                (Problem.create ~elements:c ~budget:st.remaining ~latency:model)
-            in
-            Metrics.incr m_replans;
-            let round_budget =
-              match Allocation.round_budgets plan.Tdp.allocation with
-              | q :: _ -> min q st.remaining
-              | [] -> 0
-            in
-            let questions =
-              if round_budget = 0 then []
-              else
-                selection.Selection.select rng
-                  {
-                    Selection.budget = round_budget;
-                    candidates;
-                    history = st.dag;
-                    round_index = st.rounds;
-                    total_rounds =
-                      st.rounds + Allocation.rounds plan.Tdp.allocation;
-                    carried = [];
-                  }
-            in
-            let posted = List.length questions in
-            (* Deadline quotes come from the *advertised* solo model,
-               not the planner's internal contention estimate: the
-               requester's patience is a property of the workload, so
-               a Quantile cutoff must be the same number of seconds
-               whichever planning arm serves it — otherwise a
-               contention-aware server "improves" simply by quoting
-               itself more time per round. *)
-            let deadline =
-              match
-                Engine.round_deadline ~deadline:st.spec.deadline
-                  ~latency_model:base ~posted:(max 1 posted)
-              with
-              | None -> Float.infinity
-              | Some d -> d
-            in
-            (st, questions, posted, deadline))
-          posting
+          (fun (st, round) ->
+            Option.value ~default:Float.infinity
+              (Engine.round_deadline ~deadline:st.spec.deadline
+                 ~latency_model:base ~posted:(Query.posted round)))
+          live
       in
-      (* Queries whose selector returned nothing finalize; the rest go
-         to the shared marketplace as one fleet round. *)
-      Array.iter
-        (fun (st, _, posted, _) -> if posted = 0 then finalize st)
-        batches;
-      let live =
-        Array.of_list
-          (List.filter
-             (fun (_, _, posted, _) -> posted > 0)
-             (Array.to_list batches))
+      let counts =
+        Array.map (fun (_, round) -> Array.make (Query.posted round) 0) live
       in
-      if Array.length live > 0 then begin
-        let qs =
-          Array.map (fun (st, _, posted, _) -> st.spec.votes * posted) live
-        in
-        let deadlines = Array.map (fun (_, _, _, d) -> d) live in
-        let counts =
-          Array.map (fun (_, _, posted, _) -> Array.make posted 0) live
-        in
-        let posted = Array.map (fun (_, _, posted, _) -> posted) live in
-        (* Raw slot [i] of a query is repetition [i mod posted] — the
-           engine's interleaved raw-slot layout, so early completions
-           spread across the whole batch. *)
-        let on_complete ~query idx _time =
-          let slot = idx mod posted.(query) in
-          counts.(query).(slot) <- counts.(query).(slot) + 1
-        in
-        let reports =
-          Platform.simulate_shared ~deadlines ~metrics ~scratch platform rng
-            ~pick ~on_complete qs
-        in
-        (* Vote resolution per query, again in admission order. *)
-        let step_seconds = ref 0.0 in
-        Array.iteri
-          (fun i (st, questions, posted, _) ->
-            let outcome =
-              Rwl.resolve ~votes_received:counts.(i) rng st.rwl ~truth:st.truth
-                questions
-            in
-            List.iter
-              (fun (winner, loser) ->
-                Dag.add_answer_unchecked st.dag ~winner ~loser)
-              outcome.Rwl.answers;
-            let report = reports.(i) in
-            let round_latency = report.Platform.latency in
-            st.latency_sum <- st.latency_sum +. round_latency;
-            st.rounds <- st.rounds + 1;
-            st.questions <- st.questions + posted;
-            st.remaining <- st.remaining - posted;
-            st.last_posted <- Some posted;
-            if report.Platform.deadline_hit then begin
-              st.deadline_hits <- st.deadline_hits + 1;
-              Metrics.incr m_deadline_hits
-            end;
-            Metrics.incr m_rounds;
-            Metrics.add m_posted posted;
-            if round_latency > !step_seconds then step_seconds := round_latency)
-          live;
-        (* Barrier semantics: the fleet step lasts as long as its
-           slowest round. *)
-        clock := !clock +. !step_seconds
-      end
+      let on_complete ~query idx _time =
+        Engine.count_vote counts.(query)
+          ~posted:(Array.length counts.(query))
+          idx
+      in
+      let reports =
+        Platform.simulate_shared ~deadlines ~metrics ~scratch platform rng
+          ~pick ~on_complete
+          (Array.map (fun (st, round) -> st.spec.votes * Query.posted round) live)
+      in
+      (* Vote resolution per query, again in admission order. *)
+      let step_seconds = ref 0.0 in
+      Array.iteri
+        (fun i (st, round) ->
+          let outcome =
+            Engine.resolve_votes (Query.dag st.query) counts.(i) reports.(i)
+              ~resolve:(fun votes_received ->
+                Rwl.resolve ~votes_received rng
+                  { Rwl.votes = st.spec.votes; error = st.spec.error }
+                  ~truth:(Query.truth st.query) (Query.questions round))
+          in
+          let r = Query.absorb st.query round outcome in
+          let posted = Query.posted round in
+          st.last_posted <- Some posted;
+          if r.Engine.deadline_hit then Metrics.incr m_deadline_hits;
+          Metrics.incr m_rounds;
+          Metrics.add m_posted posted;
+          if r.round_latency > !step_seconds then
+            step_seconds := r.round_latency)
+        live;
+      (* Barrier semantics: the fleet step lasts as long as its slowest
+         round. *)
+      clock := !clock +. !step_seconds
     end;
     Metrics.incr m_steps;
     incr step
@@ -380,7 +300,19 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   let queries =
     Array.map
       (fun st ->
-        match st.report with Some r -> r | None -> assert false)
+        let r = Query.finish st.query in
+        {
+          label = st.spec.label;
+          chosen = r.Engine.chosen;
+          correct = r.correct;
+          singleton = r.singleton;
+          rounds = r.rounds_run;
+          questions = r.questions_posted;
+          latency = r.total_latency;
+          sojourn = st.finished_at -. st.admitted_at;
+          admitted_at = st.admitted_at;
+          deadline_hits = Query.deadline_hits st.query;
+        })
       states
   in
   let latencies = Array.map (fun r -> r.latency) queries in
@@ -432,7 +364,6 @@ let replicate ?(jobs = 1) ?contention ?pick ~platform ~latency ~selection ~runs
   if jobs < 1 then invalid_arg "Server.replicate: jobs < 1";
   check_specs specs;
   let nq = Array.length specs in
-  let rngs = Engine.per_run_rngs ~runs ~seed in
   (* Per-run ground truths are drawn from the run's own rng, in spec
      order, before the fleet loop touches it — the same
      truths-then-work shape as [Engine.replicate]. Each run builds
@@ -440,31 +371,15 @@ let replicate ?(jobs = 1) ?contention ?pick ~platform ~latency ~selection ~runs
      effective models as load shifts, so cross-run sharing buys little
      and per-run caches keep the any-[jobs] bit-identity trivial); the
      platform scratch is shared per chunk like everywhere else. *)
-  let one scratch rng =
-    let truths =
-      Array.map (fun spec -> Ground_truth.random rng spec.elements) specs
-    in
-    run ?contention ?pick ~scratch ~platform ~latency ~selection rng specs
-      truths
-  in
   let results =
-    if jobs = 1 then begin
-      let scratch = Platform.scratch () in
-      Array.map (one scratch) rngs
-    end
-    else begin
-      let nchunks = min runs jobs in
-      let bound i = i * runs / nchunks in
-      let chunk ci =
-        let scratch = Platform.scratch () in
-        let lo = bound ci in
-        Array.init (bound (ci + 1) - lo) (fun k -> one scratch rngs.(lo + k))
-      in
-      let chunks =
-        Parallel.with_pool ~jobs (fun pool -> Parallel.init pool nchunks chunk)
-      in
-      Array.concat (Array.to_list chunks)
-    end
+    Engine.map_chunked ~jobs ~init:Platform.scratch
+      (fun scratch rng ->
+        let truths =
+          Array.map (fun spec -> Ground_truth.random rng spec.elements) specs
+        in
+        run ?contention ?pick ~scratch ~platform ~latency ~selection rng specs
+          truths)
+      (Engine.per_run_rngs ~runs ~seed)
   in
   let fruns = float_of_int runs in
   let meanf f = Array.fold_left (fun acc r -> acc +. f r) 0.0 results /. fruns in

@@ -47,7 +47,11 @@ type query_spec = {
           planner's internal contention estimate: the requester's
           patience is workload, not planner state, so both planning
           arms quote identical cutoffs for the same posted size. *)
-  admit_step : int;  (** the fleet step this query arrives at, >= 0 *)
+  admit_step : int;
+      (** the fleet step this query arrives at, >= 0 and at most
+          [max_int - budget - 1]: a query runs at most [budget] rounds
+          and a finalizing step after admission, so the fleet's step
+          counter can never overflow *)
 }
 
 val query_spec :
@@ -82,7 +86,10 @@ type query_report = {
 
 type result = {
   queries : query_report array;  (** one per spec, in spec order *)
-  steps : int;  (** fleet steps executed *)
+  steps : int;
+      (** fleet steps elapsed, including idle ones spent waiting for a
+          later admission (those are counted, not walked: reaching any
+          [admit_step] is O(1)) *)
   makespan : float;  (** fleet-clock end time *)
   fleet_mean_latency : float;  (** mean of per-query [latency] *)
   throughput : float;  (** queries per fleet-clock second *)
@@ -111,8 +118,15 @@ val run :
     planner uses the contention model instead (its base replaces
     [latency], so both arms calibrate identically). [pick] (default
     [Proportional]) is the marketplace's worker-to-query policy.
-    Raises [Invalid_argument] on an empty/invalid spec array or
+    Raises [Invalid_argument] on an empty/invalid spec array (including
+    an [admit_step] past [max_int - budget - 1], message
+    ["Server.run: admit_step overflows the fleet step counter"]) or
     mismatched truths.
+
+    Every query runs {!Crowdmax_runtime.Engine.Query}, the round
+    machine the engine and the adaptive runtime share; the server adds
+    admission, the fleet-load estimate, the shared marketplace and the
+    barrier clock.
 
     [metrics] (default disabled) records into the ["server"] section:
     [queries_admitted]/[queries_completed]/[fleet_steps]/[rounds_run]/

@@ -778,6 +778,71 @@ let prop_closed_loop_replicate_jobs_deterministic =
           && base.A.total_replans_on_drift = p.A.total_replans_on_drift)
         [ 2; 4 ])
 
+(* Two drivers of the same per-query round loop must agree: a
+   one-query server fleet without a contention model is the adaptive
+   runtime on a simulated source, draw for draw. The server always
+   resolves votes against its completion report, which is the adaptive
+   side's finite-deadline path, so [Wait_all] maps to a deadline past
+   every event. *)
+let prop_one_query_fleet_matches_adaptive =
+  let module A = Crowdmax_runtime.Adaptive in
+  let module Server = Crowdmax_server.Server in
+  let module P = Crowdmax_crowd.Platform in
+  let deadline_gen =
+    Q.Gen.(
+      int_range 0 2 >>= function
+      | 0 -> return E.Wait_all
+      | 1 -> map (fun d -> E.Fixed d) (float_range 50.0 800.0)
+      | _ -> map (fun p -> E.Quantile p) (float_range 0.05 1.0))
+  in
+  let show = function
+    | E.Wait_all -> "Wait_all"
+    | E.Fixed d -> Printf.sprintf "Fixed %h" d
+    | E.Quantile p -> Printf.sprintf "Quantile %h" p
+  in
+  Q.Test.make ~name:"one-query fleet = adaptive run on a simulated source"
+    ~count:200
+    (Q.make
+       ~print:(fun (elements, slack, votes, err, deadline, seed) ->
+         Printf.sprintf "elements=%d slack=%d votes=%d error=%h %s seed=%d"
+           elements slack votes err (show deadline) seed)
+       Q.Gen.(
+         int_range 3 120 >>= fun elements ->
+         int_range 0 (3 * elements) >>= fun slack ->
+         int_range 1 4 >>= fun votes ->
+         float_range 0.0 0.3 >>= fun err ->
+         deadline_gen >>= fun deadline ->
+         int_range 0 100_000 >>= fun seed ->
+         return (elements, slack, votes, err, deadline, seed)))
+    (fun (elements, slack, votes, err, deadline, seed) ->
+      let budget = elements - 1 + slack in
+      let error = W.Uniform err in
+      let platform = P.create () in
+      let latency = Model.paper_mturk in
+      let truth = G.random (Rng.create (seed + 1)) elements in
+      let fleet =
+        Server.run ~platform ~latency ~selection:S.tournament (Rng.create seed)
+          [| Server.query_spec ~votes ~error ~deadline ~elements ~budget () |]
+          [| truth |]
+      in
+      let q = fleet.Server.queries.(0) in
+      let solo =
+        (A.run
+           ~source:(E.Simulated { platform; rwl = { Rwl.votes; error } })
+           ~deadline:
+             (match deadline with E.Wait_all -> E.Fixed 1e300 | d -> d)
+           (Rng.create seed)
+           ~problem:(Problem.create ~elements ~budget ~latency)
+           ~selection:S.tournament truth)
+          .A.engine_result
+      in
+      q.Server.chosen = solo.E.chosen
+      && Int64.equal
+           (Int64.bits_of_float q.Server.latency)
+           (Int64.bits_of_float solo.E.total_latency)
+      && q.Server.questions = solo.E.questions_posted
+      && q.Server.rounds = solo.E.rounds_run)
+
 let suite =
   [
     ( "properties",
@@ -813,5 +878,6 @@ let suite =
           prop_metrics_deterministic;
           prop_fit_recovers_model;
           prop_closed_loop_replicate_jobs_deterministic;
+          prop_one_query_fleet_matches_adaptive;
         ] );
   ]

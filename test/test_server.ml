@@ -206,12 +206,57 @@ let test_validation () =
   reject "Server.run: Quantile must be in (0, 1]"
     [| Server.query_spec ~deadline:(E.Quantile 1.5) ~elements:10 ~budget:20 () |]
     [| truth 10 |];
+  reject "Server.run: admit_step overflows the fleet step counter"
+    [| Server.query_spec ~admit_step:max_int ~elements:10 ~budget:20 () |]
+    [| truth 10 |];
+  reject "Server.run: admit_step overflows the fleet step counter"
+    [|
+      Server.query_spec ~elements:10 ~budget:20 ();
+      Server.query_spec ~admit_step:(max_int - 20) ~elements:10 ~budget:20 ();
+    |]
+    [| truth 10; truth 10 |];
   reject "Server.run: truths length mismatch"
     [| Server.query_spec ~elements:10 ~budget:20 () |]
     [||];
   reject "Server.run: ground truth size mismatch"
     [| Server.query_spec ~elements:10 ~budget:20 () |]
     [| truth 11 |]
+
+(* Steps with no admitted query left to serve are skipped in one jump,
+   counted as if walked: a late admission costs nothing to reach, and
+   only the step counter tells it apart from an early one. *)
+let test_idle_steps_skipped () =
+  let fleet admit =
+    let specs =
+      [|
+        Server.query_spec ~label:"early" ~elements:4 ~budget:3 ();
+        Server.query_spec ~label:"late" ~elements:4 ~budget:3 ~admit_step:admit ();
+      |]
+    in
+    let rng = Rng.create 5 in
+    let truths = Array.map (fun s -> G.random rng s.Server.elements) specs in
+    let metrics = Crowdmax_obs.Metrics.create () in
+    let r =
+      Server.run ~metrics ~platform:(Platform.create ()) ~latency:model
+        ~selection:S.tournament rng specs truths
+    in
+    (r, Crowdmax_obs.Metrics.find (Crowdmax_obs.Metrics.snapshot metrics)
+          ~section:"server" "fleet_steps")
+  in
+  let near, _ = fleet 10 in
+  let t0 = Sys.time () in
+  let far, steps = fleet 100_000_000 in
+  check_bool "a 10^8-step wait costs no walk" true (Sys.time () -. t0 < 1.0);
+  check_int "steps count the skipped wait" (100_000_000 + 3) far.Server.steps;
+  check_bool "fleet_steps counts the skipped wait" true
+    (steps = Some (Crowdmax_obs.Metrics.Count (100_000_000 + 3)));
+  check_bool "same fleet clock" true
+    (Float.equal near.Server.makespan far.Server.makespan);
+  Array.iter2
+    (fun (a : Server.query_report) (b : Server.query_report) ->
+      check_bool "same query latency" true (Float.equal a.latency b.latency);
+      check_int "same rounds" a.rounds b.rounds)
+    near.Server.queries far.Server.queries
 
 let replicate ?contention jobs =
   Server.replicate ~jobs ?contention ~platform:(Platform.create ())
@@ -271,6 +316,7 @@ let suite =
         tc "run sanity" `Quick test_run_sanity;
         tc "contention replans fire" `Quick test_contention_replans_fire;
         tc "validation" `Quick test_validation;
+        tc "idle steps skipped" `Quick test_idle_steps_skipped;
         tc "replicate jobs invariant" `Slow test_replicate_jobs_invariant;
         tc "replicate golden pins" `Quick test_replicate_golden;
       ] );
