@@ -28,20 +28,17 @@ lint:
 # metrics-check must accept it — exercises the full
 # planner/engine/platform document, not just the library tests), and a
 # smoke-scale pass through the bechamel harness so the bench executable
-# stays runnable. The engine-opcheck pass pins the simulated event
-# loop's deterministic operation counts (events drained, arrivals,
-# completions at a fixed seed) and fails on any drift; planner-opcheck
-# does the same for the tDP planner's DP counters (states settled, memo
-# hits/misses, pruned branches, plan-cache reuse), adaptive-opcheck for
-# the closed loop's re-fit counters, and server-opcheck for the shared-
-# marketplace query server's fleet counters (admissions, rounds,
-# re-plans, deadline hits, shared-mode discards) plus its any-jobs
-# bit-identity; history-check
-# recomputes the same counters and fails on >2% drift against the last
-# counters-bearing BENCH_history.jsonl row, catching cross-PR work-
-# profile regressions even when the in-repo pins were regenerated
-# (CROWDMAX_BENCH_BASELINE=skip disables it, =<commit-prefix> pins the
-# comparison row); the engine-throughput pass prints
+# stays runnable. `dune runtest` includes the operation-count gate:
+# `bench/main.exe opcheck` prints the deterministic work counters (the
+# simulated event loop's events, the tDP planner's DP states and
+# plan-cache reuse, the closed loop's re-fits, the query server's fleet
+# counters), fails on a broken structural cross-check or any-jobs
+# bit-identity, and its output is diffed against bench/opcheck.expected.
+# history-check recomputes the same counters and fails on >2% drift
+# against the last counters-bearing BENCH_history.jsonl row, catching
+# cross-PR work-profile regressions even when opcheck.expected was
+# promoted (CROWDMAX_BENCH_BASELINE=skip disables it, =<commit-prefix>
+# pins the comparison row); the engine-throughput pass prints
 # current-vs-committed runs/sec (informational, never failing) without
 # touching BENCH_engine.json or BENCH_history.jsonl.
 ci:
@@ -54,10 +51,6 @@ ci:
 	dune exec bin/crowdmax_cli.exe -- metrics-check _build/ci_metrics_smoke.json
 	rm -f _build/ci_metrics_smoke.json
 	CROWDMAX_BENCH_RUNS=2 dune exec bench/main.exe -- micro
-	dune exec bench/main.exe -- engine-opcheck
-	dune exec bench/main.exe -- planner-opcheck
-	dune exec bench/main.exe -- adaptive-opcheck
-	dune exec bench/main.exe -- server-opcheck
 	dune exec bench/main.exe -- history-check
 	dune exec bin/crowdmax_cli.exe -- run --elements 60 --budget 200 \
 		--runs 2 --simulated --adaptive --refit drift:0.5

@@ -932,241 +932,61 @@ let engine_bench () =
     Printf.printf "(CROWDMAX_ENGINE_BENCH_WRITE=0: %s and %s left untouched)\n%!"
       engine_bench_file bench_history_file
 
-(* --- deterministic operation-count gate ---------------------------------- *)
+(* --- deterministic operation-count table --------------------------------- *)
 
-(* Platform counters record only simulated quantities, so for a fixed
-   (n, seed, runs) they are bit-deterministic: same totals on any
-   machine, any [jobs], metrics on or off. Pinning them turns "the
-   event loop still does exactly this work" into a CI failure instead
-   of a silent drift — an accounting change that survives the
-   statistical goldens, or an optimization that quietly skips or
-   duplicates events, both land here with the counter named. The
-   [events_drained = worker_arrivals + completions] identity (the
-   Platform.simulate contract) is checked independently of the pins.
-   After an intentional semantic change, regenerate the table with
-   CROWDMAX_OPCHECK_PRINT=1. *)
-let engine_opcheck_runs = 5
-let engine_opcheck_seed = 99
+(* Every counter below is simulated bookkeeping or planner arithmetic
+   over a fixed scan order, so for a fixed scenario and seed it is
+   bit-deterministic: same totals on any machine, any [jobs], metrics
+   on or off. [opcheck_counters] runs the five scenarios once and
+   returns one (key, count) pair per counter, in a fixed order.
 
-let engine_opcheck_expected =
-  (* n, events_drained, worker_arrivals, completions *)
-  [ (100, 6641, 926, 5715); (500, 60618, 8493, 52125) ]
+   `main.exe opcheck` prints one "key value" line per pair, and a rule
+   in bench/dune diffs that output against bench/opcheck.expected under
+   `dune runtest`. An accidental change to the event loop, the DP scan
+   order, the memo or bound policy, the re-fit detector or the fleet
+   loop therefore fails the test suite with the counter named. After an
+   intentional change, `dune runtest` followed by `dune promote`
+   regenerates the file. [history-append] and [history-check] read the
+   same pairs (see the history gate below).
 
-let engine_opcheck () =
-  section
-    (Printf.sprintf "engine operation-count gate (simulated, %d runs, seed %d)"
-       engine_opcheck_runs engine_opcheck_seed);
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  let count snap name =
-    match Metrics.find snap ~section:"platform" name with
-    | Some (Metrics.Count c) -> c
-    | _ ->
-        Printf.printf "  platform/%s missing from snapshot\n" name;
-        incr failures;
-        -1
-  in
-  List.iter
-    (fun (n, exp_events, exp_arrivals, exp_completions) ->
-      let cfg = engine_sim_config n in
-      let _agg, snap =
-        Engine.replicate_with_metrics ~runs:engine_opcheck_runs
-          ~seed:engine_opcheck_seed cfg ~elements:n
-      in
-      let events = count snap "events_drained" in
-      let arrivals = count snap "worker_arrivals" in
-      let completions = count snap "completions" in
-      if print_mode then
-        Printf.printf "    (%d, %d, %d, %d);\n%!" n events arrivals completions
-      else begin
-        let check name got expected =
-          if got <> expected then begin
-            Printf.printf "  n=%d platform/%s = %d, pinned %d\n" n name got
-              expected;
-            incr failures
-          end
-        in
-        check "events_drained" events exp_events;
-        check "worker_arrivals" arrivals exp_arrivals;
-        check "completions" completions exp_completions;
-        if events <> arrivals + completions then begin
-          Printf.printf
-            "  n=%d events_drained %d <> worker_arrivals %d + completions %d\n"
-            n events arrivals completions;
-          incr failures
-        end;
-        if !failures = 0 then
-          Printf.printf
-            "  n=%d ok: events_drained %d = %d arrivals + %d completions\n" n
-            events arrivals completions
-      end)
-    engine_opcheck_expected;
-  if !failures > 0 then begin
-    Printf.printf "operation-count gate FAILED (%d mismatches)\n%!" !failures;
-    exit 1
-  end
+   Structural cross-checks hold whatever the pinned values are: the
+   Platform.simulate identity events_drained = worker_arrivals +
+   completions, each cold solve's own accounting, the replayed sweep
+   solve settling no state, the re-fit and re-plan orderings, and the
+   replicate determinism contract (jobs=4 equals jobs=1). They and a
+   counter missing from its snapshot fail all three subcommands: each
+   failure is printed to stdout, named again on stderr (which `dune
+   runtest` shows), and the process exits 1. *)
 
-(* --- planner operation-count gate ---------------------------------------- *)
+(* The engine scenario: [engine_sim_config n], platform-section
+   counters. *)
+let opcheck_engine_runs = 5
+let opcheck_engine_seed = 99
+let opcheck_engine_sizes = [ 100; 500 ]
 
-(* The tDP planner is pure integer/float arithmetic over a fixed scan
-   order, so its counters are bit-deterministic on any machine and
-   build. Pinning them turns an accidental change to the DP scan order,
-   the upper-bound pruning, or the memoization policy into a named CI
-   failure; the cached-sweep scenario additionally pins the cross-solve
-   cache protocol — how many solves reuse the tables and that warm
-   re-solves settle zero new states. Regenerate the tables with
-   CROWDMAX_OPCHECK_PRINT=1 after an intentional planner change. *)
+(* Cold solves, one fresh cache each: (c0, b). The last row is a lean
+   budget (2 c0) at c0=1000: the round-count bound settles ~10^2 states
+   there against 84283 without it, so a refactor that silently disables
+   the bound moves its counters loudly. ub_entries
+   (Tdp.Cache.ub_entries, not a metrics counter) pins the on-demand
+   unconstrained table: c0 - 1 would mean the eager build came back. *)
+let opcheck_cold_solves =
+  [ (40, 108); (200, 1600); (500, 999); (500, 4000); (1000, 2000) ]
 
-let planner_opcheck_cold_expected =
-  (* c0, b, states_visited, memo_hits, memo_misses, ub_pruned_branches,
-     ub_entries. The last row is a lean budget (2 c0) at c0=1000: the
-     round-count bound settles ~10^2 states there against 84283 without
-     it, so a refactor that silently disables the bound fails this pin
-     loudly. ub_entries (Tdp.Cache.ub_entries, not a metrics counter)
-     pins the on-demand unconstrained table: c0 - 1 would mean the
-     eager build came back. *)
-  [
-    (40, 108, 1, 1, 1, 30, 3);
-    (200, 1600, 1, 1, 1, 182, 6);
-    (500, 999, 4, 4, 4, 878, 5);
-    (500, 4000, 1, 1, 1, 461, 9);
-    (1000, 2000, 127, 184, 127, 46662, 35);
-  ]
+(* The cached sweep, one cache and one registry across all solves. At
+   c0=300 the first budget is binding (2 c0 - 1), the middle ones span
+   the clamp boundary, and the last repeats an earlier budget so the
+   final solve is a pure arena replay. *)
+let opcheck_sweep_c0 = 300
+let opcheck_sweep_budgets = [ 599; 1200; 2400; 4800; 1200 ]
 
-(* c0=300: first budget is binding (c0*2 - 1), the middle ones span the
-   clamp boundary, and the last repeats an earlier budget so the final
-   solve is a pure arena replay. *)
-let planner_opcheck_sweep_c0 = 300
-let planner_opcheck_sweep_budgets = [ 599; 1200; 2400; 4800; 1200 ]
+(* The closed loop: a mid-run supply drop (the Fig_adapt shape, scaled
+   down), so the drift detector, the re-fit and the drift-triggered
+   re-plan all fire. *)
+let opcheck_adaptive_runs = 6
+let opcheck_adaptive_seed = 107
 
-let planner_opcheck_sweep_expected =
-  (* states_visited, memo_hits, memo_misses, ub_pruned_branches,
-     plan_cache_hits, plan_cache_misses — totals over the sweep *)
-  (7, 10, 7, 1311, 4, 1)
-
-let planner_opcheck () =
-  section "planner operation-count gate (deterministic DP counters)";
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  let count snap name =
-    match Metrics.find snap ~section:"planner" name with
-    | Some (Metrics.Count c) -> c
-    | _ ->
-        Printf.printf "  planner/%s missing from snapshot\n" name;
-        incr failures;
-        -1
-  in
-  let check label name got expected =
-    if got <> expected then begin
-      Printf.printf "  %s planner/%s = %d, pinned %d\n" label name got expected;
-      incr failures
-    end
-  in
-  List.iter
-    (fun (c0, b, exp_states, exp_hits, exp_misses, exp_pruned, exp_ub) ->
-      let metrics = Metrics.create () in
-      let cache = Tdp.Cache.create () in
-      let sol =
-        Tdp.solve ~metrics ~cache
-          (Problem.create ~elements:c0 ~budget:b ~latency:model)
-      in
-      let ub = Tdp.Cache.ub_entries cache in
-      let snap = Metrics.snapshot metrics in
-      let states = count snap "states_visited" in
-      let hits = count snap "memo_hits" in
-      let misses = count snap "memo_misses" in
-      let pruned = count snap "ub_pruned_branches" in
-      if print_mode then
-        Printf.printf "    (%d, %d, %d, %d, %d, %d, %d);\n%!" c0 b states hits
-          misses pruned ub
-      else begin
-        let label = Printf.sprintf "cold c0=%d b=%d" c0 b in
-        check label "states_visited" states exp_states;
-        check label "memo_hits" hits exp_hits;
-        check label "memo_misses" misses exp_misses;
-        check label "ub_pruned_branches" pruned exp_pruned;
-        check label "ub_entries" ub exp_ub;
-        (* the solve's own accounting must agree with the counter *)
-        check label "states_visited(sol)" sol.Tdp.states_visited exp_states;
-        if !failures = 0 then
-          Printf.printf
-            "  %s ok: %d states, %d hits, %d misses, %d pruned, %d ub entries\n"
-            label states hits misses pruned ub
-      end)
-    planner_opcheck_cold_expected;
-  (* cached sweep: one cache and one metrics registry across all solves *)
-  let metrics = Metrics.create () in
-  let cache = Tdp.Cache.create () in
-  let last_states = ref (-1) in
-  List.iter
-    (fun b ->
-      let sol =
-        Tdp.solve ~metrics ~cache
-          (Problem.create ~elements:planner_opcheck_sweep_c0 ~budget:b
-             ~latency:model)
-      in
-      last_states := sol.Tdp.states_visited)
-    planner_opcheck_sweep_budgets;
-  let snap = Metrics.snapshot metrics in
-  let states = count snap "states_visited" in
-  let hits = count snap "memo_hits" in
-  let misses = count snap "memo_misses" in
-  let pruned = count snap "ub_pruned_branches" in
-  let c_hits = count snap "plan_cache_hits" in
-  let c_misses = count snap "plan_cache_misses" in
-  if print_mode then
-    Printf.printf "  sweep: (%d, %d, %d, %d, %d, %d)\n%!" states hits misses
-      pruned c_hits c_misses
-  else begin
-    let exp_states, exp_hits, exp_misses, exp_pruned, exp_chits, exp_cmisses =
-      planner_opcheck_sweep_expected
-    in
-    let label =
-      Printf.sprintf "sweep c0=%d (%d budgets)" planner_opcheck_sweep_c0
-        (List.length planner_opcheck_sweep_budgets)
-    in
-    check label "states_visited" states exp_states;
-    check label "memo_hits" hits exp_hits;
-    check label "memo_misses" misses exp_misses;
-    check label "ub_pruned_branches" pruned exp_pruned;
-    check label "plan_cache_hits" c_hits exp_chits;
-    check label "plan_cache_misses" c_misses exp_cmisses;
-    (* the final solve repeats an earlier budget: pure replay *)
-    check label "replayed_solve_new_states" !last_states 0;
-    if !failures = 0 then
-      Printf.printf
-        "  %s ok: %d states, %d hits, %d misses, %d pruned, %d/%d cache \
-         hits/misses\n"
-        label states hits misses pruned c_hits c_misses
-  end;
-  if !failures > 0 then begin
-    Printf.printf "planner operation-count gate FAILED (%d mismatches)\n%!"
-      !failures;
-    exit 1
-  end
-
-(* --- adaptive closed-loop operation-count gate ---------------------------- *)
-
-(* The closed loop's counters (replans, refits, drift detections,
-   drift-triggered replans) are pure simulated bookkeeping, so for a
-   fixed (problem, seed, runs, shift) they are bit-deterministic like
-   the platform and planner counters above. Pinning them catches a
-   detector or re-fit policy change that slips past the statistical
-   goldens — a drift threshold applied to the wrong quantity, a window
-   that stops clearing, a re-fit that silently stops installing. The
-   scenario is a mid-run supply drop (the Fig_adapt shape, scaled down),
-   run at jobs=1 and jobs=4 so the gate also re-asserts the replicate
-   determinism contract on every CI run. Regenerate with
-   CROWDMAX_OPCHECK_PRINT=1 after an intentional change. *)
-let adaptive_opcheck_runs = 6
-let adaptive_opcheck_seed = 107
-
-let adaptive_opcheck_expected =
-  (* total_replans, total_refits, total_drift_detected,
-     total_replans_on_drift *)
-  (18, 7, 7, 6)
-
-let adaptive_opcheck_scaled_source scale =
+let opcheck_scaled_source scale =
   let c = Crowdmax_crowd.Platform.default_config in
   let config =
     {
@@ -1183,108 +1003,27 @@ let adaptive_opcheck_scaled_source scale =
       rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
     }
 
-let adaptive_opcheck_replicate jobs =
+let opcheck_adaptive_replicate jobs =
   Adaptive.replicate ~jobs
-    ~source:(adaptive_opcheck_scaled_source 1.0)
+    ~source:(opcheck_scaled_source 1.0)
     ~refit:(Adaptive.On_drift 0.5)
-    ~source_shift:(1, adaptive_opcheck_scaled_source 0.2)
-    ~runs:adaptive_opcheck_runs ~seed:adaptive_opcheck_seed
+    ~source_shift:(1, opcheck_scaled_source 0.2)
+    ~runs:opcheck_adaptive_runs ~seed:opcheck_adaptive_seed
     ~problem:(Problem.create ~elements:150 ~budget:450 ~latency:model)
     ~selection:Selection.tournament ()
 
-let adaptive_opcheck () =
-  section
-    (Printf.sprintf
-       "adaptive closed-loop operation-count gate (%d runs, seed %d)"
-       adaptive_opcheck_runs adaptive_opcheck_seed);
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  let agg = adaptive_opcheck_replicate 1 in
-  if print_mode then
-    Printf.printf "  (%d, %d, %d, %d)\n%!" agg.Adaptive.total_replans
-      agg.Adaptive.total_refits agg.Adaptive.total_drift_detected
-      agg.Adaptive.total_replans_on_drift
-  else begin
-    let exp_replans, exp_refits, exp_drift, exp_on_drift =
-      adaptive_opcheck_expected
-    in
-    let check name got expected =
-      if got <> expected then begin
-        Printf.printf "  adaptive/%s = %d, pinned %d\n" name got expected;
-        incr failures
-      end
-    in
-    check "replans" agg.Adaptive.total_replans exp_replans;
-    check "refits" agg.Adaptive.total_refits exp_refits;
-    check "drift_detected" agg.Adaptive.total_drift_detected exp_drift;
-    check "replans_on_drift" agg.Adaptive.total_replans_on_drift exp_on_drift;
-    (* drift-triggered replans can't exceed installed re-fits, and the
-       detector must have fired at least once per re-fit *)
-    if agg.Adaptive.total_replans_on_drift > agg.Adaptive.total_refits then begin
-      Printf.printf "  replans_on_drift %d > refits %d\n"
-        agg.Adaptive.total_replans_on_drift agg.Adaptive.total_refits;
-      incr failures
-    end;
-    if agg.Adaptive.total_refits > agg.Adaptive.total_drift_detected then begin
-      Printf.printf "  refits %d > drift_detected %d\n"
-        agg.Adaptive.total_refits agg.Adaptive.total_drift_detected;
-      incr failures
-    end;
-    (* the replicate determinism contract, re-asserted under parallelism *)
-    let par = adaptive_opcheck_replicate 4 in
-    if
-      not
-        (Engine.equal_stats agg.Adaptive.engine_aggregate
-           par.Adaptive.engine_aggregate
-        && agg.Adaptive.total_replans = par.Adaptive.total_replans
-        && agg.Adaptive.total_refits = par.Adaptive.total_refits
-        && agg.Adaptive.total_drift_detected
-           = par.Adaptive.total_drift_detected
-        && agg.Adaptive.total_replans_on_drift
-           = par.Adaptive.total_replans_on_drift)
-    then begin
-      Printf.printf "  jobs=4 aggregate differs from jobs=1\n";
-      incr failures
-    end;
-    if !failures = 0 then
-      Printf.printf
-        "  ok: %d replans, %d refits, %d drift detections, %d drift replans \
-         (jobs-invariant)\n"
-        agg.Adaptive.total_replans agg.Adaptive.total_refits
-        agg.Adaptive.total_drift_detected agg.Adaptive.total_replans_on_drift
-  end;
-  if !failures > 0 then begin
-    Printf.printf "adaptive operation-count gate FAILED (%d mismatches)\n%!"
-      !failures;
-    exit 1
-  end
-
-(* --- query-server operation-count gate ------------------------------------ *)
-
-(* The shared-marketplace server's counters (admissions, completions,
-   fleet steps, rounds, posted questions, re-plans and the
-   load-shift-triggered subset, deadline hits, plus the platform's
-   shared-mode call and discard counters) are pure simulated
-   bookkeeping — bit-deterministic for a fixed (fleet, seed). Pinning
-   them catches a fleet-loop change that slips past the statistical
-   tests: an admission that fires on the wrong step, a re-plan that
-   stops detecting load shifts, a withdrawal that stops discarding.
-   The jobs=1 vs jobs=4 replicate comparison re-asserts the
-   determinism contract on every CI run. Regenerate with
-   CROWDMAX_OPCHECK_PRINT=1 after an intentional change. *)
+(* The shared-marketplace server: four queries with staggered
+   admission, a fixed and a quantile deadline, under a contention
+   model, so admissions, contention re-plans, deadline hits and
+   shared-mode discards all happen. One metered run on the replicate
+   seed's first run rng gives the counters. *)
 module Server = Crowdmax_server.Server
 module Contention = Crowdmax_latency.Contention
 
-let server_opcheck_runs = 4
-let server_opcheck_seed = 113
+let opcheck_server_runs = 4
+let opcheck_server_seed = 113
 
-let server_opcheck_expected =
-  (* queries_admitted, queries_completed, fleet_steps, rounds_run,
-     questions_posted, replans, contention_replans, deadline_hits,
-     shared_calls, shared_discarded_answers *)
-  (4, 4, 6, 10, 1109, 10, 5, 5, 5, 50)
-
-let server_opcheck_specs () =
+let opcheck_server_specs () =
   [|
     Server.query_spec ~label:"a" ~elements:120 ~budget:960 ();
     Server.query_spec ~label:"b" ~elements:80 ~budget:200
@@ -1294,120 +1033,165 @@ let server_opcheck_specs () =
     Server.query_spec ~label:"d" ~elements:60 ~budget:150 ~admit_step:2 ();
   |]
 
-let server_opcheck_contention () = Contention.create ~base:model ~beta:0.25
+let opcheck_contention () = Contention.create ~base:model ~beta:0.25
 
-let server_opcheck_replicate jobs =
-  Server.replicate ~jobs
-    ~contention:(server_opcheck_contention ())
+let opcheck_server_replicate jobs =
+  Server.replicate ~jobs ~contention:(opcheck_contention ())
     ~platform:(Crowdmax_crowd.Platform.create ())
-    ~latency:model ~selection:Selection.tournament ~runs:server_opcheck_runs
-    ~seed:server_opcheck_seed (server_opcheck_specs ()) ()
+    ~latency:model ~selection:Selection.tournament ~runs:opcheck_server_runs
+    ~seed:opcheck_server_seed (opcheck_server_specs ()) ()
 
-let server_opcheck () =
-  section
-    (Printf.sprintf "query-server operation-count gate (%d runs, seed %d)"
-       server_opcheck_runs server_opcheck_seed);
-  let print_mode = Option.is_some (Sys.getenv_opt "CROWDMAX_OPCHECK_PRINT") in
-  let failures = ref 0 in
-  (* One metered run (the replicate seed's first run rng) pins the
-     counters; the platform section's shared-mode instruments ride
-     along. *)
+let opcheck_counters () =
+  let failures = ref [] in
+  let fail fmt =
+    Printf.ksprintf
+      (fun msg ->
+        Printf.printf "  FAILED %s\n%!" msg;
+        failures := msg :: !failures)
+      fmt
+  in
+  let out = ref [] in
+  let record key v =
+    out := (key, v) :: !out;
+    v
+  in
+  (* [prefix ^ name] := the [section]/[name] count of [snap] *)
+  let read snap ~section prefix name =
+    match Metrics.find snap ~section name with
+    | Some (Metrics.Count c) -> record (prefix ^ name) c
+    | _ ->
+        fail "%s%s: %s/%s missing from snapshot" prefix name section name;
+        0
+  in
+  let read_all snap ~section prefix names =
+    List.iter (fun name -> ignore (read snap ~section prefix name)) names
+  in
+  List.iter
+    (fun n ->
+      let _agg, snap =
+        Engine.replicate_with_metrics ~runs:opcheck_engine_runs
+          ~seed:opcheck_engine_seed (engine_sim_config n) ~elements:n
+      in
+      let prefix = Printf.sprintf "engine.n=%d." n in
+      let events = read snap ~section:"platform" prefix "events_drained" in
+      let arrivals = read snap ~section:"platform" prefix "worker_arrivals" in
+      let completions = read snap ~section:"platform" prefix "completions" in
+      if events <> arrivals + completions then
+        fail "%sevents_drained %d <> worker_arrivals %d + completions %d"
+          prefix events arrivals completions)
+    opcheck_engine_sizes;
+  List.iter
+    (fun (c0, b) ->
+      let metrics = Metrics.create () in
+      let cache = Tdp.Cache.create () in
+      let sol =
+        Tdp.solve ~metrics ~cache
+          (Problem.create ~elements:c0 ~budget:b ~latency:model)
+      in
+      let snap = Metrics.snapshot metrics in
+      let prefix = Printf.sprintf "planner.cold.c0=%d.b=%d." c0 b in
+      let states = read snap ~section:"planner" prefix "states_visited" in
+      read_all snap ~section:"planner" prefix
+        [ "memo_hits"; "memo_misses"; "ub_pruned_branches" ];
+      ignore (record (prefix ^ "ub_entries") (Tdp.Cache.ub_entries cache));
+      if sol.Tdp.states_visited <> states then
+        fail "%sstates_visited: the solve reports %d, the counter %d" prefix
+          sol.Tdp.states_visited states)
+    opcheck_cold_solves;
   let metrics = Metrics.create () in
-  let rng = Rng.create server_opcheck_seed in
-  let specs = server_opcheck_specs () in
+  let cache = Tdp.Cache.create () in
+  let last_states =
+    List.fold_left
+      (fun _ b ->
+        (Tdp.solve ~metrics ~cache
+           (Problem.create ~elements:opcheck_sweep_c0 ~budget:b ~latency:model))
+          .Tdp.states_visited)
+      0 opcheck_sweep_budgets
+  in
+  let prefix = Printf.sprintf "planner.sweep.c0=%d." opcheck_sweep_c0 in
+  read_all (Metrics.snapshot metrics) ~section:"planner" prefix
+    [
+      "states_visited"; "memo_hits"; "memo_misses"; "ub_pruned_branches";
+      "plan_cache_hits"; "plan_cache_misses";
+    ];
+  if last_states <> 0 then
+    fail "%sreplayed solve settled %d new states, expected 0" prefix
+      last_states;
+  let agg = opcheck_adaptive_replicate 1 in
+  ignore (record "adaptive.replans" agg.Adaptive.total_replans);
+  let refits = record "adaptive.refits" agg.Adaptive.total_refits in
+  let drift = record "adaptive.drift_detected" agg.Adaptive.total_drift_detected in
+  let on_drift =
+    record "adaptive.replans_on_drift" agg.Adaptive.total_replans_on_drift
+  in
+  if on_drift > refits then
+    fail "adaptive.replans_on_drift %d > adaptive.refits %d" on_drift refits;
+  if refits > drift then
+    fail "adaptive.refits %d > adaptive.drift_detected %d" refits drift;
+  let par = opcheck_adaptive_replicate 4 in
+  if
+    not
+      (Engine.equal_stats agg.Adaptive.engine_aggregate
+         par.Adaptive.engine_aggregate
+      && agg.Adaptive.total_replans = par.Adaptive.total_replans
+      && refits = par.Adaptive.total_refits
+      && drift = par.Adaptive.total_drift_detected
+      && on_drift = par.Adaptive.total_replans_on_drift)
+  then fail "adaptive: the jobs=4 aggregate differs from jobs=1";
+  let metrics = Metrics.create () in
+  let rng = Rng.create opcheck_server_seed in
+  let specs = opcheck_server_specs () in
   let truths =
     Array.map (fun (s : Server.query_spec) -> G.random rng s.Server.elements)
       specs
   in
   let result =
-    Server.run ~metrics
-      ~contention:(server_opcheck_contention ())
+    Server.run ~metrics ~contention:(opcheck_contention ())
       ~platform:(Crowdmax_crowd.Platform.create ())
       ~latency:model ~selection:Selection.tournament rng specs truths
   in
   let snap = Metrics.snapshot metrics in
-  let count sect name =
-    match Metrics.find snap ~section:sect name with
-    | Some (Metrics.Count c) -> c
-    | _ ->
-        Printf.printf "  %s/%s missing from snapshot\n" sect name;
-        incr failures;
-        -1
-  in
-  let admitted = count "server" "queries_admitted" in
-  let completed = count "server" "queries_completed" in
-  let steps = count "server" "fleet_steps" in
-  let rounds = count "server" "rounds_run" in
-  let posted = count "server" "questions_posted" in
-  let replans = count "server" "replans" in
-  let c_replans = count "server" "contention_replans" in
-  let ddl = count "server" "deadline_hits" in
-  let shared_calls = count "platform" "shared_calls" in
-  let discarded = count "platform" "shared_discarded_answers" in
-  if print_mode then
-    Printf.printf "  (%d, %d, %d, %d, %d, %d, %d, %d, %d, %d)\n%!" admitted
-      completed steps rounds posted replans c_replans ddl shared_calls
-      discarded
-  else begin
-    let ( exp_admitted, exp_completed, exp_steps, exp_rounds, exp_posted,
-          exp_replans, exp_c_replans, exp_ddl, exp_shared, exp_discarded ) =
-      server_opcheck_expected
-    in
-    let check name got expected =
-      if got <> expected then begin
-        Printf.printf "  server/%s = %d, pinned %d\n" name got expected;
-        incr failures
-      end
-    in
-    check "queries_admitted" admitted exp_admitted;
-    check "queries_completed" completed exp_completed;
-    check "fleet_steps" steps exp_steps;
-    check "rounds_run" rounds exp_rounds;
-    check "questions_posted" posted exp_posted;
-    check "replans" replans exp_replans;
-    check "contention_replans" c_replans exp_c_replans;
-    check "deadline_hits" ddl exp_ddl;
-    check "shared_calls" shared_calls exp_shared;
-    check "shared_discarded_answers" discarded exp_discarded;
-    (* structural cross-checks, independent of the pins *)
-    if c_replans > replans then begin
-      Printf.printf "  contention_replans %d > replans %d\n" c_replans replans;
-      incr failures
-    end;
-    if result.Server.contention_replans <> c_replans then begin
-      Printf.printf "  result.contention_replans %d <> metric %d\n"
-        result.Server.contention_replans c_replans;
-      incr failures
-    end;
-    (* the replicate determinism contract, re-asserted under parallelism *)
-    let seq = server_opcheck_replicate 1 in
-    let par = server_opcheck_replicate 4 in
-    if not (Server.equal_aggregate seq par) then begin
-      Printf.printf "  jobs=4 aggregate differs from jobs=1\n";
-      incr failures
-    end;
-    if !failures = 0 then
-      Printf.printf
-        "  ok: %d queries over %d steps, %d rounds, %d posted, %d/%d \
-         replans, %d deadline hits, %d discards (jobs-invariant)\n"
-        admitted steps rounds posted c_replans replans ddl discarded
-  end;
-  if !failures > 0 then begin
-    Printf.printf "query-server operation-count gate FAILED (%d mismatches)\n%!"
-      !failures;
-    exit 1
-  end
+  read_all snap ~section:"server" "server."
+    [
+      "queries_admitted"; "queries_completed"; "fleet_steps"; "rounds_run";
+      "questions_posted";
+    ];
+  let replans = read snap ~section:"server" "server." "replans" in
+  let c_replans = read snap ~section:"server" "server." "contention_replans" in
+  ignore (read snap ~section:"server" "server." "deadline_hits");
+  read_all snap ~section:"platform" "server."
+    [ "shared_calls"; "shared_discarded_answers" ];
+  if c_replans > replans then
+    fail "server.contention_replans %d > server.replans %d" c_replans replans;
+  if result.Server.contention_replans <> c_replans then
+    fail "server.contention_replans: the result reports %d, the metric %d"
+      result.Server.contention_replans c_replans;
+  if
+    not
+      (Server.equal_aggregate (opcheck_server_replicate 1)
+         (opcheck_server_replicate 4))
+  then fail "server: the jobs=4 aggregate differs from jobs=1";
+  match !failures with
+  | [] -> List.rev !out
+  | fs ->
+      Printf.eprintf "opcheck FAILED (%d structural check(s)): %s\n%!"
+        (List.length fs)
+        (String.concat "; " (List.rev fs));
+      exit 1
+
+let opcheck () =
+  List.iter (fun (key, v) -> Printf.printf "%s %d\n" key v) (opcheck_counters ())
 
 (* --- deterministic counter history gate ---------------------------------- *)
 
-(* The opcheck counters above are bit-deterministic, which makes them a
+(* The opcheck counters are bit-deterministic, which makes them a
    cross-PR regression signal as well as an in-PR pin: [history-append]
    records them in BENCH_history.jsonl (one compact v2 row next to the
    throughput rows), and [history-check] recomputes them and compares
    against the most recent counters-bearing row — so a PR that shifts
    the event loop's or the planner's work profile fails `make ci` with
-   the drifting counter named, even if its author forgot to regenerate
-   the pinned opcheck tables. Because the counters are deterministic,
+   the drifting counter named, even if its author promoted a new
+   bench/opcheck.expected. Because the counters are deterministic,
    any nonzero drift is a real behavior change; the 2% headroom only
    tolerates deliberate, reviewed bookkeeping tweaks without demanding
    a same-commit baseline row. Rows written by the v1 schema carry no
@@ -1419,112 +1203,9 @@ let server_opcheck () =
                                            counters row whose commit
                                            starts with that prefix *)
 
-let history_counters () =
-  let out = ref [] in
-  let push key v = out := (key, v) :: !out in
-  (* engine: the opcheck scenarios, platform-section counters *)
-  List.iter
-    (fun (n, _, _, _) ->
-      let cfg = engine_sim_config n in
-      let _agg, snap =
-        Engine.replicate_with_metrics ~runs:engine_opcheck_runs
-          ~seed:engine_opcheck_seed cfg ~elements:n
-      in
-      let get name =
-        match Metrics.find snap ~section:"platform" name with
-        | Some (Metrics.Count c) -> c
-        | _ -> -1
-      in
-      List.iter
-        (fun name -> push (Printf.sprintf "engine.n=%d.%s" n name) (get name))
-        [ "events_drained"; "worker_arrivals"; "completions" ])
-    engine_opcheck_expected;
-  (* planner: the cold opcheck scenarios *)
-  List.iter
-    (fun (c0, b, _, _, _, _, _) ->
-      let metrics = Metrics.create () in
-      ignore
-        (Tdp.solve ~metrics
-           (Problem.create ~elements:c0 ~budget:b ~latency:model));
-      let snap = Metrics.snapshot metrics in
-      let get name =
-        match Metrics.find snap ~section:"planner" name with
-        | Some (Metrics.Count c) -> c
-        | _ -> -1
-      in
-      List.iter
-        (fun name ->
-          push (Printf.sprintf "planner.cold.c0=%d.b=%d.%s" c0 b name) (get name))
-        [ "states_visited"; "memo_hits"; "memo_misses"; "ub_pruned_branches" ])
-    planner_opcheck_cold_expected;
-  (* planner: the cached sweep, one cache and registry across all solves *)
-  let metrics = Metrics.create () in
-  let cache = Tdp.Cache.create () in
-  List.iter
-    (fun b ->
-      ignore
-        (Tdp.solve ~metrics ~cache
-           (Problem.create ~elements:planner_opcheck_sweep_c0 ~budget:b
-              ~latency:model)))
-    planner_opcheck_sweep_budgets;
-  let snap = Metrics.snapshot metrics in
-  let get name =
-    match Metrics.find snap ~section:"planner" name with
-    | Some (Metrics.Count c) -> c
-    | _ -> -1
-  in
-  List.iter
-    (fun name ->
-      push
-        (Printf.sprintf "planner.sweep.c0=%d.%s" planner_opcheck_sweep_c0 name)
-        (get name))
-    [
-      "states_visited"; "memo_hits"; "memo_misses"; "ub_pruned_branches";
-      "plan_cache_hits"; "plan_cache_misses";
-    ];
-  (* adaptive: the closed-loop opcheck scenario's re-fit counters *)
-  let agg = adaptive_opcheck_replicate 1 in
-  List.iter
-    (fun (name, v) -> push (Printf.sprintf "adaptive.%s" name) v)
-    [
-      ("replans", agg.Adaptive.total_replans);
-      ("refits", agg.Adaptive.total_refits);
-      ("drift_detected", agg.Adaptive.total_drift_detected);
-      ("replans_on_drift", agg.Adaptive.total_replans_on_drift);
-    ];
-  (* server: the shared-marketplace opcheck scenario's fleet counters *)
-  let metrics = Metrics.create () in
-  let rng = Rng.create server_opcheck_seed in
-  let specs = server_opcheck_specs () in
-  let truths =
-    Array.map (fun (s : Server.query_spec) -> G.random rng s.Server.elements)
-      specs
-  in
-  ignore
-    (Server.run ~metrics
-       ~contention:(server_opcheck_contention ())
-       ~platform:(Crowdmax_crowd.Platform.create ())
-       ~latency:model ~selection:Selection.tournament rng specs truths);
-  let snap = Metrics.snapshot metrics in
-  let get sect name =
-    match Metrics.find snap ~section:sect name with
-    | Some (Metrics.Count c) -> c
-    | _ -> -1
-  in
-  List.iter
-    (fun name -> push (Printf.sprintf "server.%s" name) (get "server" name))
-    [
-      "queries_admitted"; "queries_completed"; "fleet_steps"; "rounds_run";
-      "questions_posted"; "replans"; "contention_replans"; "deadline_hits";
-    ];
-  List.iter
-    (fun name -> push (Printf.sprintf "server.%s" name) (get "platform" name))
-    [ "shared_calls"; "shared_discarded_answers" ];
-  List.rev !out
-
 let history_append () =
   section "bench history: record deterministic counter row";
-  let counters = history_counters () in
+  let counters = opcheck_counters () in
   let module J = Crowdmax_util.Json in
   let commit = git_commit () in
   append_bench_history
@@ -1618,7 +1299,7 @@ let history_check () =
                  history-append` to record one\n"
                 bench_history_file)
       | Some (commit, old) ->
-          let fresh = history_counters () in
+          let fresh = opcheck_counters () in
           let lookup key kvs =
             Option.map snd
               (List.find_opt (fun (k, _) -> String.equal k key) kvs)
@@ -1817,7 +1498,8 @@ let micro () =
 let timed name f =
   let t0 = Unix.gettimeofday () in
   f ();
-  Printf.printf "[%s: %.2f s wall, jobs=%d]\n%!" name
+  flush stdout;
+  Printf.eprintf "[%s: %.2f s wall, jobs=%d]\n%!" name
     (Unix.gettimeofday () -. t0)
     !jobs
 
@@ -1847,10 +1529,7 @@ let () =
       ("fig14b", fig14b); ("fig15", fig15); ("findings", findings);
       ("figures", figures); ("ablations", ablations); ("micro", micro);
       ("engine", engine_bench);
-      ("engine-opcheck", engine_opcheck);
-      ("planner-opcheck", planner_opcheck);
-      ("adaptive-opcheck", adaptive_opcheck);
-      ("server-opcheck", server_opcheck);
+      ("opcheck", opcheck);
       ("history-append", history_append);
       ("history-check", history_check);
     ]

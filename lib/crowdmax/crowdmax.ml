@@ -8,7 +8,6 @@ module Rng = Crowdmax_util.Rng
 module Stats = Crowdmax_util.Stats
 module Table = Crowdmax_util.Table
 module Json = Crowdmax_util.Json
-module Heap = Crowdmax_util.Heap
 module Ints = Crowdmax_util.Ints
 
 (* observability *)

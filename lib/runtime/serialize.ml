@@ -155,18 +155,6 @@ let field name conv doc =
 
 let int_field name = field name J.to_int
 let float_field name = field name J.to_float
-let bool_field name = field name J.to_bool
-
-(* Fields added after a release default to their historical value, so
-   checkpoints written by older builds still load (the pattern the
-   timing fields established). *)
-let optional_field name conv ~default doc =
-  match J.member name doc with
-  | None -> Ok default
-  | Some v -> (
-      match conv v with
-      | Some v -> Ok v
-      | None -> Error (Printf.sprintf "ill-typed field %S" name))
 
 let rec collect conv what = function
   | [] -> Ok []
@@ -252,179 +240,9 @@ let metrics_of_json doc =
            entries)
   | _ -> Error "metrics document is not an object"
 
-let round_of_json doc =
-  let* round_index = int_field "round_index" doc in
-  let* round_budget = int_field "round_budget" doc in
-  let* distinct_questions = int_field "distinct_questions" doc in
-  let* padded_questions = int_field "padded_questions" doc in
-  let* candidates_before = int_field "candidates_before" doc in
-  let* candidates_after = int_field "candidates_after" doc in
-  let* round_latency = float_field "round_latency" doc in
-  (* Deadline-era fields: absent in pre-deadline dumps, where every
-     round waited for all answers. *)
-  let* unanswered_questions =
-    optional_field "unanswered_questions" J.to_int ~default:0 doc
-  in
-  let* reissued_questions =
-    optional_field "reissued_questions" J.to_int ~default:0 doc
-  in
-  let* deadline_hit =
-    optional_field "deadline_hit" J.to_bool ~default:false doc
-  in
-  Ok
-    {
-      Engine.round_index;
-      round_budget;
-      distinct_questions;
-      padded_questions;
-      candidates_before;
-      candidates_after;
-      round_latency;
-      unanswered_questions;
-      reissued_questions;
-      deadline_hit;
-    }
-
-let rec collect_rounds = function
-  | [] -> Ok []
-  | doc :: rest ->
-      let* r = round_of_json doc in
-      let* rs = collect_rounds rest in
-      Ok (r :: rs)
-
-let result_of_json doc =
-  let* chosen = int_field "chosen" doc in
-  let* correct = bool_field "correct" doc in
-  let* singleton = bool_field "singleton" doc in
-  let* rounds_run = int_field "rounds_run" doc in
-  let* questions_posted = int_field "questions_posted" doc in
-  let* total_latency = float_field "total_latency" doc in
-  let* trace_docs = field "trace" J.to_list doc in
-  let* trace = collect_rounds trace_docs in
-  Ok
-    {
-      Engine.chosen;
-      correct;
-      singleton;
-      rounds_run;
-      questions_posted;
-      total_latency;
-      trace;
-    }
-
-(* The model decoders go through the validating constructors, so a
-   hand-edited (or poisoned) document cannot smuggle a NaN parameter
-   past the same gates the fitters use. *)
-let model_of_json doc =
-  let* kind = field "kind" J.to_str doc in
-  let checked build =
-    match build () with v -> Ok v | exception Invalid_argument m -> Error m
-  in
-  match kind with
-  | "linear" ->
-      let* delta = float_field "delta" doc in
-      let* alpha = float_field "alpha" doc in
-      checked (fun () -> Model.linear ~delta ~alpha)
-  | "power" ->
-      let* delta = float_field "delta" doc in
-      let* alpha = float_field "alpha" doc in
-      let* p = float_field "p" doc in
-      checked (fun () -> Model.power ~delta ~alpha ~p)
-  | "piecewise" ->
-      let* knot_docs = field "knots" J.to_list doc in
-      let* knots =
-        collect
-          (fun d ->
-            match d with
-            | J.List [ x; y ] ->
-                Option.bind (J.to_int x) (fun x ->
-                    Option.map (fun y -> (x, y)) (J.to_float y))
-            | _ -> None)
-          "knots" knot_docs
-      in
-      checked (fun () -> Model.piecewise (Array.of_list knots))
-  | k -> Error (Printf.sprintf "unknown model kind %S" k)
-
-let adaptive_result_of_json doc =
-  let* engine_doc = field "engine_result" Option.some doc in
-  let* engine_result = result_of_json engine_doc in
-  let* replans = int_field "replans" doc in
-  (* Closed-loop fields: absent in dumps written before the re-fit loop
-     existed, where no run ever re-fit anything. *)
-  let* refits = optional_field "refits" J.to_int ~default:0 doc in
-  let* drift_detected =
-    optional_field "drift_detected" J.to_int ~default:0 doc
-  in
-  let* replans_on_drift =
-    optional_field "replans_on_drift" J.to_int ~default:0 doc
-  in
-  let* final_model =
-    match J.member "final_model" doc with
-    | None -> Ok Model.paper_mturk
-    | Some m -> model_of_json m
-  in
-  (* Absent in dumps written before the refit window recorded honest
-     observed seconds; those runs never recorded anything anyway. *)
-  let* observations =
-    match J.member "observations" doc with
-    | None -> Ok []
-    | Some (J.List docs) ->
-        collect
-          (fun d ->
-            match
-              (J.member "batch_size" d, J.member "seconds" d)
-            with
-            | Some b, Some s ->
-                Option.bind (J.to_int b) (fun batch_size ->
-                    Option.map
-                      (fun seconds ->
-                        { Crowdmax_latency.Estimate.batch_size; seconds })
-                      (J.to_float s))
-            | _ -> None)
-          "observations" docs
-    | Some _ -> Error "observations: expected a list"
-  in
-  Ok
-    {
-      Adaptive.engine_result;
-      replans;
-      refits;
-      drift_detected;
-      replans_on_drift;
-      final_model;
-      observations;
-    }
-
 (* Pre-observability aggregates have no "metrics" field: decode it to
-   the empty snapshot, like the other post-release optional fields. *)
+   the empty snapshot. *)
 let aggregate_metrics_of_json doc =
   match J.member "metrics" doc with
   | None -> Ok []
   | Some m -> metrics_of_json m
-
-let aggregate_of_json doc =
-  let* runs = int_field "runs" doc in
-  let* mean_latency = float_field "mean_latency" doc in
-  let* stddev_latency = float_field "stddev_latency" doc in
-  let* median_latency = float_field "median_latency" doc in
-  let* p95_latency = float_field "p95_latency" doc in
-  let* singleton_rate = float_field "singleton_rate" doc in
-  let* correct_rate = float_field "correct_rate" doc in
-  let* mean_questions = float_field "mean_questions" doc in
-  let* mean_rounds = float_field "mean_rounds" doc in
-  let* jobs = optional_field "jobs" J.to_int ~default:1 doc in
-  let* wall_seconds = optional_field "wall_seconds" J.to_float ~default:0.0 doc in
-  let* runs_per_sec = optional_field "runs_per_sec" J.to_float ~default:0.0 doc in
-  Ok
-    {
-      Engine.runs;
-      mean_latency;
-      stddev_latency;
-      median_latency;
-      p95_latency;
-      singleton_rate;
-      correct_rate;
-      mean_questions;
-      mean_rounds;
-      timing = { Engine.jobs; wall_seconds; runs_per_sec };
-    }

@@ -1,8 +1,9 @@
-(** JSON persistence for engine outputs.
+(** JSON documents for engine outputs.
 
-    Lets long experiment campaigns checkpoint their raw results and lets
-    external tooling (plotting, dashboards) consume runs without linking
-    OCaml. Encoders/decoders round-trip exactly (property-tested). *)
+    The encoders let external tooling (plotting, dashboards) consume runs
+    without linking OCaml. Only the metrics documents are read back:
+    [crowdmax_cli metrics-check] decodes an aggregate's ["metrics"] field,
+    and {!metrics_of_json} inverts {!metrics_to_json} exactly (tested). *)
 
 val round_to_json : Engine.round_record -> Crowdmax_util.Json.t
 val result_to_json : Engine.result -> Crowdmax_util.Json.t
@@ -34,28 +35,6 @@ val metrics_to_json : Crowdmax_obs.Metrics.snapshot -> Crowdmax_util.Json.t
     ([count], [peak], [histogram], [real_seconds]). Entry order follows
     the snapshot's (section, name) sort, so the document layout is
     deterministic. *)
-
-val round_of_json :
-  Crowdmax_util.Json.t -> (Engine.round_record, string) result
-
-val result_of_json : Crowdmax_util.Json.t -> (Engine.result, string) result
-(** [Error] names the first missing or ill-typed field. *)
-
-val model_of_json :
-  Crowdmax_util.Json.t -> (Crowdmax_latency.Model.t, string) result
-(** Inverse of {!model_to_json}. Decodes through the validating
-    constructors, so a document carrying a NaN parameter or unsorted
-    knots is an [Error], never a poisoned model. *)
-
-val adaptive_result_of_json :
-  Crowdmax_util.Json.t -> (Adaptive.result, string) result
-(** Inverse of {!adaptive_result_to_json}. The closed-loop counter
-    fields default to 0 and [final_model] to
-    {!Crowdmax_latency.Model.paper_mturk} when absent — dumps written
-    before the re-fit loop existed never re-fit anything. *)
-
-val aggregate_of_json :
-  Crowdmax_util.Json.t -> (Engine.aggregate, string) result
 
 val metrics_of_json :
   Crowdmax_util.Json.t -> (Crowdmax_obs.Metrics.snapshot, string) result

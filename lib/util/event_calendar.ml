@@ -1,12 +1,13 @@
 (* A binary min-heap over parallel flat arrays: one unboxed float array
    for the keys, two int arrays for the payload words. Functionally the
-   same structure as [Heap.t] with a [Float.compare]-on-time comparator,
-   but with no boxed elements, no comparator closure, and no per-event
-   allocation — the platform simulator pushes and pops one entry per
-   simulated event on its hot path.
+   same structure as the generic heap in test/heap.ml with a
+   [Float.compare]-on-time comparator, but with no boxed elements, no
+   comparator closure, and no per-event allocation — the platform
+   simulator pushes and pops one entry per simulated event on its hot
+   path.
 
-   The sift logic mirrors [Heap] exactly (strict-less promotion on the
-   way up; strictly smaller child, left preferred, on the way down), so
+   The sift logic mirrors test/heap.ml exactly (strict-less promotion on
+   the way up; strictly smaller child, left preferred, on the way down), so
    entries with equal times pop in the same order the generic heap would
    produce. The model test in test_event_calendar.ml pins this. Both
    sifts move a hole instead of swapping — the displaced entry is held

@@ -6,7 +6,8 @@
     and can be reused across simulations via {!clear}), and there is no
     comparator closure or boxed element per entry.
 
-    Tie order is exactly that of the generic [Heap] with a
+    Tie order is exactly that of the generic array heap in test/heap.ml
+    (the model test_event_calendar checks against) with a
     [Float.compare]-on-key comparator: both use strict-less sifting
     (a new entry rises only above strictly larger keys; on removal the
     relocated tail entry sinks below a strictly smaller child, left

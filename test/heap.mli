@@ -1,5 +1,6 @@
-(** Array-backed binary min-heap, used by the discrete-event platform
-    simulator to order pending events. *)
+(** Array-backed binary min-heap: the reference model that
+    [Crowdmax_util.Event_calendar] is tested against (test_event_calendar),
+    including the order in which equal keys pop. *)
 
 type 'a t
 

@@ -10,7 +10,6 @@
 
 module Q = QCheck
 module EC = Crowdmax_util.Event_calendar
-module Heap = Crowdmax_util.Heap
 
 (* Four distinct values: long random op sequences put many entries on
    each, forcing tie-order decisions inside both sift directions. *)

@@ -15,15 +15,19 @@ let test_pipeline_through_umbrella () =
     Engine.config ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
       ~latency_model:latency ()
   in
-  let r = Engine.run rng cfg truth in
+  let metrics = Metrics.create () in
+  let r = Engine.run ~metrics rng cfg truth in
   Alcotest.check Alcotest.bool "correct" true r.Engine.correct;
   (* theory helpers reachable *)
   Alcotest.check Alcotest.int "Q function" 30 (Tournament.questions 20 5);
   Alcotest.check Alcotest.bool "bound below optimum" true
     (Bounds.latency_lower_bound latency ~elements:50 <= sol.Tdp.latency);
   (* serialization reachable *)
-  match Serialize.result_of_json (Serialize.result_to_json r) with
-  | Ok r' -> Alcotest.check Alcotest.bool "serde" true (r = r')
+  let snap = Metrics.snapshot metrics in
+  Alcotest.check Alcotest.bool "metrics recorded" true (snap <> []);
+  match Serialize.metrics_of_json (Serialize.metrics_to_json snap) with
+  | Ok snap' ->
+      Alcotest.check Alcotest.bool "serde" true (Metrics.equal snap snap')
   | Error e -> Alcotest.fail e
 
 let test_cost_through_umbrella () =
