@@ -1,6 +1,8 @@
 open Crowdmax_util
 
-type t = { ranks : int array; values : float array }
+(* [values] is [None] for rank-only truths: [value] then derives
+   [float_of_int rank], exactly, instead of storing a copy. *)
+type t = { ranks : int array; values : float array option }
 
 let check_permutation ranks =
   let n = Array.length ranks in
@@ -12,26 +14,15 @@ let check_permutation ranks =
       seen.(r) <- true)
     ranks
 
-(* Explicit loop rather than [Array.map float_of_int]: the polymorphic
-   map boxes every float on the way into the flat result array. *)
-let float_ranks ranks =
-  let n = Array.length ranks in
-  let values = Array.make n 0.0 in
-  for i = 0 to n - 1 do
-    Array.unsafe_set values i (float_of_int (Array.unsafe_get ranks i))
-  done;
-  values
-
 let of_ranks ranks =
   check_permutation ranks;
-  { ranks = Array.copy ranks; values = float_ranks ranks }
+  { ranks = Array.copy ranks; values = None }
 
 let random rng n =
   (* [Rng.permutation] is a permutation by construction: skip the
      validation pass and defensive copy that [of_ranks] owes arbitrary
      caller arrays. *)
-  let ranks = Rng.permutation rng n in
-  { ranks; values = float_ranks ranks }
+  { ranks = Rng.permutation rng n; values = None }
 
 let with_values rng n ~lo ~hi =
   if lo <= 0.0 || hi < lo then invalid_arg "Ground_truth.with_values: bad range";
@@ -50,7 +41,7 @@ let with_values rng n ~lo ~hi =
     order;
   let ranks = Array.make n 0 in
   Array.iteri (fun pos e -> ranks.(e) <- pos) order;
-  { ranks; values = raw }
+  { ranks; values = Some raw }
 
 let size t = Array.length t.ranks
 let ranks t = t.ranks
@@ -61,7 +52,9 @@ let rank t e =
 
 let value t e =
   if e < 0 || e >= size t then invalid_arg "Ground_truth.value: out of range";
-  t.values.(e)
+  match t.values with
+  | Some values -> values.(e)
+  | None -> float_of_int t.ranks.(e)
 
 let max_element t =
   let best = ref 0 in

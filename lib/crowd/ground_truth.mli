@@ -30,8 +30,9 @@ val ranks : t -> int array
     as read-only — mutating it corrupts the truth. *)
 
 val value : t -> int -> float
-(** Element's attached value; defaults to [float_of_int (rank t e)] when
-    built without values. *)
+(** Element's attached value. Truths built by [random] or [of_ranks]
+    carry no values and store no copy: [value] is then
+    [float_of_int (rank t e)], computed on each call (exact). *)
 
 val max_element : t -> int
 (** The true MAX. *)

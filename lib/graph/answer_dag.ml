@@ -15,17 +15,23 @@
    - the candidate set is a bitset plus a count, cleared incrementally
      as elements take their first loss, so remaining_candidates /
      candidates read maintained state in O(n/32 + candidates) ascending
-     and is_singleton / winner are O(1). *)
+     and is_singleton / winner are O(1).
+
+   A DAG can be recycled with [reset]: the per-element arrays, the
+   bitsets and the edge pools then keep the largest capacity they ever
+   reached, so every array may be longer than the live prefix.
+   Whole-array operations are bounded by [n] (per-element arrays),
+   [words] (the candidate bitset) and [n * words] (the loss bitset). *)
 
 type ext = ..
 type ext += Ext_none
 
 type t = {
-  n : int;
-  words : int; (* 32-bit words per loss-bitset row: (n + 31) / 32 *)
+  mutable n : int;
+  mutable words : int; (* 32-bit words per loss-bitset row: (n + 31) / 32 *)
   mutable answer_count : int; (* = edges used in the pool *)
-  win_head : int array; (* first edge won by the element; -1 = none *)
-  loss_head : int array; (* first edge lost by the element; -1 = none *)
+  mutable win_head : int array; (* first edge won by the element; -1 = none *)
+  mutable loss_head : int array; (* first edge lost by the element; -1 = none *)
   (* Edge [e] records (winner, loser): [edge_loser.(e)] chained through
      [win_next.(e)] from [win_head.(winner)], and [edge_winner.(e)]
      chained through [loss_next.(e)] from [loss_head.(loser)]. *)
@@ -33,9 +39,9 @@ type t = {
   mutable edge_loser : int array;
   mutable win_next : int array;
   mutable loss_next : int array;
-  loss_count : int array; (* direct-loss count, maintained on add *)
-  loss_bits : int array; (* flat n*words; row b bit a set iff a beat b *)
-  cand_bits : int array; (* words-long bitset: bit x set iff x unbeaten *)
+  mutable loss_count : int array; (* direct-loss count, maintained on add *)
+  mutable loss_bits : int array; (* flat n*words; row b bit a set iff a beat b *)
+  mutable cand_bits : int array; (* words-long bitset: bit x set iff x unbeaten *)
   mutable cand_count : int;
   mutable scratch_desc : int array; (* reused by transitive_win_counts *)
   mutable ext : ext; (* derived-data cache slot (see Scoring) *)
@@ -43,32 +49,80 @@ type t = {
 
 exception Cycle of int * int
 
-let create ?(edge_capacity = 0) n =
-  if n < 0 then invalid_arg "Answer_dag.create: negative size";
+let check_sizes ~caller ~edge_capacity n =
+  if n < 0 then invalid_arg ("Answer_dag." ^ caller ^ ": negative size");
   if edge_capacity < 0 then
-    invalid_arg "Answer_dag.create: negative edge_capacity";
+    invalid_arg ("Answer_dag." ^ caller ^ ": negative edge_capacity")
+
+(* Turn [t] into the empty graph over [n] elements, growing storage only
+   where it is too small. Only [add_answer_unchecked] sets a loss bit,
+   and it records an edge whenever it does: clearing the word of every
+   recorded edge, under the old row stride, zeroes the whole bitset in
+   O(answers). *)
+let clear_to t ~edge_capacity n =
+  for e = 0 to t.answer_count - 1 do
+    t.loss_bits.((t.edge_loser.(e) * t.words) + (t.edge_winner.(e) lsr 5)) <- 0
+  done;
   let words = (n + 31) / 32 in
-  let pool = Array.make edge_capacity (-1) in
-  {
-    n;
-    words;
-    answer_count = 0;
-    win_head = Array.make n (-1);
-    loss_head = Array.make n (-1);
-    edge_winner = pool;
-    edge_loser = Array.copy pool;
-    win_next = Array.copy pool;
-    loss_next = Array.copy pool;
-    loss_count = Array.make n 0;
-    loss_bits = Array.make (n * words) 0;
-    cand_bits =
-      Array.init words (fun w ->
-          let bits_here = min 32 (n - (w lsl 5)) in
-          if bits_here = 32 then 0xFFFFFFFF else (1 lsl bits_here) - 1);
-    cand_count = n;
-    scratch_desc = [||];
-    ext = Ext_none;
-  }
+  if Array.length t.loss_bits < n * words then
+    t.loss_bits <- Array.make (n * words) 0;
+  if Array.length t.loss_count < n then begin
+    t.win_head <- Array.make n (-1);
+    t.loss_head <- Array.make n (-1);
+    t.loss_count <- Array.make n 0
+  end
+  else begin
+    Array.fill t.win_head 0 n (-1);
+    Array.fill t.loss_head 0 n (-1);
+    Array.fill t.loss_count 0 n 0
+  end;
+  if Array.length t.cand_bits < words then t.cand_bits <- Array.make words 0;
+  for w = 0 to words - 1 do
+    let bits_here = min 32 (n - (w lsl 5)) in
+    t.cand_bits.(w) <-
+      (if bits_here = 32 then 0xFFFFFFFF else (1 lsl bits_here) - 1)
+  done;
+  if Array.length t.edge_winner < edge_capacity then begin
+    t.edge_winner <- Array.make edge_capacity (-1);
+    t.edge_loser <- Array.make edge_capacity (-1);
+    t.win_next <- Array.make edge_capacity (-1);
+    t.loss_next <- Array.make edge_capacity (-1)
+  end;
+  t.n <- n;
+  t.words <- words;
+  t.answer_count <- 0;
+  t.cand_count <- n;
+  (* A ranking cache keys on [answer_count], which the new graph starts
+     over: a stale cache could match it. *)
+  t.ext <- Ext_none
+
+let create ?(edge_capacity = 0) n =
+  check_sizes ~caller:"create" ~edge_capacity n;
+  let t =
+    {
+      n = 0;
+      words = 0;
+      answer_count = 0;
+      win_head = [||];
+      loss_head = [||];
+      edge_winner = [||];
+      edge_loser = [||];
+      win_next = [||];
+      loss_next = [||];
+      loss_count = [||];
+      loss_bits = [||];
+      cand_bits = [||];
+      cand_count = 0;
+      scratch_desc = [||];
+      ext = Ext_none;
+    }
+  in
+  clear_to t ~edge_capacity n;
+  t
+
+let reset ?(edge_capacity = 0) t n =
+  check_sizes ~caller:"reset" ~edge_capacity n;
+  clear_to t ~edge_capacity n
 
 let size t = t.n
 
@@ -78,15 +132,15 @@ let copy t =
     n = t.n;
     words = t.words;
     answer_count = m;
-    win_head = Array.copy t.win_head;
-    loss_head = Array.copy t.loss_head;
+    win_head = Array.sub t.win_head 0 t.n;
+    loss_head = Array.sub t.loss_head 0 t.n;
     edge_winner = Array.sub t.edge_winner 0 m;
     edge_loser = Array.sub t.edge_loser 0 m;
     win_next = Array.sub t.win_next 0 m;
     loss_next = Array.sub t.loss_next 0 m;
-    loss_count = Array.copy t.loss_count;
-    loss_bits = Array.copy t.loss_bits;
-    cand_bits = Array.copy t.cand_bits;
+    loss_count = Array.sub t.loss_count 0 t.n;
+    loss_bits = Array.sub t.loss_bits 0 (t.n * t.words);
+    cand_bits = Array.sub t.cand_bits 0 t.words;
     cand_count = t.cand_count;
     scratch_desc = [||];
     (* Derived caches must not be shared: the copy diverges from the
@@ -279,7 +333,7 @@ let answer_count t = t.answer_count
 let topological_order t =
   (* Kahn's algorithm on the win relation: sources are elements nobody
      beat, i.e. the remaining candidates. *)
-  let indeg = Array.copy t.loss_count in
+  let indeg = Array.sub t.loss_count 0 t.n in
   let queue = Queue.create () in
   Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
   let order = Array.make t.n 0 in

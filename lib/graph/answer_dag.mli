@@ -17,8 +17,8 @@
     maintained state ([remaining_candidates] is O(candidates),
     [is_singleton] / [winner] / [candidate_count] O(1)) instead of
     rescanning all n elements. A [t] is not thread-safe; confine each
-    value to one domain (the replication engine already builds one DAG
-    per run). *)
+    value to one domain (the round machine recycles DAGs through a
+    per-domain free list, {!reset} between queries). *)
 
 type t
 
@@ -29,6 +29,16 @@ val create : ?edge_capacity:int -> int -> t
     (defaults to 0, growing by doubling on demand); callers that know
     the answer volume up front — e.g. the engine, which knows the total
     budget — avoid all pool reallocation by passing it. *)
+
+val reset : ?edge_capacity:int -> t -> int -> unit
+(** [reset t n] turns [t] into the empty answer DAG over elements
+    [0..n-1], as if it were [create ?edge_capacity n], while keeping
+    its storage: arrays grow only when [n] or [edge_capacity] exceed
+    what [t] already holds, so recycling a DAG across same-sized graphs
+    allocates nothing. O(n + answers recorded in [t]), not O(n²/32):
+    only the loss-bitset words of recorded answers are cleared. The
+    {!ext} slot is reset to {!Ext_none}. Raises [Invalid_argument]
+    like [create]. *)
 
 val size : t -> int
 
@@ -117,8 +127,9 @@ val check_invariants : t -> unit
 
 type ext = ..
 (** Extension slot for caches of derived data (e.g. {!Scoring}'s ranking
-    cache). The DAG itself never interprets the value; [copy] resets it
-    to {!Ext_none} so caches are never shared between diverging DAGs. *)
+    cache). The DAG itself never interprets the value; [copy] and
+    [reset] set it to {!Ext_none} so caches are never shared between
+    diverging DAGs or outlive the graph they describe. *)
 
 type ext += Ext_none
 

@@ -240,6 +240,7 @@ module Query = struct
   type t = {
     truth : Ground_truth.t;
     dag : Dag.t;
+    mutable spent : bool; (* [finish] ran; [dag] belongs to the pool *)
     selection : Selection.t;
     span : Metrics.span;
     pad : bool;
@@ -256,12 +257,31 @@ module Query = struct
     mutable pending : ((int * int) * int) list;
   }
 
+  (* Finished queries hand their DAG to a per-domain free list and
+     [create] resets one instead of allocating an n × ⌈n/32⌉ bitset and
+     growing fresh edge pools per query. A domain keeps at most
+     [pool_cap] DAGs — enough for a fleet of 8 concurrent queries — so
+     what it retains is bounded by its peak number of live queries,
+     whatever the number of runs. A query that raises drops its DAG. *)
+  let pool_cap = 8
+  let pool_key = Domain.DLS.new_key (fun () -> Stack.create ())
+  let pooled () = Stack.length (Domain.DLS.get pool_key)
+
   let create ?edge_capacity
       ?(span = Metrics.span Metrics.disabled ~section:"" "") ?(pad = false)
       ?(straggler = Drop) ~selection ~budget truth =
+    let n = Ground_truth.size truth in
+    let dag =
+      match Stack.pop_opt (Domain.DLS.get pool_key) with
+      | Some dag ->
+          Dag.reset ?edge_capacity dag n;
+          dag
+      | None -> Dag.create ?edge_capacity n
+    in
     {
       truth;
-      dag = Dag.create ?edge_capacity (Ground_truth.size truth);
+      dag;
+      spent = false;
       selection;
       span;
       pad;
@@ -275,23 +295,29 @@ module Query = struct
       pending = [];
     }
 
+  (* The DAG of a finished query may already serve another one. *)
+  let live_dag q ~caller =
+    if q.spent then invalid_arg ("Engine.Query." ^ caller ^ ": query finished");
+    q.dag
+
   let truth q = q.truth
-  let dag q = q.dag
+  let dag q = live_dag q ~caller:"dag"
   let rounds q = q.rounds
   let latency q = q.latency
   let deadline_hits q = q.deadline_hits
 
   let active q =
-    let c = Dag.candidate_count q.dag in
+    let c = Dag.candidate_count (live_dag q ~caller:"active") in
     c > 1 && q.remaining >= c - 1
 
   let replan ~cache q latency =
+    let dag = live_dag q ~caller:"replan" in
     if not (active q) then None
     else
       let plan =
         Tdp.solve ~cache
           (Problem.create
-             ~elements:(Dag.candidate_count q.dag)
+             ~elements:(Dag.candidate_count dag)
              ~budget:q.remaining ~latency)
       in
       let budget =
@@ -304,7 +330,7 @@ module Query = struct
   let live dag ((a, b), _) = Dag.losses dag a = 0 && Dag.losses dag b = 0
 
   let select q rng ~budget ~horizon =
-    let dag = q.dag in
+    let dag = live_dag q ~caller:"select" in
     (* Carried stragglers go out first, consuming round budget before
        the selector sees it. Pairs whose elements lost meanwhile are
        dead — comparing them again cannot change the RC set — so they
@@ -360,6 +386,7 @@ module Query = struct
   let posted r = r.distinct + r.padded
 
   let absorb q r o =
+    let dag = live_dag q ~caller:"absorb" in
     let posted = posted r in
     q.latency <- q.latency +. o.round_seconds;
     q.questions <- q.questions + posted;
@@ -381,7 +408,7 @@ module Query = struct
           | Reissue cap -> cap)
     in
     q.pending <-
-      List.filter (live q.dag)
+      List.filter (live dag)
         (r.deferred
         @ List.filter_map
             (fun pair ->
@@ -395,7 +422,7 @@ module Query = struct
         distinct_questions = r.distinct;
         padded_questions = r.padded;
         candidates_before = r.candidates;
-        candidates_after = Dag.candidate_count q.dag;
+        candidates_after = Dag.candidate_count dag;
         round_latency = o.round_seconds;
         unanswered_questions = List.length o.unanswered;
         reissued_questions = List.length r.carried;
@@ -407,15 +434,19 @@ module Query = struct
     record
 
   let finish q =
-    let remaining = Dag.remaining_candidates q.dag in
+    let dag = live_dag q ~caller:"finish" in
+    let remaining = Dag.remaining_candidates dag in
     let chosen =
       match remaining with
       | [ w ] -> w
       | _ -> (
-          match Scoring.ranked_candidates q.dag with
+          match Scoring.ranked_candidates dag with
           | best :: _ -> best
           | [] -> 0)
     in
+    q.spent <- true;
+    let pool = Domain.DLS.get pool_key in
+    if Stack.length pool < pool_cap then Stack.push dag pool;
     {
       chosen;
       correct = chosen = Ground_truth.max_element q.truth;

@@ -255,10 +255,22 @@ module Query : sig
       pool; [span] times every selector call (default: none); [pad]
       (default [false]) pads short rounds up to their budget;
       [straggler] (default [Drop]) decides which cut-off questions are
-      carried into later rounds. *)
+      carried into later rounds. The answer DAG is taken from the
+      calling domain's free list ({!Crowdmax_graph.Answer_dag.reset})
+      when it holds one, else created. *)
+
+  val pool_cap : int
+  (** The most DAGs a domain's free list retains (8: a fleet of 8
+      concurrent queries recycles all of its DAGs). *)
+
+  val pooled : unit -> int
+  (** DAGs the calling domain's free list holds now; at most
+      [pool_cap]. *)
 
   val truth : t -> Crowdmax_crowd.Ground_truth.t
+
   val dag : t -> Crowdmax_graph.Answer_dag.t
+  (** The query's answer DAG; valid until [finish]. *)
 
   val rounds : t -> int
   (** Rounds absorbed so far — the next round's index. *)
@@ -270,7 +282,11 @@ module Query : sig
 
   val active : t -> bool
   (** At least two candidates remain and the remaining budget covers
-      Theorem 1's [c - 1] questions — the state [replan] can plan. *)
+      Theorem 1's [c - 1] questions — the state [replan] can plan.
+
+      [dag], [active], [replan], [select], [absorb] and [finish] raise
+      [Invalid_argument] on a finished query: its DAG may already
+      serve another one. *)
 
   val replan :
     cache:Crowdmax_core.Tdp.Cache.t ->
@@ -313,7 +329,10 @@ module Query : sig
       conflict-free, so the DAG stays acyclic and a non-empty DAG
       always keeps an unbeaten element to rank. An empty collection
       reports element [0], like
-      {!Crowdmax_crowd.Ground_truth.max_element}. *)
+      {!Crowdmax_crowd.Ground_truth.max_element}.
+
+      The query is spent afterwards: its DAG goes back to the calling
+      domain's free list (unless that holds [pool_cap] already). *)
 end
 
 val runner :

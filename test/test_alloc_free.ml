@@ -30,6 +30,10 @@ module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
 module Model = Crowdmax_latency.Model
 module Platform = Crowdmax_crowd.Platform
+module Ground_truth = Crowdmax_crowd.Ground_truth
+module Selection = Crowdmax_selection.Selection
+module Engine = Crowdmax_runtime.Engine
+module Adaptive = Crowdmax_runtime.Adaptive
 
 let iters = 10_000
 
@@ -183,6 +187,41 @@ let test_platform_simulate_bounded () =
        per-event allocation)"
       per_q
 
+(* Words [f] allocates straight into the major heap. The leading minor
+   collection empties the minor heap, so no promotion lands inside. *)
+let major_words f =
+  Gc.minor ();
+  let _, _, before = Gc.counters () in
+  let r = f () in
+  let _, _, after = Gc.counters () in
+  (r, after -. before)
+
+let test_query_recycles_dag () =
+  (* A finished query's DAG serves the next query on the same domain:
+     its n × ⌈n/32⌉ loss bitset (past the minor heap's size limit, so a
+     fresh one is a major allocation) is reset, not reallocated. *)
+  let rng = Rng.create 5 in
+  let problem =
+    Problem.create ~elements:300 ~budget:900 ~latency:Model.paper_mturk
+  in
+  ignore
+    (Adaptive.run rng ~problem ~selection:Selection.tournament
+       (Ground_truth.random rng 300));
+  let truth = Ground_truth.random rng 250 in
+  let q, recycled =
+    major_words (fun () ->
+        Engine.Query.create ~selection:Selection.tournament ~budget:900 truth)
+  in
+  ignore (Engine.Query.finish q : Engine.result);
+  let _, fresh = major_words (fun () -> Dag.create 250) in
+  if fresh <= 0.0 then
+    Alcotest.failf "a fresh Dag.create 250 read %.0f major words" fresh;
+  if recycled > 0.0 then
+    Alcotest.failf
+      "Query.create after a finished run allocated %.0f major words (a \
+       fresh DAG: %.0f)"
+      recycled fresh
+
 let suite =
   [
     ( "alloc_free",
@@ -198,5 +237,7 @@ let suite =
         Alcotest.test_case "tdp solve bounded" `Quick test_tdp_solve_bounded;
         Alcotest.test_case "platform simulate bounded" `Quick
           test_platform_simulate_bounded;
+        Alcotest.test_case "query recycles its DAG" `Quick
+          test_query_recycles_dag;
       ] );
   ]

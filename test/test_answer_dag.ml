@@ -169,6 +169,96 @@ let test_large_bitset_boundary () =
   check_int "middle" (n - 1 - 64) counts.(64);
   check_int "tail" 0 counts.(n - 1)
 
+(* --- reset: a recycled DAG is indistinguishable from a fresh one ------- *)
+
+module Q = QCheck
+module Rng = Crowdmax_util.Rng
+module Scoring = Crowdmax_graph.Scoring
+
+(* Conflict-free answers for one step: pairs answered by a hidden total
+   order drawn from [seed], so they can never close a cycle. *)
+let add_ranked_answers dag (n, _, seed) =
+  let rng = Rng.create seed in
+  let ranks = Rng.permutation rng n in
+  let pairs = if n < 2 then 0 else Rng.int rng ((3 * n) + 1) in
+  for _ = 1 to pairs do
+    let a = Rng.int rng n in
+    let b = Rng.int rng n in
+    if a <> b then begin
+      let winner, loser = if ranks.(a) > ranks.(b) then (a, b) else (b, a) in
+      Dag.add_answer_unchecked dag ~winner ~loser
+    end
+  done
+
+let same_dag a b =
+  let all = List.init (Dag.size b) Fun.id in
+  Dag.size a = Dag.size b
+  && Dag.answer_count a = Dag.answer_count b
+  && Dag.candidate_count a = Dag.candidate_count b
+  && Dag.candidates a = Dag.candidates b
+  && Dag.remaining_candidates a = Dag.remaining_candidates b
+  && Dag.answers a = Dag.answers b
+  && Dag.topological_order a = Dag.topological_order b
+  && Dag.transitive_win_counts a = Dag.transitive_win_counts b
+  && Scoring.ranked_candidates a = Scoring.ranked_candidates b
+  && List.for_all
+       (fun x ->
+         Dag.losses a x = Dag.losses b x
+         && List.for_all
+              (fun y -> Dag.beats_directly a x y = Dag.beats_directly b x y)
+              all)
+       all
+
+(* Steps of (n, edge_capacity, seed); sizes straddle the row-stride
+   changes at 32 and reach 0, so sequences grow and shrink the stride. *)
+let reset_steps =
+  let step =
+    Q.Gen.(
+      oneof [ oneofl [ 0; 1; 31; 32; 33 ]; int_range 0 70 ] >>= fun n ->
+      opt (int_range 0 200) >>= fun edge_capacity ->
+      int_range 0 1_000_000 >>= fun seed -> return (n, edge_capacity, seed))
+  in
+  Q.make
+    ~print:
+      (Q.Print.list (fun (n, cap, seed) ->
+           Printf.sprintf "(n=%d, cap=%s, seed=%d)" n
+             (Q.Print.option string_of_int cap)
+             seed))
+    Q.Gen.(list_size (int_range 1 8) step)
+
+(* [same_dag] leaves a ranking cache on the recycled DAG before every
+   reset, so each step also checks that reset drops it. *)
+let prop_reset_equals_fresh =
+  Q.Test.make ~count:200 ~name:"reset DAG = fresh DAG over size sequences"
+    reset_steps (fun steps ->
+      let recycled = Dag.create 0 in
+      List.for_all
+        (fun ((n, edge_capacity, _) as step) ->
+          Dag.reset ?edge_capacity recycled n;
+          let fresh = Dag.create ?edge_capacity n in
+          add_ranked_answers recycled step;
+          add_ranked_answers fresh step;
+          Dag.check_invariants recycled;
+          let copy = Dag.copy recycled in
+          Dag.check_invariants copy;
+          same_dag recycled fresh && same_dag copy fresh)
+        steps)
+
+let test_reset_drops_ranking_cache () =
+  (* Same size, same answer count, different graph: a ranking cache keyed
+     on the answer count would still match after the reset. *)
+  let d = Dag.create 3 in
+  Dag.add_answer d ~winner:0 ~loser:1;
+  Alcotest.check Alcotest.(list int) "before" [ 0; 2 ]
+    (Scoring.ranked_candidates d);
+  Dag.reset d 3;
+  Dag.add_answer d ~winner:2 ~loser:1;
+  Alcotest.check Alcotest.(list int) "after" [ 2; 0 ]
+    (Scoring.ranked_candidates d);
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Answer_dag.reset: negative size") (fun () ->
+      Dag.reset d (-1))
+
 let suite =
   [
     ( "answer_dag",
@@ -192,5 +282,7 @@ let suite =
         tc "transitive win counts" `Quick test_transitive_win_counts;
         tc "win counts dedup (diamond)" `Quick test_transitive_win_counts_diamond;
         tc "bitset word boundary" `Quick test_large_bitset_boundary;
+        tc "reset drops ranking cache" `Quick test_reset_drops_ranking_cache;
+        QCheck_alcotest.to_alcotest prop_reset_equals_fresh;
       ] );
   ]

@@ -10,6 +10,7 @@ module Platform = Crowdmax_crowd.Platform
 module Rwl = Crowdmax_crowd.Rwl
 module W = Crowdmax_crowd.Worker
 module Rng = Crowdmax_util.Rng
+module Server = Crowdmax_server.Server
 
 let tc = Alcotest.test_case
 let check_int = Alcotest.check Alcotest.int
@@ -550,6 +551,53 @@ let test_quantile_quote_ignores_votes () =
         (quote < raw_quote))
     hits
 
+(* --- the DAG pool behind Query.create / Query.finish -------------------- *)
+
+let test_query_spent_after_finish () =
+  let rng = Rng.create 9 in
+  let q = E.Query.create ~selection:S.tournament ~budget:20 (G.random rng 6) in
+  let round = E.Query.select q rng ~budget:3 ~horizon:3 in
+  ignore (E.Query.finish q : E.result);
+  let spent step f =
+    Alcotest.check_raises step
+      (Invalid_argument ("Engine.Query." ^ step ^ ": query finished"))
+      (fun () -> ignore (f ()))
+  in
+  let outcome =
+    {
+      E.round_seconds = 1.0;
+      observed_seconds = 1.0;
+      answered = 0;
+      unanswered = [];
+      round_deadline_hit = false;
+    }
+  in
+  spent "dag" (fun () -> E.Query.dag q);
+  spent "active" (fun () -> E.Query.active q);
+  spent "replan" (fun () ->
+      E.Query.replan ~cache:(Tdp.Cache.create ()) q model);
+  spent "select" (fun () -> E.Query.select q rng ~budget:3 ~horizon:3);
+  spent "absorb" (fun () -> E.Query.absorb q round outcome);
+  spent "finish" (fun () -> E.Query.finish q)
+
+let test_pool_retention_capped () =
+  (* Fleets of 16 concurrent queries hold 16 DAGs at once; the pool
+     keeps at most [pool_cap] of them, however many fleets run. *)
+  let rng = Rng.create 4 in
+  let specs = Array.init 16 (fun _ -> Server.query_spec ~elements:5 ~budget:8 ()) in
+  let platform = Platform.create () in
+  for _ = 1 to 1_000 do
+    let truths = Array.map (fun _ -> G.random rng 5) specs in
+    ignore
+      (Server.run ~platform ~latency:model ~selection:S.tournament rng specs
+         truths);
+    if E.Query.pooled () > E.Query.pool_cap then
+      Alcotest.failf "pool holds %d DAGs, cap %d" (E.Query.pooled ())
+        E.Query.pool_cap
+  done;
+  check_int "a 16-query fleet fills the pool to its cap" E.Query.pool_cap
+    (E.Query.pooled ())
+
 let suite =
   [
     ( "engine",
@@ -588,5 +636,7 @@ let suite =
         tc "replicate aggregates" `Quick test_replicate_aggregates;
         tc "replicate rejects zero runs" `Quick test_replicate_rejects_zero_runs;
         tc "deterministic given seed" `Quick test_deterministic_given_seed;
+        tc "finished query is spent" `Quick test_query_spent_after_finish;
+        tc "DAG pool retention capped" `Quick test_pool_retention_capped;
       ] );
   ]
