@@ -8,10 +8,11 @@ build:
 test:
 	dune runtest
 
-# Benchmarks build with the release profile: the dev profile passes
-# -opaque, which disables the cross-module [@inline] the simulator and
-# rng hot paths rely on, so dev-profile numbers undersell the code and
-# BENCH_engine.json records which profile produced it.
+# The figure and micro harness builds with the release profile: the dev
+# profile passes -opaque, which disables the cross-module [@inline] the
+# simulator and rng hot paths rely on, so dev-profile timings undersell
+# the code. Wall-clock regressions are perfbench's job
+# (`python3 perfbench/run.py`, see perfbench/README.md).
 bench:
 	dune exec --profile release bench/main.exe -- $(ARGS)
 
@@ -28,19 +29,21 @@ lint:
 # metrics-check must accept it — exercises the full
 # planner/engine/platform document, not just the library tests), and a
 # smoke-scale pass through the bechamel harness so the bench executable
-# stays runnable. `dune runtest` includes the operation-count gate:
-# `bench/main.exe opcheck` prints the deterministic work counters (the
-# simulated event loop's events, the tDP planner's DP states and
-# plan-cache reuse, the closed loop's re-fits, the query server's fleet
-# counters), fails on a broken structural cross-check or any-jobs
-# bit-identity, and its output is diffed against bench/opcheck.expected.
-# history-check recomputes the same counters and fails on >2% drift
-# against the last counters-bearing BENCH_history.jsonl row, catching
-# cross-PR work-profile regressions even when opcheck.expected was
-# promoted (CROWDMAX_BENCH_BASELINE=skip disables it, =<commit-prefix>
-# pins the comparison row); the engine-throughput pass prints
-# current-vs-committed runs/sec (informational, never failing) without
-# touching BENCH_engine.json or BENCH_history.jsonl.
+# stays runnable (its engine cases include the finite-deadline path).
+# `dune runtest` includes the operation-count gate: `bench/main.exe
+# opcheck` prints the deterministic work counters (the simulated event
+# loop's events, the tDP planner's DP states and plan-cache reuse, the
+# closed loop's re-fits, the query server's fleet counters), fails on a
+# broken structural cross-check or any-jobs bit-identity, and its output
+# is diffed against bench/opcheck.expected. history-check recomputes the
+# same counters and fails on >2% drift against the last counters-bearing
+# BENCH_history.jsonl row, catching cross-PR work-profile regressions
+# even when opcheck.expected was promoted
+# (CROWDMAX_BENCH_BASELINE=skip disables it, =<commit-prefix> pins the
+# comparison row). The last step is the wall-clock benchmark's
+# self-test: every perfbench workload at smoke size, traced and
+# untraced, failing on any traced/library mismatch or a metric set that
+# differs from BENCHMARK.json.
 ci:
 	dune build @all --profile ci
 	dune build @all
@@ -57,8 +60,7 @@ ci:
 	dune exec bin/crowdmax_cli.exe -- experiment fig_adapt --runs 6 -j 4
 	dune exec bin/crowdmax_cli.exe -- serve --queries 4 --runs 2 -j 4
 	dune exec bin/crowdmax_cli.exe -- experiment fig_server --runs 4 -j 4
-	CROWDMAX_ENGINE_BENCH_SECS=0.3 CROWDMAX_ENGINE_BENCH_WRITE=0 \
-		dune exec bench/main.exe -- engine
+	python3 perfbench/selftest.py
 
 clean:
 	dune clean

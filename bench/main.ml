@@ -1,12 +1,16 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 6) and runs bechamel micro-benchmarks over the
-   computational kernels.
+   evaluation (Sec. 6), runs bechamel micro-benchmarks over the
+   computational kernels plus the metrics-overhead estimate, and keeps
+   the deterministic work-counter gates (opcheck, history-append,
+   history-check). End-to-end wall-clock throughput is perfbench's job
+   (perfbench/README.md).
 
    Usage:
-     dune exec bench/main.exe                 # everything
+     dune exec bench/main.exe                 # figures, ablations, micro
      dune exec bench/main.exe -- fig13a       # one figure
      dune exec bench/main.exe -- micro        # only micro-benchmarks
      dune exec bench/main.exe -- figures      # only the paper figures
+     dune exec bench/main.exe -- opcheck      # deterministic counters
      CROWDMAX_BENCH_RUNS=100 dune exec bench/main.exe   # paper-scale runs *)
 
 module X = Crowdmax_experiments
@@ -405,533 +409,6 @@ let figures () =
   fig15 ();
   findings ()
 
-(* --- engine throughput bench -------------------------------------------- *)
-
-(* Times full [Engine.run] calls (runs/sec) on the hot path the sweeps
-   are gated on, and records the result in BENCH_engine.json so the perf
-   trajectory of the engine is tracked across PRs. Smoke-scale in CI via
-   CROWDMAX_ENGINE_BENCH_SECS; CROWDMAX_ENGINE_BENCH_WRITE=0 keeps CI
-   from overwriting the committed baseline. *)
-
-let engine_bench_file = "BENCH_engine.json"
-
-let engine_bench_secs =
-  match Sys.getenv_opt "CROWDMAX_ENGINE_BENCH_SECS" with
-  | None -> 1.0
-  | Some s -> (
-      match float_of_string_opt (String.trim s) with
-      | Some f when f > 0.0 -> f
-      | _ ->
-          Printf.eprintf
-            "bench: CROWDMAX_ENGINE_BENCH_SECS must be a positive number, got %S\n"
-            s;
-          exit 2)
-
-let engine_bench_write =
-  match Sys.getenv_opt "CROWDMAX_ENGINE_BENCH_WRITE" with
-  | Some ("0" | "false" | "no") -> false
-  | _ -> true
-
-type engine_bench_row = {
-  eb_n : int;
-  eb_source : string;
-  eb_selector : string;
-  eb_runs : int;
-  eb_wall : float;
-  eb_rps : float;
-}
-
-(* The canonical simulated bench config for [n] elements: budget 8n,
-   tDP allocation, tournament selection, 3-vote RWL at 15% worker
-   error. Shared between the throughput rows and the operation-count
-   gate below, so the gate pins exactly the work the bench times. *)
-let engine_sim_config n =
-  let b = 8 * n in
-  let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
-  Engine.config
-    ~source:
-      (Engine.Simulated
-         {
-           platform = Crowdmax_crowd.Platform.create ();
-           rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
-         })
-    ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-    ~latency_model:model ()
-
-let engine_bench_cases () =
-  let module P = Crowdmax_crowd.Platform in
-  List.concat_map
-    (fun n ->
-      let b = 8 * n in
-      let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
-      let oracle =
-        Engine.config ~allocation:sol.Tdp.allocation
-          ~selection:Selection.tournament ~latency_model:model ()
-      in
-      let simulated = engine_sim_config n in
-      (* the finite-deadline path adds per-round bookkeeping (pending
-         queue, partial consensus); a cut-off Fixed deadline with
-         carry-forward exercises all of it, and doubles as the CI smoke
-         for deadline-bounded rounds *)
-      let deadlined =
-        Engine.config
-          ~source:
-            (Engine.Simulated
-               {
-                 platform = P.create ();
-                 rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
-               })
-          ~deadline:(Engine.Fixed 200.0) ~straggler:Engine.Carry_forward
-          ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-          ~latency_model:model ()
-      in
-      [
-        (n, "oracle", oracle);
-        (n, "simulated", simulated);
-        (n, "simulated+deadline", deadlined);
-      ])
-    [ 50; 100; 500 ]
-
-(* Three equal measurement windows per case; the reported runs/sec is the
-   best window. CPU frequency on shared boxes wanders by double-digit
-   percentages between seconds, so a single window measures the box's
-   mood as much as the code; the best window is the stablest estimate of
-   what the code can do. [eb_runs] / [eb_wall] stay totals over all
-   windows. *)
-let engine_bench_windows = 3
-
-let engine_bench_measure (n, source, cfg) =
-  let master = Rng.create 99 in
-  let window_secs = engine_bench_secs /. float_of_int engine_bench_windows in
-  let total_runs = ref 0 in
-  let best_rps = ref 0.0 in
-  let t0 = Unix.gettimeofday () in
-  (* [Engine.runner] is the replication-loop entry point: identical
-     draws and results to [Engine.run], with policy validation,
-     instrument registration and simulation scratch hoisted out of the
-     measured loop — the same shape [Engine.replicate] runs per worker. *)
-  let run = Engine.runner cfg in
-  for _ = 1 to engine_bench_windows do
-    let w0 = Unix.gettimeofday () in
-    let deadline = w0 +. window_secs in
-    let count = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let rng = Rng.split master in
-      let truth = G.random rng n in
-      ignore (run rng truth);
-      incr count;
-      if !count >= 3 && Unix.gettimeofday () >= deadline then
-        continue_ := false
-    done;
-    let wall = Unix.gettimeofday () -. w0 in
-    let rps = float_of_int !count /. Float.max wall 1e-9 in
-    total_runs := !total_runs + !count;
-    if rps > !best_rps then best_rps := rps
-  done;
-  let wall = Unix.gettimeofday () -. t0 in
-  {
-    eb_n = n;
-    eb_source = source;
-    eb_selector = "Tournament";
-    eb_runs = !total_runs;
-    eb_wall = wall;
-    eb_rps = !best_rps;
-  }
-
-(* Observability-layer overhead on the hot path: [Engine.replicate]
-   vs [Engine.replicate_with_metrics] at n=100 Oracle/Tournament — the
-   cheapest per-run config and therefore the worst case for fixed
-   per-run instrumentation cost, measured through the replication API
-   that real callers (the CLI's --metrics path) actually use.
-
-   The estimator is deliberately paranoid about the box. CPU frequency
-   on shared machines drifts by double-digit percentages over the
-   seconds separating two bench cases, so comparing two sequential
-   table rows measures the drift, not the code. Instead the two sides
-   alternate in small blocks (a couple of hundred runs, a few
-   milliseconds each) over the whole measurement budget, with the
-   within-pair order itself alternating so monotone drift biases
-   even and odd pairs in opposite directions; the accumulated per-side
-   totals then give one stable ratio instead of a noisy per-window
-   comparison. *)
-type metrics_overhead = {
-  mo_off_rps : float; (* metrics disabled, runs over accumulated time *)
-  mo_on_rps : float; (* metrics enabled, runs over accumulated time *)
-  mo_overhead_pct : float; (* time-on / time-off - 1, as % *)
-}
-
-let engine_metrics_overhead () =
-  let n = 100 in
-  let b = 8 * n in
-  let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
-  let cfg =
-    Engine.config ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-      ~latency_model:model ()
-  in
-  let block = 200 in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    Unix.gettimeofday () -. t0
-  in
-  let off seed () = Engine.replicate ~runs:block ~seed cfg ~elements:n in
-  let on seed () =
-    Engine.replicate_with_metrics ~runs:block ~seed cfg ~elements:n
-  in
-  (* warm both paths *)
-  ignore (off 1 ());
-  ignore (on 1 ());
-  let t_off = ref 0.0 in
-  let t_on = ref 0.0 in
-  let blocks = ref 0 in
-  let deadline = Unix.gettimeofday () +. (2.0 *. engine_bench_secs) in
-  let continue_ = ref true in
-  while !continue_ do
-    let seed = 100 + !blocks in
-    if !blocks mod 2 = 0 then begin
-      t_off := !t_off +. timed (off seed);
-      t_on := !t_on +. timed (on seed)
-    end
-    else begin
-      t_on := !t_on +. timed (on seed);
-      t_off := !t_off +. timed (off seed)
-    end;
-    incr blocks;
-    if Unix.gettimeofday () >= deadline then continue_ := false
-  done;
-  let total_runs = float_of_int (block * !blocks) in
-  {
-    mo_off_rps = total_runs /. Float.max !t_off 1e-9;
-    mo_on_rps = total_runs /. Float.max !t_on 1e-9;
-    mo_overhead_pct = ((!t_on /. Float.max !t_off 1e-9) -. 1.0) *. 100.0;
-  }
-
-(* --- planner throughput bench ------------------------------------------- *)
-
-(* Times [Tdp.solve] itself: cold solves (fresh plan cache every call,
-   tables and arena rebuilt from scratch) against the boxed
-   [Tdp.solve_hashtbl] reference solver, and warm incremental budget
-   sweeps (one shared cache per sweep — the Fig 13(b)/14(b) access
-   pattern) against the same sweep done with independent hashtbl
-   solves. Both solvers compute bit-identical solutions, so the ratio
-   is pure representation: flat arena + packed keys vs hashtbl over
-   boxed (int * int) keys. *)
-type planner_bench = {
-  pl_c0 : int;
-  pl_budget : int;
-  pl_flat_rps : float; (* cold flat-arena solves/sec *)
-  pl_hashtbl_rps : float; (* reference hashtbl solves/sec *)
-  pl_states : int; (* DP states settled by one cold solve *)
-  pl_sweep_points : int;
-  pl_sweep_lo : int; (* smallest budget in the sweep grid *)
-  pl_sweep_hi : int; (* largest budget in the sweep grid *)
-  pl_prime_secs : float; (* one incremental fresh-cache pass over the grid *)
-  pl_prime_states : int; (* DP states that pass settles *)
-  pl_sweep_rps : float; (* warm (primed-cache) sweeps/sec *)
-  pl_sweep_hashtbl_rps : float; (* independent hashtbl sweeps/sec *)
-}
-
-(* Same best-of-windows discipline as the engine rows. *)
-let planner_rate f =
-  let window_secs = engine_bench_secs /. float_of_int engine_bench_windows in
-  let best = ref 0.0 in
-  for _ = 1 to engine_bench_windows do
-    let w0 = Unix.gettimeofday () in
-    let deadline = w0 +. window_secs in
-    let count = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      f ();
-      incr count;
-      if Unix.gettimeofday () >= deadline then continue_ := false
-    done;
-    let rate =
-      float_of_int !count /. Float.max (Unix.gettimeofday () -. w0) 1e-9
-    in
-    if rate > !best then best := rate
-  done;
-  !best
-
-let planner_bench () =
-  let c0 = 1000 and budget = 8000 in
-  let problem = Problem.create ~elements:c0 ~budget ~latency:model in
-  let states = (Tdp.solve problem).Tdp.states_visited in
-  let flat_rps = planner_rate (fun () -> ignore (Tdp.solve problem)) in
-  let hashtbl_rps =
-    planner_rate (fun () -> ignore (Tdp.solve_hashtbl problem))
-  in
-  (* The Fig. 15 workload: a 20-point budget grid spanning multiples
-     2x..16x of the collection size. One incremental pass over the grid
-     with a fresh cache primes it (timed and reported — that is what a
-     first sweep costs); the warm sweep then re-solves all 20 points on
-     the primed cache, which is fig15's warm grid and the Adaptive
-     replan pattern: every state is settled, each solve is a root
-     lookup plus sequence reconstruction. The baseline pays the full
-     seed solver 20 times, as every sweep did before the cache. *)
-  let sweep_points = 20 in
-  let sweep_lo = 2 * c0 and sweep_hi = 16 * c0 in
-  let sweep_problems =
-    List.init sweep_points (fun i ->
-        Problem.create ~elements:c0
-          ~budget:(sweep_lo + (i * (sweep_hi - sweep_lo) / (sweep_points - 1)))
-          ~latency:model)
-  in
-  let cache = Tdp.Cache.create () in
-  let t0 = Unix.gettimeofday () in
-  List.iter (fun p -> ignore (Tdp.solve ~cache p)) sweep_problems;
-  let prime_secs = Unix.gettimeofday () -. t0 in
-  let prime_states = Tdp.Cache.states_settled cache in
-  let sweep_rps =
-    planner_rate (fun () ->
-        List.iter (fun p -> ignore (Tdp.solve ~cache p)) sweep_problems)
-  in
-  let sweep_hashtbl_rps =
-    planner_rate (fun () ->
-        List.iter (fun p -> ignore (Tdp.solve_hashtbl p)) sweep_problems)
-  in
-  {
-    pl_c0 = c0;
-    pl_budget = budget;
-    pl_flat_rps = flat_rps;
-    pl_hashtbl_rps = hashtbl_rps;
-    pl_states = states;
-    pl_sweep_points = sweep_points;
-    pl_sweep_lo = sweep_lo;
-    pl_sweep_hi = sweep_hi;
-    pl_prime_secs = prime_secs;
-    pl_prime_states = prime_states;
-    pl_sweep_rps = sweep_rps;
-    pl_sweep_hashtbl_rps = sweep_hashtbl_rps;
-  }
-
-let planner_json p =
-  let module J = Crowdmax_util.Json in
-  let ratio a b = if b > 0.0 then a /. b else 0.0 in
-  J.Obj
-    [
-      ("c0", J.int p.pl_c0);
-      ("budget", J.int p.pl_budget);
-      ("cold_solves_per_sec", J.Float p.pl_flat_rps);
-      ("hashtbl_solves_per_sec", J.Float p.pl_hashtbl_rps);
-      ("cold_speedup_vs_hashtbl", J.Float (ratio p.pl_flat_rps p.pl_hashtbl_rps));
-      ("states_per_solve", J.int p.pl_states);
-      ("states_per_sec", J.Float (float_of_int p.pl_states *. p.pl_flat_rps));
-      ("sweep_points", J.int p.pl_sweep_points);
-      ("sweep_budget_lo", J.int p.pl_sweep_lo);
-      ("sweep_budget_hi", J.int p.pl_sweep_hi);
-      ("sweep_prime_seconds", J.Float p.pl_prime_secs);
-      ("sweep_prime_states", J.int p.pl_prime_states);
-      ("warm_sweeps_per_sec", J.Float p.pl_sweep_rps);
-      ("hashtbl_sweeps_per_sec", J.Float p.pl_sweep_hashtbl_rps);
-      ( "warm_sweep_speedup",
-        J.Float (ratio p.pl_sweep_rps p.pl_sweep_hashtbl_rps) );
-    ]
-
-let engine_row_json r =
-  let module J = Crowdmax_util.Json in
-  J.Obj
-    [
-      ("n", J.int r.eb_n);
-      ("source", J.String r.eb_source);
-      ("selector", J.String r.eb_selector);
-      ("runs", J.int r.eb_runs);
-      ("wall_seconds", J.Float r.eb_wall);
-      ("runs_per_sec", J.Float r.eb_rps);
-    ]
-
-let engine_bench_json rows overhead planner =
-  let module J = Crowdmax_util.Json in
-  J.Obj
-    [
-      ("schema", J.String "crowdmax-bench-engine/v1");
-      ("windows_per_case", J.int engine_bench_windows);
-      (* Which dune profile produced the numbers: the dev profile
-         compiles with -opaque, which blocks the cross-module [@inline]
-         the simulator hot path depends on, so dev and release numbers
-         are not comparable. [make bench] builds release. *)
-      ("build_profile", J.String Build_profile.value);
-      ( "metrics_overhead",
-        J.Obj
-          [
-            ("n", J.int 100);
-            ("source", J.String "oracle");
-            ("off_runs_per_sec", J.Float overhead.mo_off_rps);
-            ("on_runs_per_sec", J.Float overhead.mo_on_rps);
-            ("overhead_pct", J.Float overhead.mo_overhead_pct);
-          ] );
-      ("planner", planner_json planner);
-      ("results", J.List (List.map engine_row_json rows));
-    ]
-
-(* --- commit-keyed history ------------------------------------------------ *)
-
-(* One compact JSONL row per [make bench] run, appended (never
-   rewritten), so the perf trajectory survives the snapshot file being
-   overwritten each run. Keyed by commit so rows can be joined back to
-   the code that produced them. *)
-let bench_history_file = "BENCH_history.jsonl"
-
-let git_commit () =
-  try
-    let ic = Unix.open_process_in "git rev-parse --short=12 HEAD 2>/dev/null" in
-    let line = try String.trim (input_line ic) with End_of_file -> "" in
-    match Unix.close_process_in ic with
-    | Unix.WEXITED 0 when not (String.equal line "") -> line
-    | _ -> "unknown"
-  with _ -> "unknown"
-
-let bench_history_json ~commit rows overhead planner =
-  let module J = Crowdmax_util.Json in
-  J.Obj
-    [
-      ("schema", J.String "crowdmax-bench-history/v1");
-      ("commit", J.String commit);
-      ("unix_time", J.Float (Unix.time ()));
-      ("build_profile", J.String Build_profile.value);
-      ("engine", J.List (List.map engine_row_json rows));
-      ("planner", planner_json planner);
-      ("metrics_overhead_pct", J.Float overhead.mo_overhead_pct);
-    ]
-
-let append_bench_history doc =
-  let oc =
-    open_out_gen [ Open_append; Open_creat ] 0o644 bench_history_file
-  in
-  output_string oc (Crowdmax_util.Json.to_string doc);
-  output_char oc '\n';
-  close_out oc
-
-(* The committed baseline, as (n, source, selector) -> runs/sec. *)
-let engine_bench_baseline () =
-  let module J = Crowdmax_util.Json in
-  if not (Sys.file_exists engine_bench_file) then []
-  else
-    let ic = open_in engine_bench_file in
-    let len = in_channel_length ic in
-    let s = really_input_string ic len in
-    close_in ic;
-    match J.member "results" (J.of_string s) with
-    | Some (J.List rows) ->
-        List.filter_map
-          (fun row ->
-            match
-              ( Option.bind (J.member "n" row) J.to_int,
-                Option.bind (J.member "source" row) J.to_str,
-                Option.bind (J.member "selector" row) J.to_str,
-                Option.bind (J.member "runs_per_sec" row) J.to_float )
-            with
-            | Some n, Some src, Some sel, Some rps -> Some ((n, src, sel), rps)
-            | _ -> None)
-          rows
-    | _ -> []
-
-let engine_bench () =
-  (* A run allocates tens of KB (truth, DAG, question list); with the
-     default 2 MB minor heap the GC cadence becomes part of the
-     measurement. A larger minor heap makes the numbers about the engine,
-     not the collector's default tuning. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
-  section
-    (Printf.sprintf
-       "engine throughput (runs/sec, best of %d windows, >= %.2f s per case, \
-        %s build)"
-       engine_bench_windows engine_bench_secs Build_profile.value);
-  let baseline =
-    try engine_bench_baseline ()
-    with _ ->
-      Printf.eprintf "bench: could not parse %s; ignoring baseline\n"
-        engine_bench_file;
-      []
-  in
-  let rows = List.map engine_bench_measure (engine_bench_cases ()) in
-  let table =
-    Crowdmax_util.Table.create
-      [ ("n", Crowdmax_util.Table.Right);
-        ("source", Crowdmax_util.Table.Left);
-        ("selector", Crowdmax_util.Table.Left);
-        ("runs", Crowdmax_util.Table.Right);
-        ("runs/sec", Crowdmax_util.Table.Right);
-        ("committed", Crowdmax_util.Table.Right);
-        ("speedup", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun r ->
-      let old =
-        Option.map snd
-          (List.find_opt
-             (fun ((n, src, sel), _) ->
-               n = r.eb_n
-               && String.equal src r.eb_source
-               && String.equal sel r.eb_selector)
-             baseline)
-      in
-      Crowdmax_util.Table.add_row table
-        [
-          string_of_int r.eb_n; r.eb_source; r.eb_selector;
-          string_of_int r.eb_runs;
-          Printf.sprintf "%.1f" r.eb_rps;
-          (match old with Some o -> Printf.sprintf "%.1f" o | None -> "-");
-          (match old with
-          | Some o when o > 0.0 -> Printf.sprintf "%.2fx" (r.eb_rps /. o)
-          | _ -> "-");
-        ])
-    rows;
-  Crowdmax_util.Table.print table;
-  let overhead = engine_metrics_overhead () in
-  Printf.printf
-    "metrics overhead (replicate, oracle, n=100, interleaved blocks): %+.2f%% (%.1f off vs %.1f on runs/sec)\n"
-    overhead.mo_overhead_pct overhead.mo_off_rps overhead.mo_on_rps;
-  let planner = planner_bench () in
-  let ptable =
-    Crowdmax_util.Table.create
-      ~title:
-        (Printf.sprintf "planner throughput (c0=%d, best of %d windows)"
-           planner.pl_c0 engine_bench_windows)
-      [ ("case", Crowdmax_util.Table.Left);
-        ("flat/sec", Crowdmax_util.Table.Right);
-        ("hashtbl/sec", Crowdmax_util.Table.Right);
-        ("speedup", Crowdmax_util.Table.Right) ]
-  in
-  let pr_row label a b =
-    Crowdmax_util.Table.add_row ptable
-      [
-        label;
-        Printf.sprintf "%.1f" a;
-        Printf.sprintf "%.1f" b;
-        (if b > 0.0 then Printf.sprintf "%.2fx" (a /. b) else "-");
-      ]
-  in
-  pr_row
-    (Printf.sprintf "cold solve b=%d" planner.pl_budget)
-    planner.pl_flat_rps planner.pl_hashtbl_rps;
-  pr_row
-    (Printf.sprintf "warm %d-pt sweep b=%d..%d" planner.pl_sweep_points
-       planner.pl_sweep_lo planner.pl_sweep_hi)
-    planner.pl_sweep_rps planner.pl_sweep_hashtbl_rps;
-  Crowdmax_util.Table.print ptable;
-  Printf.printf "planner: %d DP states/cold solve, %.2fM states/sec\n"
-    planner.pl_states
-    (float_of_int planner.pl_states *. planner.pl_flat_rps /. 1e6);
-  Printf.printf
-    "planner: priming the sweep cache took %.3fs (%d states, paid once)\n"
-    planner.pl_prime_secs planner.pl_prime_states;
-  if engine_bench_write then begin
-    let oc = open_out engine_bench_file in
-    output_string oc
-      (Crowdmax_util.Json.to_string ~pretty:true
-         (engine_bench_json rows overhead planner));
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "wrote %s\n%!" engine_bench_file;
-    let commit = git_commit () in
-    append_bench_history (bench_history_json ~commit rows overhead planner);
-    Printf.printf "appended commit %s to %s\n%!" commit bench_history_file
-  end
-  else
-    Printf.printf "(CROWDMAX_ENGINE_BENCH_WRITE=0: %s and %s left untouched)\n%!"
-      engine_bench_file bench_history_file
-
 (* --- deterministic operation-count table --------------------------------- *)
 
 (* Every counter below is simulated bookkeeping or planner arithmetic
@@ -958,8 +435,22 @@ let engine_bench () =
    failure is printed to stdout, named again on stderr (which `dune
    runtest` shows), and the process exits 1. *)
 
-(* The engine scenario: [engine_sim_config n], platform-section
-   counters. *)
+(* The engine scenario, platform-section counters. The canonical
+   simulated config for [n] elements: budget 8n, tDP allocation,
+   tournament selection, 3-vote RWL at 15% worker error. *)
+let engine_sim_config n =
+  let b = 8 * n in
+  let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
+  Engine.config
+    ~source:
+      (Engine.Simulated
+         {
+           platform = Crowdmax_crowd.Platform.create ();
+           rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
+         })
+    ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
+    ~latency_model:model ()
+
 let opcheck_engine_runs = 5
 let opcheck_engine_seed = 99
 let opcheck_engine_sizes = [ 100; 500 ]
@@ -1186,42 +677,83 @@ let opcheck () =
 
 (* The opcheck counters are bit-deterministic, which makes them a
    cross-PR regression signal as well as an in-PR pin: [history-append]
-   records them in BENCH_history.jsonl (one compact v2 row next to the
-   throughput rows), and [history-check] recomputes them and compares
+   records them in BENCH_history.jsonl (one compact v2 row per call),
+   and [history-check] recomputes them and compares
    against the most recent counters-bearing row — so a PR that shifts
    the event loop's or the planner's work profile fails `make ci` with
    the drifting counter named, even if its author promoted a new
    bench/opcheck.expected. Because the counters are deterministic,
    any nonzero drift is a real behavior change; the 2% headroom only
    tolerates deliberate, reviewed bookkeeping tweaks without demanding
-   a same-commit baseline row. Rows written by the v1 schema carry no
-   counters and are skipped when picking the baseline.
+   a same-commit baseline row. Rows written by the v1 schema (the
+   retired engine-throughput harness) carry no counters and are skipped
+   when picking the baseline.
+
+   A row is keyed by [git rev-parse HEAD]. Appended from a tree with
+   uncommitted changes to tracked files, that is the parent's hash over
+   the child's counters, so the row records ["dirty": true] and a
+   commit-prefix baseline skips it. Rows older than the field count as
+   clean.
 
    CROWDMAX_BENCH_BASELINE overrides the baseline choice:
      CROWDMAX_BENCH_BASELINE=skip          skip the gate (prints a note)
      CROWDMAX_BENCH_BASELINE=<commit-pfx>  compare against the newest
-                                           counters row whose commit
-                                           starts with that prefix *)
+                                           clean counters row whose
+                                           commit starts with that
+                                           prefix *)
+
+let bench_history_file = "BENCH_history.jsonl"
+
+(* The first line of [cmd]'s stdout, or None if it fails. *)
+let git_line cmd =
+  try
+    let ic = Unix.open_process_in (cmd ^ " 2>/dev/null") in
+    let line =
+      try Some (String.trim (input_line ic)) with End_of_file -> Some ""
+    in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> line
+    | _ -> None
+  with _ -> None
+
+let git_commit () =
+  match git_line "git rev-parse --short=12 HEAD" with
+  | Some c when not (String.equal c "") -> c
+  | _ -> "unknown"
+
+(* Any uncommitted change to a tracked file; outside a checkout, unknown
+   counts as dirty. *)
+let git_dirty () =
+  match git_line "git status --porcelain --untracked-files=no" with
+  | Some "" -> false
+  | _ -> true
 
 let history_append () =
   section "bench history: record deterministic counter row";
   let counters = opcheck_counters () in
   let module J = Crowdmax_util.Json in
-  let commit = git_commit () in
-  append_bench_history
-    (J.Obj
-       [
-         ("schema", J.String "crowdmax-bench-history/v2");
-         ("commit", J.String commit);
-         ("unix_time", J.Float (Unix.time ()));
-         ("build_profile", J.String Build_profile.value);
-         ("counters", J.Obj (List.map (fun (k, v) -> (k, J.int v)) counters));
-       ]);
-  Printf.printf "appended %d counters for commit %s to %s\n%!"
-    (List.length counters) commit bench_history_file
+  let commit = git_commit () and dirty = git_dirty () in
+  let oc = open_out_gen [ Open_append; Open_creat ] 0o644 bench_history_file in
+  output_string oc
+    (J.to_string
+       (J.Obj
+          [
+            ("schema", J.String "crowdmax-bench-history/v2");
+            ("commit", J.String commit);
+            ("dirty", J.Bool dirty);
+            ("unix_time", J.Float (Unix.time ()));
+            ("build_profile", J.String Build_profile.value);
+            ("counters", J.Obj (List.map (fun (k, v) -> (k, J.int v)) counters));
+          ]));
+  output_char oc '\n';
+  close_out oc;
+  Printf.printf "appended %d counters for commit %s%s to %s\n%!"
+    (List.length counters) commit
+    (if dirty then " (dirty tree)" else "")
+    bench_history_file
 
 (* Newest history row that carries counters (and, when the baseline
-   override names a commit prefix, whose commit matches it). Malformed
+   override names a commit prefix, is clean and matches it). Malformed
    lines are a hard error so the file cannot rot silently. *)
 let history_baseline () =
   let module J = Crowdmax_util.Json in
@@ -1258,18 +790,23 @@ let history_baseline () =
                kvs)
       | _ -> None
     in
-    let prefix_ok commit =
+    let dirty row =
+      Option.value ~default:false (Option.bind (J.member "dirty" row) J.to_bool)
+    in
+    let prefix_ok row =
       match Sys.getenv_opt "CROWDMAX_BENCH_BASELINE" with
       | None -> true
       | Some p ->
-          String.length commit >= String.length p
+          let commit = commit_of row in
+          (not (dirty row))
+          && String.length commit >= String.length p
           && String.equal (String.sub commit 0 (String.length p)) p
     in
     (* [rows] is newest-first *)
     List.find_map
       (fun row ->
         match counters_of row with
-        | Some cs when prefix_ok (commit_of row) -> Some (commit_of row, cs)
+        | Some cs when prefix_ok row -> Some (commit_of row, cs)
         | _ -> None)
       !rows
   end
@@ -1290,7 +827,8 @@ let history_check () =
           match requested with
           | Some prefix ->
               Printf.eprintf
-                "bench: no counters-bearing row in %s matches commit prefix %S\n"
+                "bench: no counters-bearing row in %s matches commit prefix \
+                 %S (rows appended from a dirty tree are skipped)\n"
                 bench_history_file prefix;
               exit 1
           | None ->
@@ -1356,7 +894,7 @@ let tdp_test name c0 b =
 let tdp_bottom_up_test name c0 b =
   Test.make ~name (Staged.stage (fun () ->
       ignore
-        (Tdp.solve_bottom_up
+        (Tdp_reference.solve_bottom_up
            (Problem.create ~elements:c0 ~budget:b ~latency:model))))
 
 let selection_test name sel c0 b =
@@ -1398,11 +936,11 @@ let rwl_test name n votes =
       let rng = Rng.create 13 in
       ignore (Rwl.resolve rng { Rwl.votes; error = W.Uniform 0.15 } ~truth questions)))
 
-let engine_test name c0 b sel =
+let engine_test ?source ?deadline ?straggler name c0 b sel =
   let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
   let cfg =
-    Engine.config ~allocation:sol.Tdp.allocation ~selection:sel
-      ~latency_model:model ()
+    Engine.config ?source ?deadline ?straggler ~allocation:sol.Tdp.allocation
+      ~selection:sel ~latency_model:model ()
   in
   Test.make ~name (Staged.stage (fun () ->
       let rng = Rng.create 17 in
@@ -1443,6 +981,18 @@ let micro_tests =
         [
           engine_test "tournament c0=200 b=1200" 200 1200 Selection.tournament;
           engine_test "ct25 c0=200 b=1200" 200 1200 Selection.ct25;
+          (* the finite-deadline path: per-round pending queue and
+             partial consensus, exercised by a cut-off Fixed deadline
+             with carry-forward on the simulated crowd *)
+          engine_test "simulated+deadline c0=200 b=1200"
+            ~source:
+              (Engine.Simulated
+                 {
+                   platform = Crowdmax_crowd.Platform.create ();
+                   rwl = { Rwl.votes = 3; error = W.Uniform 0.15 };
+                 })
+            ~deadline:(Engine.Fixed 200.0) ~straggler:Engine.Carry_forward 200
+            1200 Selection.tournament;
         ];
       Test.make_grouped ~name:"ablation: tournament assignment"
         [
@@ -1453,6 +1003,77 @@ let micro_tests =
               Crowdmax_tournament.Tournament.assign_seeded els k);
         ];
     ]
+
+(* Observability-layer overhead on the hot path: [Engine.replicate]
+   vs [Engine.replicate_with_metrics] at n=100 Oracle/Tournament — the
+   cheapest per-run config and therefore the worst case for fixed
+   per-run instrumentation cost, measured through the replication API
+   that real callers (the CLI's --metrics path) actually use.
+
+   The estimator is deliberately paranoid about the box. CPU frequency
+   on shared machines drifts by double-digit percentages over the
+   seconds separating two bench cases, so comparing two sequential
+   table rows measures the drift, not the code. Instead the two sides
+   alternate in small blocks (a couple of hundred runs, a few
+   milliseconds each) over the whole measurement budget, with the
+   within-pair order itself alternating so monotone drift biases
+   even and odd pairs in opposite directions; the accumulated per-side
+   totals then give one stable ratio instead of a noisy per-window
+   comparison. It is the one measurement behind the <= 3% enabled-
+   overhead claim; [micro] prints its line after the bechamel table. *)
+let metrics_overhead_secs = 2.0
+
+type metrics_overhead = {
+  mo_off_rps : float; (* metrics disabled, runs over accumulated time *)
+  mo_on_rps : float; (* metrics enabled, runs over accumulated time *)
+  mo_overhead_pct : float; (* time-on / time-off - 1, as % *)
+}
+
+let engine_metrics_overhead () =
+  let n = 100 in
+  let b = 8 * n in
+  let sol = Tdp.solve (Problem.create ~elements:n ~budget:b ~latency:model) in
+  let cfg =
+    Engine.config ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
+      ~latency_model:model ()
+  in
+  let block = 200 in
+  let timed f =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    Unix.gettimeofday () -. t0
+  in
+  let off seed () = Engine.replicate ~runs:block ~seed cfg ~elements:n in
+  let on seed () =
+    Engine.replicate_with_metrics ~runs:block ~seed cfg ~elements:n
+  in
+  (* warm both paths *)
+  ignore (off 1 ());
+  ignore (on 1 ());
+  let t_off = ref 0.0 in
+  let t_on = ref 0.0 in
+  let blocks = ref 0 in
+  let deadline = Unix.gettimeofday () +. metrics_overhead_secs in
+  let continue_ = ref true in
+  while !continue_ do
+    let seed = 100 + !blocks in
+    if !blocks mod 2 = 0 then begin
+      t_off := !t_off +. timed (off seed);
+      t_on := !t_on +. timed (on seed)
+    end
+    else begin
+      t_on := !t_on +. timed (on seed);
+      t_off := !t_off +. timed (off seed)
+    end;
+    incr blocks;
+    if Unix.gettimeofday () >= deadline then continue_ := false
+  done;
+  let total_runs = float_of_int (block * !blocks) in
+  {
+    mo_off_rps = total_runs /. Float.max !t_off 1e-9;
+    mo_on_rps = total_runs /. Float.max !t_on 1e-9;
+    mo_overhead_pct = ((!t_on /. Float.max !t_off 1e-9) -. 1.0) *. 100.0;
+  }
 
 let micro () =
   section "micro-benchmarks (bechamel, monotonic clock)";
@@ -1491,7 +1112,13 @@ let micro () =
       in
       Crowdmax_util.Table.add_row table [ name; time; r2 ])
     rows;
-  Crowdmax_util.Table.print table
+  Crowdmax_util.Table.print table;
+  let overhead = engine_metrics_overhead () in
+  Printf.printf
+    "metrics overhead (replicate, oracle, n=100, interleaved blocks, %.0f s): \
+     %+.2f%% (%.1f off vs %.1f on runs/sec)\n"
+    metrics_overhead_secs overhead.mo_overhead_pct overhead.mo_off_rps
+    overhead.mo_on_rps
 
 (* --- entry point --------------------------------------------------------- *)
 
@@ -1528,7 +1155,6 @@ let () =
       ("fig13a", fig13a); ("fig13b", fig13b); ("fig14a", fig14a);
       ("fig14b", fig14b); ("fig15", fig15); ("findings", findings);
       ("figures", figures); ("ablations", ablations); ("micro", micro);
-      ("engine", engine_bench);
       ("opcheck", opcheck);
       ("history-append", history_append);
       ("history-check", history_check);
@@ -1538,8 +1164,7 @@ let () =
   | [] ->
       timed "figures" figures;
       timed "ablations" ablations;
-      timed "micro" micro;
-      timed "engine" engine_bench
+      timed "micro" micro
   | _ ->
       List.iter
         (fun a ->

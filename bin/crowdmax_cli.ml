@@ -909,8 +909,25 @@ let () =
     Cmd.info "crowdmax" ~version:"1.0.0"
       ~doc:"Crowdsourced MAX with optimal-latency budget allocation (tDP, SIGMOD 2015)."
   in
+  let cmd =
+    Cmd.group info
+      [ allocate_cmd; run_cmd; topk_cmd; frontier_cmd; estimate_cmd;
+        serve_cmd; experiment_cmd; metrics_check_cmd ]
+  in
+  (* The library's validated constructors (Problem.create,
+     Engine.replicate, Rwl, ...) reject bad input with
+     [Invalid_argument "Module.fn: reason"]. Here at the command
+     boundary that is a usage error, reported like the CLI's own flag
+     checks (exit 2). A failed bounds check is a bug, not bad input, and
+     stays an internal error like any other exception. *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ allocate_cmd; run_cmd; topk_cmd; frontier_cmd; estimate_cmd;
-            serve_cmd; experiment_cmd; metrics_check_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Invalid_argument msg
+      when not (String.equal msg "index out of bounds") ->
+        Printf.eprintf "crowdmax: %s\n%!" msg;
+        2
+    | exception e ->
+        Printf.eprintf "crowdmax: internal error, uncaught exception:\n  %s\n%!"
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

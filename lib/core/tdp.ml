@@ -339,8 +339,9 @@ let build_smin qm ~delta ~alpha c0 =
 (* ub.(c) is the best latency reachable from [c] candidates when the
    budget never binds (a budget of choose2 c is as good as infinite):
    the first argmin, under strict <, of L(Q(c, c')) +. ub.(c') over
-   c' = 1..c-1 ascending — the seed's [unconstrained_table] scan, which
-   both functions below reproduce value for value and argmin for argmin.
+   c' = 1..c-1 ascending — the seed's eager scan (test/tdp_reference.ml),
+   which both functions below reproduce value for value and argmin for
+   argmin.
 
    Both scan c' in runs of constant quotient v = c / c'. Within a run,
    Q(c, c') = r * choose2 (v+1) + (c' - r) * choose2 v with
@@ -916,174 +917,3 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
   }
 
 let optimal_latency problem = (solve problem).latency
-
-(* --- the seed solver, kept as an in-tree reference ---------------------- *)
-
-(* State key: candidates * clamped remaining budget. *)
-module Memo = Hashtbl.Make (struct
-  type t = int * int
-
-  let equal (a1, b1) (a2, b2) = a1 = a2 && b1 = b2
-  let hash (a, b) = (a * 1_000_003) + b
-end)
-
-let unconstrained_table_of latency_of c0 =
-  let ub = Array.make (c0 + 1) 0.0 in
-  let ub_next = Array.make (c0 + 1) 1 in
-  for c = 2 to c0 do
-    let best = ref infinity and best_next = ref 1 in
-    for c' = 1 to c - 1 do
-      let cand = latency_of (T.questions c c') +. ub.(c') in
-      if cand < !best then begin
-        best := cand;
-        best_next := c'
-      end
-    done;
-    ub.(c) <- !best;
-    ub_next.(c) <- !best_next
-  done;
-  (ub, ub_next)
-
-let unconstrained_table model c0 =
-  unconstrained_table_of (checked_latency_of "unconstrained_table" model) c0
-
-let solve_hashtbl (problem : Problem.t) =
-  let latency_of = checked_latency_of "solve_hashtbl" problem.Problem.latency in
-  let c0 = problem.Problem.elements in
-  let b = problem.Problem.budget in
-  let ub, ub_next = unconstrained_table_of latency_of c0 in
-  (* Memo keyed by the boxed state; only budget-constrained states
-     (q < choose2 c) are memoized, the rest resolve through [ub]. *)
-  let memo : (float * int) Memo.t = Memo.create 4096 in
-  let rec ol c q =
-    if c = 1 then (0.0, 1)
-    else if q >= Ints.choose2 c then (ub.(c), ub_next.(c))
-    else
-      match Memo.find_opt memo (c, q) with
-      | Some r -> r
-      | None ->
-          let best = ref infinity in
-          let best_next = ref 0 in
-          for c' = 1 to c - 1 do
-            let qq = T.questions c c' in
-            let rem = q - qq in
-            if rem >= c' - 1 then begin
-              let round = latency_of qq in
-              if round +. ub.(c') < !best then begin
-                let tail, _ = ol c' (clamp_budget c' rem) in
-                let total = round +. tail in
-                if total < !best then begin
-                  best := total;
-                  best_next := c'
-                end
-              end
-            end
-          done;
-          let r = (!best, !best_next) in
-          Memo.add memo (c, q) r;
-          r
-  in
-  let latency, _ = ol c0 (clamp_budget c0 b) in
-  let rec rebuild c q acc =
-    if c = 1 then List.rev acc
-    else begin
-      let _, next = ol c q in
-      let qq = T.questions c next in
-      rebuild next (clamp_budget next (q - qq)) (next :: acc)
-    end
-  in
-  let sequence = rebuild c0 (clamp_budget c0 b) [ c0 ] in
-  let allocation = Allocation.of_count_sequence sequence in
-  {
-    sequence;
-    allocation;
-    latency;
-    questions_used = Allocation.questions_total allocation;
-    states_visited = Memo.length memo;
-  }
-
-let solve_bottom_up (problem : Problem.t) =
-  let latency_of = checked_latency_of "solve_bottom_up" problem.Problem.latency in
-  let c0 = problem.Problem.elements in
-  let b = clamp_budget c0 problem.Problem.budget in
-  (* table.(c).(q): optimal latency and best next count from c candidates
-     with q remaining questions. Row c only needs q up to choose2 c, but
-     a rectangular table keeps the reference implementation plain. *)
-  let table = Array.make_matrix (c0 + 1) (b + 1) (infinity, 0) in
-  for q = 0 to b do
-    table.(1).(q) <- (0.0, 1)
-  done;
-  let states = ref (b + 1) in
-  for c = 2 to c0 do
-    for q = c - 1 to b do
-      let best = ref infinity and best_next = ref 0 in
-      for c' = 1 to c - 1 do
-        let qq = T.questions c c' in
-        let rem = q - qq in
-        if rem >= c' - 1 then begin
-          let tail, _ = table.(c').(min rem b) in
-          let total = latency_of qq +. tail in
-          if total < !best then begin
-            best := total;
-            best_next := c'
-          end
-        end
-      done;
-      table.(c).(q) <- (!best, !best_next);
-      incr states
-    done
-  done;
-  let latency, _ = table.(c0).(b) in
-  let rec rebuild c q acc =
-    if c = 1 then List.rev acc
-    else begin
-      let _, next = table.(c).(q) in
-      let qq = T.questions c next in
-      rebuild next (min (q - qq) b) (next :: acc)
-    end
-  in
-  let sequence = rebuild c0 b [ c0 ] in
-  let allocation = Allocation.of_count_sequence sequence in
-  {
-    sequence;
-    allocation;
-    latency;
-    questions_used = Allocation.questions_total allocation;
-    states_visited = !states;
-  }
-
-let brute_force (problem : Problem.t) =
-  if problem.Problem.elements > 14 then
-    invalid_arg "Tdp.brute_force: instance too large";
-  let latency_of = checked_latency_of "brute_force" problem.Problem.latency in
-  let best = ref None in
-  let states = ref 0 in
-  (* Enumerate every strictly decreasing sequence ending at 1 within the
-     budget; [acc] holds the reversed prefix. *)
-  let rec go c budget latency acc =
-    incr states;
-    if c = 1 then begin
-      match !best with
-      | Some (l, _) when l <= latency -> ()
-      | _ -> best := Some (latency, List.rev acc)
-    end
-    else
-      for c' = c - 1 downto 1 do
-        let qq = T.questions c c' in
-        if budget - qq >= c' - 1 then
-          go c' (budget - qq) (latency +. latency_of qq) (c' :: acc)
-      done
-  in
-  go problem.Problem.elements problem.Problem.budget 0.0
-    [ problem.Problem.elements ];
-  match !best with
-  | None -> assert false (* Problem.create guarantees feasibility *)
-  | Some (latency, sequence) ->
-      let allocation = Allocation.of_count_sequence sequence in
-      {
-        sequence;
-        allocation;
-        latency;
-        questions_used = Allocation.questions_total allocation;
-        states_visited = !states;
-      }

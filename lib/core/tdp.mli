@@ -149,28 +149,3 @@ val min_questions : rounds:int -> int -> int
     [OL(c, q) = min { R delta + alpha Qmin_R(c) | Qmin_R(c) <= q }],
     which {!solve} uses as its pruning bound. Raises [Invalid_argument]
     unless [c >= 1] and [rounds >= 1]. *)
-
-val unconstrained_table :
-  Crowdmax_latency.Model.t -> int -> float array * int array
-(** [unconstrained_table model c0] is the seed solver's eager table:
-    index [c] holds [OL(c, choose2 c)] and its first argmin under
-    strict [<] over [c' = 1 .. c-1], by a plain O(c0²) scan. The
-    reference {!Cache.ub_entry} values match bit for bit. *)
-
-val solve_hashtbl : Problem.t -> solution
-(** The pre-arena solver: boxed [Hashtbl] memo over [(int * int)] keys,
-    recursive [ol], no round-count bound. Identical answers (the
-    equivalence properties pin this); kept as the baseline the planner
-    bench measures the flat arena against and as a reference oracle in
-    tests. *)
-
-val solve_bottom_up : Problem.t -> solution
-(** Reference implementation filling the full [b x c0] table (no
-    top-down pruning); identical answers, much slower on big budgets —
-    kept for the ablation bench and as an oracle in tests. Intended for
-    small instances. *)
-
-val brute_force : Problem.t -> solution
-(** Exhaustive enumeration of all feasible sequences. Exponential; only
-    for tiny instances (tests). Raises [Invalid_argument] when
-    [elements > 14]. *)

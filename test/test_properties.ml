@@ -103,7 +103,7 @@ let prop_tdp_beats_brute_force =
   Q.Test.make ~name:"tDP matches brute-force optimum" ~count:60 small_instance
     (fun (c0, s) ->
       let p = Problem.create ~elements:c0 ~budget:(c0 - 1 + s) ~latency:model in
-      let dp = Tdp.solve p and bf = Tdp.brute_force p in
+      let dp = Tdp.solve p and bf = Tdp_reference.brute_force p in
       Float.abs (dp.Tdp.latency -. bf.Tdp.latency) < 1e-9)
 
 let prop_tdp_within_budget =
@@ -447,8 +447,8 @@ let prop_flat_solver_equivalence =
     wide_instance (fun (c0, s) ->
       let p = Problem.create ~elements:c0 ~budget:(c0 - 1 + s) ~latency:model in
       let flat = Tdp.solve p in
-      let boxed = Tdp.solve_hashtbl p in
-      let bu = Tdp.solve_bottom_up p in
+      let boxed = Tdp_reference.solve_hashtbl p in
+      let bu = Tdp_reference.solve_bottom_up p in
       flat.Tdp.sequence = boxed.Tdp.sequence
       && Float.equal flat.Tdp.latency boxed.Tdp.latency
       && flat.Tdp.questions_used = boxed.Tdp.questions_used
@@ -575,7 +575,8 @@ let prop_ub_on_demand_matches_seed =
       let cache = Tdp.Cache.create () in
       let sol = Tdp.solve ~cache p in
       Test_tdp.ub_entries_match_seed model cache
-      && (b < Ints.choose2 c0 || same_solution sol (Tdp.solve_hashtbl p)))
+      && (b < Ints.choose2 c0
+         || same_solution sol (Tdp_reference.solve_hashtbl p)))
 
 let prop_forced_cache_sweep_equals_fresh =
   (* A cache that computed its entries at one (c0, budget), then reused

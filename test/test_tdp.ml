@@ -65,7 +65,7 @@ let test_matches_brute_force () =
     let alpha = 0.1 +. Rng.float rng 3.0 in
     let model = linear delta alpha in
     let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
-    let bf = Tdp.brute_force p and dp = Tdp.solve p in
+    let bf = Tdp_reference.brute_force p and dp = Tdp.solve p in
     Alcotest.check (Alcotest.float 1e-9) "optimal latency" bf.Tdp.latency dp.Tdp.latency
   done
 
@@ -76,7 +76,7 @@ let test_matches_brute_force_power () =
     let b = c0 - 1 + Rng.int rng 30 in
     let model = Model.power ~delta:50.0 ~alpha:1.0 ~p:(1.0 +. Rng.float rng 1.5) in
     let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
-    let bf = Tdp.brute_force p and dp = Tdp.solve p in
+    let bf = Tdp_reference.brute_force p and dp = Tdp.solve p in
     Alcotest.check (Alcotest.float 1e-9) "optimal under power L" bf.Tdp.latency dp.Tdp.latency
   done
 
@@ -86,7 +86,7 @@ let test_bottom_up_agrees () =
     let c0 = 2 + Rng.int rng 25 in
     let b = c0 - 1 + Rng.int rng 120 in
     let p = Problem.create ~elements:c0 ~budget:b ~latency:(linear 60.0 0.8) in
-    let bu = Tdp.solve_bottom_up p and td = Tdp.solve p in
+    let bu = Tdp_reference.solve_bottom_up p and td = Tdp.solve p in
     Alcotest.check (Alcotest.float 1e-9) "same optimum" bu.Tdp.latency td.Tdp.latency
   done
 
@@ -150,8 +150,9 @@ let test_optimal_latency_helper () =
 
 let test_brute_force_guard () =
   let p = Problem.create ~elements:15 ~budget:200 ~latency:(linear 1.0 1.0) in
-  Alcotest.check_raises "too large" (Invalid_argument "Tdp.brute_force: instance too large")
-    (fun () -> ignore (Tdp.brute_force p))
+  Alcotest.check_raises "too large"
+    (Invalid_argument "Tdp_reference.brute_force: instance too large")
+    (fun () -> ignore (Tdp_reference.brute_force p))
 
 let test_states_visited_positive () =
   let s = solve 30 100 in
@@ -223,7 +224,7 @@ let test_flat_matches_hashtbl () =
     let delta = float_of_int (5 + Rng.int rng 300) in
     let alpha = 0.05 +. Rng.float rng 2.0 in
     let p = Problem.create ~elements:c0 ~budget:b ~latency:(linear delta alpha) in
-    let flat = Tdp.solve p and boxed = Tdp.solve_hashtbl p in
+    let flat = Tdp.solve p and boxed = Tdp_reference.solve_hashtbl p in
     check_solutions_identical
       (Printf.sprintf "c0=%d b=%d" c0 b)
       boxed flat;
@@ -245,7 +246,7 @@ let test_flat_matches_hashtbl_unbounded () =
       else Model.power ~delta ~alpha:(0.05 +. Rng.float rng 2.0) ~p:1.5
     in
     let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
-    let flat = Tdp.solve p and boxed = Tdp.solve_hashtbl p in
+    let flat = Tdp.solve p and boxed = Tdp_reference.solve_hashtbl p in
     let label = Format.asprintf "c0=%d b=%d %a" c0 b Model.pp model in
     check_solutions_identical label boxed flat;
     check_int (label ^ ": cold states = hashtbl memo size")
@@ -435,7 +436,7 @@ let test_cached_trivial_instances () =
    counts exactly those. Shared with the property tests. *)
 let ub_entries_match_seed model cache =
   let c0 = Tdp.Cache.capacity cache in
-  let seed_ub, seed_next = Tdp.unconstrained_table model c0 in
+  let seed_ub, seed_next = Tdp_reference.unconstrained_table model c0 in
   let computed = ref 0 and ok = ref true in
   for c = 2 to c0 do
     match Tdp.Cache.ub_entry cache c with
