@@ -539,6 +539,13 @@ let run_cmd =
          instantly; there is nothing to cut off)\n";
       exit 2
     end;
+    (* A simulated source carries the vote count into its validating
+       constructor (Engine.config, Adaptive.run); the oracle never
+       reads it, so a bad value is caught here instead of ignored. *)
+    if votes < 1 && not simulated then begin
+      Printf.eprintf "crowdmax: --votes must be >= 1 (got %d)\n" votes;
+      exit 2
+    end;
     (match refit with
     | Adaptive.Off -> ()
     | _ when not adaptive ->

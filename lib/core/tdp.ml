@@ -22,32 +22,29 @@ let checked_latency_of fn latency q =
     invalid_arg (Printf.sprintf "Tdp.%s: L(%d) = %g is not finite" fn q l);
   l
 
-(* The solver's working state, reusable across solves (the plan cache).
-
-   Everything here is a pure function of (model, capacity) alone:
+(* The per-cache state, reusable across solves (the plan cache). It
+   holds only what depends on the latency model:
    - [ub]/[ub_next]: unconstrained optima, ub.(c) = OL(choose2 c, c).
-     Models under the round-count bound fill them on demand (NaN =
-     not computed yet, see [force_ub]); every other model builds them
-     eagerly in [eager_ub]. [ub_count] counts the entries computed;
-   - [ch2]: choose2 memo; [lq]: L by batch size, filled lazily by the
-     eager build for non-linear models — every batch size the DP can
-     touch appears as some Q(c, c') the build scans, so the DP reads it
-     with a plain load. Linear models never allocate [lq]: L is three
-     flops, cheaper inline than a 4 MB table ([lq] stays [||]).
-     Q(c, c') itself is never tabulated — scans step it linearly within
-     constant-quotient runs and point lookups are one division — so a
-     rebuild allocates only O(c0) words;
+     Models under the round-count bound ([bound]) fill them on demand
+     (NaN = not computed yet, see [force_ub]); every other model builds
+     them eagerly in [eager_ub]. [ub_count] counts the entries computed;
+   - [lq]: L by batch size, filled lazily by the eager build for
+     non-linear models — every batch size the DP can touch appears as
+     some Q(c, c') the build scans, so the DP reads it with a plain
+     load. Linear models never allocate [lq]: L is three flops, cheaper
+     inline than a 4 MB table ([lq] stays [||]). Q(c, c') itself is
+     never tabulated — scans step it linearly within constant-quotient
+     runs and point lookups are one division;
    - the arena: open-addressed parallel arrays over packed state keys
      [(c lsl qbits) lor q] (0 = empty slot, valid because memoized
      states have c >= 3 and hence a positive key). Values live in an
      unboxed float array ([lat]) and an int array ([nxt]) — no tuple or
-     option allocation on the probe path;
-   - the work stacks: frames of the explicit DFS that replaces the
-     recursive [ol] ([st_*]), and of the one that forces [ub] entries
-     ([uf_*]); depth <= capacity each;
-   - [qmin]/[smin]: the domain's round-count table and this model's
-     suffix minima over it, for the linear-model pruning bound (both
-     [||] when the bound does not apply).
+     option allocation on the probe path.
+
+   Everything else a solve reads — the choose2 memo, the work stacks
+   and the round-count suffix minima — is model-free or cheap to
+   refill, and lives in the domain's planner [workspace] below, so a
+   rebuild allocates only [ub], [ub_next] and a minimal arena.
 
    Budget-constrained DP states OL(c, q) do not depend on the instance's
    own c0 (only on the model), so a cache built for capacity [k] is
@@ -57,29 +54,19 @@ type cache = {
   mutable model : Model.t option;  (* None = empty, must rebuild *)
   mutable capacity : int;  (* largest c0 the tables cover *)
   mutable qbits : int;  (* low bits of a packed key hold q *)
+  mutable bound : bool;  (* the round-count bound applies *)
   mutable ub : float array;  (* NaN = not computed yet *)
   mutable ub_next : int array;
   mutable ub_count : int;  (* ub entries computed *)
-  mutable ch2 : int array;
   mutable lq : float array;  (* [||] for linear models: L is inlined *)
-  mutable qmin : int array array;  (* the domain's Qmin table, rows r *)
-  mutable smin : float array;  (* [||] unless the round bound applies *)
   mutable keys : int array;
   mutable lat : float array;
   mutable nxt : int array;
   mutable mask : int;
   mutable count : int;  (* settled states in the arena *)
-  mutable st_c : int array;
-  mutable st_q : int array;
-  mutable st_i : int array;  (* candidate c' a suspended frame waits on *)
-  mutable st_best : float array;
-  mutable st_next : int array;
-  mutable uf_c : int array;  (* [force_ub] frames; [||] when eager *)
-  mutable uf_i : int array;
-  mutable uf_best : float array;
-  mutable uf_next : int array;
   mutable reuses : int;
   mutable rebuilds : int;
+  mutable gen : int;  (* rebuilds ever, [clear] included: names a table *)
 }
 
 module Cache = struct
@@ -90,64 +77,45 @@ module Cache = struct
       model = None;
       capacity = -1;
       qbits = 1;
+      bound = false;
       ub = [||];
       ub_next = [||];
       ub_count = 0;
-      ch2 = [||];
       lq = [||];
-      qmin = [||];
-      smin = [||];
       keys = [||];
       lat = [||];
       nxt = [||];
       mask = 0;
       count = 0;
-      st_c = [||];
-      st_q = [||];
-      st_i = [||];
-      st_best = [||];
-      st_next = [||];
-      uf_c = [||];
-      uf_i = [||];
-      uf_best = [||];
-      uf_next = [||];
       reuses = 0;
       rebuilds = 0;
+      gen = 0;
     }
 
+  (* [gen] survives: a workspace may still name this cache's last
+     table, and the next rebuild must not reuse that table's name. *)
   let clear t =
     let e = create () in
     t.model <- e.model;
     t.capacity <- e.capacity;
     t.qbits <- e.qbits;
+    t.bound <- e.bound;
     t.ub <- e.ub;
     t.ub_next <- e.ub_next;
     t.ub_count <- e.ub_count;
-    t.ch2 <- e.ch2;
     t.lq <- e.lq;
-    t.qmin <- e.qmin;
-    t.smin <- e.smin;
     t.keys <- e.keys;
     t.lat <- e.lat;
     t.nxt <- e.nxt;
     t.mask <- e.mask;
     t.count <- e.count;
-    t.st_c <- e.st_c;
-    t.st_q <- e.st_q;
-    t.st_i <- e.st_i;
-    t.st_best <- e.st_best;
-    t.st_next <- e.st_next;
-    t.uf_c <- e.uf_c;
-    t.uf_i <- e.uf_i;
-    t.uf_best <- e.uf_best;
-    t.uf_next <- e.uf_next;
     t.reuses <- e.reuses;
     t.rebuilds <- e.rebuilds
 
   let hits t = t.reuses
   let misses t = t.rebuilds
   let states_settled t = t.count
-  let capacity t = max 0 t.capacity
+  let capacity t = match t.model with None -> 0 | Some _ -> t.capacity
   let ub_entries t = t.ub_count
 
   let ub_entry t c =
@@ -215,8 +183,8 @@ let initial_arena = 256
    cache it runs: [qmin_key] holds the largest table built so far, and a
    larger instance rebuilds it at the next power-of-two multiple of the
    old capacity (release build on a 2.1 GHz Xeon: ~2 ms at 512, ~7 ms
-   at 1024, ~30 ms at 2048). Entries never change with capacity, so a
-   cache keeps whichever table it was built with. *)
+   at 1024, ~30 ms at 2048). Entries never change with capacity, so the
+   workspace keeps whichever table covered its owner. *)
 let build_qmin cap =
   let rows = Ints.log2_ceil cap + 1 in
   let qm = Array.make rows [||] in
@@ -309,30 +277,137 @@ let round_bound_applies ~delta ~alpha c0 =
        (float_of_int c0
        *. (delta +. (alpha *. float_of_int (Ints.choose2 c0))))
 
-(* smin.(c * smin_stride c0 + r) = min over R >= r of R delta + alpha
-   Qmin_R(c): the suffix minimum that turns a point bound lookup into
-   [rounds_needed] plus one load. Laid out c-major in one array, and
-   filled only for r <= log2_ceil c — the largest [rounds_needed] can
-   return, and past it Qmin stays c - 1 while R delta only grows. O(c0
-   log c0) per rebuild. *)
-let smin_stride c0 = Ints.log2_ceil c0 + 1
+(* --- the planner workspace ------------------------------------------------ *)
 
-let build_smin qm ~delta ~alpha c0 =
-  let stride = smin_stride c0 in
-  let sm = Array.make ((c0 + 1) * stride) 0.0 in
-  let top = ref 1 in
-  for c = 2 to c0 do
-    if c > 1 lsl !top then incr top;
-    let acc = ref infinity in
-    for r = !top downto 1 do
-      let v =
-        (float_of_int r *. delta) +. (alpha *. float_of_int qm.(r).(c))
-      in
-      if v < !acc then acc := v;
-      sm.((c * stride) + r) <- !acc
-    done
+(* What a solve needs beyond its cache, one per domain (like [Rwl]'s
+   workspace and the Qmin table above), sized for the largest capacity
+   solved so far — grown by doubling, never shrunk — and shared by every
+   cache the domain solves through:
+   - [ch2]: choose2 memo;
+   - the work stacks: frames of the explicit DFS that replaces the
+     recursive [ol] ([st_*]), and of the one that forces [ub] entries
+     ([uf_*]); depth <= capacity each. Frames are live only inside
+     [solve]'s DP and [force_ub], and neither runs user code (L is
+     inlined or read from [lq]), so no nested solve can overwrite them;
+   - the round-count bound of one cache's model: [qmin] (the domain's
+     table, covering the owner's capacity) and the suffix minima
+       smin(c, r) = min over R >= r of R delta + alpha Qmin_R(c)
+     that turn a point bound lookup into [rounds_needed] plus one load,
+     laid out c-major at [c * stride + r]. Only r <= log2_ceil c is ever
+     read — the largest [rounds_needed] can return, and past it Qmin
+     stays c - 1 while R delta only grows. Row c is filled on its first
+     read ([ready.[c]] set): a cold solve reads a few dozen rows of a
+     thousand, so a whole table per rebuild cost more than the DP. The
+     rows belong to the cache [owner] as of its rebuild [owner_gen]; a
+     solve through any other cache, or a later rebuild of this one,
+     clears the ready marks up to its capacity and takes ownership,
+     reallocating nothing. *)
+type workspace = {
+  mutable size : int;  (* largest capacity the arrays cover *)
+  mutable ch2 : int array;
+  mutable st_c : int array;
+  mutable st_q : int array;
+  mutable st_i : int array;  (* candidate c' a suspended frame waits on *)
+  mutable st_best : float array;
+  mutable st_next : int array;
+  mutable uf_c : int array;
+  mutable uf_i : int array;
+  mutable uf_best : float array;
+  mutable uf_next : int array;
+  mutable qmin : int array array;
+  mutable stride : int;  (* log2_ceil size + 1 *)
+  mutable smin : float array;
+  mutable ready : Bytes.t;  (* row c filled iff ready.[c] <> '\000' *)
+  mutable owner : cache;
+  mutable owner_gen : int;  (* no rows owned while no cache has it *)
+}
+
+let workspace_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        size = -1;
+        ch2 = [||];
+        st_c = [||];
+        st_q = [||];
+        st_i = [||];
+        st_best = [||];
+        st_next = [||];
+        uf_c = [||];
+        uf_i = [||];
+        uf_best = [||];
+        uf_next = [||];
+        qmin = [||];
+        stride = 1;
+        smin = [||];
+        ready = Bytes.empty;
+        owner = Cache.create ();
+        owner_gen = -1;
+      })
+
+let grow_workspace ws need =
+  let size = ref (max 64 ws.size) in
+  while !size < need do
+    size := 2 * !size
   done;
-  sm
+  let n = !size + 1 in
+  ws.size <- !size;
+  ws.ch2 <- Array.init n Ints.choose2;
+  ws.st_c <- Array.make n 0;
+  ws.st_q <- Array.make n 0;
+  ws.st_i <- Array.make n 0;
+  ws.st_best <- Array.make n 0.0;
+  ws.st_next <- Array.make n 0;
+  ws.uf_c <- Array.make n 0;
+  ws.uf_i <- Array.make n 0;
+  ws.uf_best <- Array.make n 0.0;
+  ws.uf_next <- Array.make n 0;
+  ws.stride <- Ints.log2_ceil !size + 1;
+  ws.smin <- Array.make (n * ws.stride) 0.0;
+  ws.ready <- Bytes.make n '\000';
+  ws.owner_gen <- -1
+
+(* The calling domain's workspace, sized for [t] and, when [t]'s model
+   is under the round-count bound, owning the smin rows. Call it only
+   after [t]'s rebuild, if any, is done. *)
+let workspace t =
+  let ws = Domain.DLS.get workspace_key in
+  if ws.size < t.capacity then grow_workspace ws t.capacity;
+  if t.bound && not (ws.owner == t && ws.owner_gen = t.gen) then begin
+    ws.qmin <- qmin_table t.capacity;
+    Bytes.fill ws.ready 0 (t.capacity + 1) '\000';
+    ws.owner <- t;
+    ws.owner_gen <- t.gen
+  end;
+  ws
+
+(* Row c of smin for the owner's model: the suffix minimum over rows
+   log2_ceil c down to 1. Rows 0 and 1 have no entries; their r = 1
+   slots are never written and read 0.0, which is smin(1, 1). *)
+let fill_smin_row t ws c =
+  let delta =
+    match t.model with Some (Model.Linear { delta; _ }) -> delta | _ -> 0.0
+  in
+  let alpha =
+    match t.model with Some (Model.Linear { alpha; _ }) -> alpha | _ -> 0.0
+  in
+  let qm = ws.qmin and sm = ws.smin in
+  let base = c * ws.stride in
+  let acc = ref infinity in
+  for r = Ints.log2_ceil c downto 1 do
+    let v =
+      (float_of_int r *. delta)
+      +. (alpha *. float_of_int (Array.unsafe_get (Array.unsafe_get qm r) c))
+    in
+    if v < !acc then acc := v;
+    Array.unsafe_set sm (base + r) !acc
+  done;
+  Bytes.unsafe_set ws.ready c '\001'
+[@@alloc_free]
+
+(* Make row c readable; every smin read goes through it first. *)
+let smin_row t ws c =
+  if Bytes.unsafe_get ws.ready c = '\000' then fill_smin_row t ws c
+[@@inline] [@@alloc_free]
 
 (* --- the unconstrained table ------------------------------------------- *)
 
@@ -365,10 +440,9 @@ let build_smin qm ~delta ~alpha c0 =
    Only the survivors are forced — for the paper's L(q) a handful per
    entry. Run skipping needs no monotonicity check of ub: smin(., 1) is
    non-decreasing in c because Qmin_R is and float ops are monotone. *)
-let force_ub t c =
-  let ub = t.ub and ub_next = t.ub_next and ch2 = t.ch2 and sm = t.smin in
-  (* [smin_stride t.capacity], read off the layout without the call *)
-  let stride = Array.length sm / (t.capacity + 1) in
+let force_ub t ws c =
+  let ub = t.ub and ub_next = t.ub_next and ch2 = ws.ch2 in
+  let sm = ws.smin and stride = ws.stride in
   let delta =
     match t.model with Some (Model.Linear { delta; _ }) -> delta | _ -> 0.0
   in
@@ -376,8 +450,8 @@ let force_ub t c =
     match t.model with Some (Model.Linear { alpha; _ }) -> alpha | _ -> 0.0
   in
   let lb_lo = 1.0 -. lb_margin and lb_hi = 1.0 +. lb_margin in
-  let uf_c = t.uf_c and uf_i = t.uf_i in
-  let uf_best = t.uf_best and uf_next = t.uf_next in
+  let uf_c = ws.uf_c and uf_i = ws.uf_i in
+  let uf_best = ws.uf_best and uf_next = ws.uf_next in
   Array.unsafe_set uf_c 0 c;
   Array.unsafe_set uf_i 0 1;
   Array.unsafe_set uf_best 0 infinity;
@@ -388,6 +462,7 @@ let force_ub t c =
     let c = Array.unsafe_get uf_c f in
     let best = ref (Array.unsafe_get uf_best f) in
     let bnext = ref (Array.unsafe_get uf_next f) in
+    smin_row t ws c;
     let ceiling = Array.unsafe_get sm ((c * stride) + 1) *. lb_hi in
     let i = ref (Array.unsafe_get uf_i f) in
     let suspended = ref false in
@@ -397,6 +472,7 @@ let force_ub t c =
       let hi = min (c / v) (c - 1) in
       let step = Array.unsafe_get ch2 v - (v * v) in
       let qlo = (c * v) + (lo * step) in
+      smin_row t ws lo;
       let bound =
         delta
         +. (alpha *. float_of_int (qlo + ((hi - lo) * step)))
@@ -416,6 +492,7 @@ let force_ub t c =
             end
           end
           else begin
+            smin_row t ws c';
             let low =
               round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
             in
@@ -454,11 +531,11 @@ let force_ub t c =
    memoized evaluation; the rest memoize L into [lq] (NaN =
    unevaluated), which this scan fills for every batch size the DP can
    later touch. *)
-let eager_ub t latency_of c0 =
-  let ub = t.ub and ub_next = t.ub_next and ch2 = t.ch2 and lq = t.lq in
+let eager_ub t mdl ch2 latency_of c0 =
+  let ub = t.ub and ub_next = t.ub_next and lq = t.lq in
   let lin, delta, alpha =
-    match t.model with
-    | Some (Model.Linear { delta; alpha }) -> (true, delta, alpha)
+    match mdl with
+    | Model.Linear { delta; alpha } -> (true, delta, alpha)
     | _ -> (false, 0.0, 0.0)
   in
   for c = 2 to c0 do
@@ -501,14 +578,13 @@ let rebuild_tables t latency_of mdl c0 =
   let qbits = bits_for (max 1 (qmax - 1)) in
   if qbits + bits_for c0 > 62 then
     invalid_arg "Tdp.solve: collection too large to pack planner state keys";
-  t.model <- Some mdl;
+  (* Empty until the build completes: a non-finite L raises mid-build,
+     and the next solve with that model must rebuild (and raise) again
+     rather than reuse half-built tables. *)
+  t.model <- None;
   t.capacity <- c0;
   t.qbits <- qbits;
-  let ch2 = Array.make (c0 + 1) 0 in
-  for c = 2 to c0 do
-    ch2.(c) <- Ints.choose2 c
-  done;
-  t.ch2 <- ch2;
+  t.gen <- t.gen + 1;
   (* A linear L needs its finiteness checked only at the endpoints: its
      interior values lie between L(0) and L(qmax), and NaN parameters
      surface at both. *)
@@ -521,36 +597,21 @@ let rebuild_tables t latency_of mdl c0 =
   t.ub_next <- Array.make (c0 + 1) 1;
   (match mdl with
   | Model.Linear { delta; alpha } when round_bound_applies ~delta ~alpha c0 ->
-      let qm = qmin_table c0 in
-      t.qmin <- qm;
-      t.smin <- build_smin qm ~delta ~alpha c0;
+      t.bound <- true;
       t.ub <- Array.make (c0 + 1) Float.nan;
       t.ub.(0) <- 0.0;
       t.ub.(1) <- 0.0;
-      t.ub_count <- 0;
-      t.uf_c <- Array.make (c0 + 1) 0;
-      t.uf_i <- Array.make (c0 + 1) 0;
-      t.uf_best <- Array.make (c0 + 1) 0.0;
-      t.uf_next <- Array.make (c0 + 1) 0
+      t.ub_count <- 0
   | _ ->
-      t.qmin <- [||];
-      t.smin <- [||];
-      t.uf_c <- [||];
-      t.uf_i <- [||];
-      t.uf_best <- [||];
-      t.uf_next <- [||];
+      t.bound <- false;
       t.ub <- Array.make (c0 + 1) 0.0;
-      eager_ub t latency_of c0);
+      eager_ub t mdl (workspace t).ch2 latency_of c0);
   t.keys <- Array.make initial_arena 0;
   t.lat <- Array.make initial_arena 0.0;
   t.nxt <- Array.make initial_arena 0;
   t.mask <- initial_arena - 1;
   t.count <- 0;
-  t.st_c <- Array.make (c0 + 1) 0;
-  t.st_q <- Array.make (c0 + 1) 0;
-  t.st_i <- Array.make (c0 + 1) 0;
-  t.st_best <- Array.make (c0 + 1) 0.0;
-  t.st_next <- Array.make (c0 + 1) 0
+  t.model <- Some mdl
 
 (* Invalidation rule: a cache is reusable iff the latency model is equal
    (Model.equal — typed structural equality, physical for Custom) and
@@ -592,6 +653,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
     match cache with Some t -> (t, true) | None -> (Cache.create (), false)
   in
   let reused = prepare t latency_of problem.Problem.latency c0 in
+  let ws = workspace t in
   (* Cache events are only meaningful for a caller-held cache; a private
      per-solve cache always rebuilds and records nothing. *)
   if shared then
@@ -599,7 +661,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
   let count0 = t.count in
   let hits = ref 0 and misses = ref 0 and pruned = ref 0 in
   let qbits = t.qbits in
-  let ub = t.ub and ch2 = t.ch2 and lq = t.lq in
+  let ub = t.ub and ch2 = ws.ch2 and lq = t.lq in
   (* Linear models evaluate L inline (the exact [Model.eval] expression,
      so bit-identical to a memoized value); other models read the [lq]
      table the build filled. The branch is perfectly predicted — one
@@ -609,16 +671,16 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
     | Model.Linear { delta; alpha } -> (true, delta, alpha)
     | _ -> (false, 0.0, 0.0)
   in
-  (* The round-count bound (linear models with delta, alpha >= 0; [smin]
-     is [||] otherwise, and only then is [ub] filled on demand). It also
+  (* The round-count bound (linear models with delta, alpha >= 0; only
+     then is [ub] filled on demand and [smin] read). It also
      gates run-level pruning in the DP scan, which needs L non-decreasing
      and a lower bound on ub that is non-decreasing in c' — smin(c', 1)
      (1 - m). *)
-  let qm = t.qmin and sm = t.smin and stride = smin_stride t.capacity in
-  let lb_on = Array.length sm > 0 in
+  let qm = ws.qmin and sm = ws.smin and stride = ws.stride in
+  let lb_on = t.bound in
   let lb_lo = 1.0 -. lb_margin and lb_hi = 1.0 +. lb_margin in
-  let st_c = t.st_c and st_q = t.st_q and st_i = t.st_i in
-  let st_best = t.st_best and st_next = t.st_next in
+  let st_c = ws.st_c and st_q = ws.st_q and st_i = ws.st_i in
+  let st_best = ws.st_best and st_next = ws.st_next in
   let sp = ref 0 in
   (* [ret_lat] escapes into [run_stack], so a float [ref] cell would not
      be unboxed and every settled state would box a float on the store;
@@ -645,9 +707,10 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
          margin. No candidate whose lower bound exceeds it can be the
          frame's minimum. *)
       let ceiling =
-        if lb_on then
-          Array.unsafe_get sm ((c * stride) + rounds_needed qm c q)
-          *. lb_hi
+        if lb_on then begin
+          smin_row t ws c;
+          Array.unsafe_get sm ((c * stride) + rounds_needed qm c q) *. lb_hi
+        end
         else infinity
       in
       let i = ref 1 in
@@ -689,6 +752,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
           lb_on
           &&
           let l_hi = lin_d +. (lin_a *. float_of_int qhi) in
+          smin_row t ws lo;
           let s = Array.unsafe_get sm ((lo * stride) + 1) in
           let low = l_hi +. (s *. lb_lo) in
           low >= !best || low > ceiling
@@ -701,7 +765,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
                      non-decreasing in c', and the margin dwarfs the
                      rounding between it and any float ub.(c'). *)
                   if Float.is_nan (Array.unsafe_get ub lo) then
-                    force_ub t lo;
+                    force_ub t ws lo;
                   l_hi +. Array.unsafe_get ub lo > ceiling
                 end
         then begin
@@ -741,9 +805,13 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
                  below fails, exactly as the entry's value would. *)
               if
                 Float.is_nan (Array.unsafe_get ub c')
-                && round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
-                   < !best
-              then force_ub t c';
+                && begin
+                     smin_row t ws c';
+                     round
+                     +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
+                     < !best
+                   end
+              then force_ub t ws c';
               let total = round +. Array.unsafe_get ub c' in
               if total < !best then begin
                 best := total;
@@ -762,13 +830,16 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
               let known = not (Float.is_nan u) in
               if
                 if known then round +. u >= !best
-                else
+                else begin
+                  smin_row t ws c';
                   round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_lo)
                   >= !best
+                end
               then incr pruned
               else if
                 lb_on
                 &&
+                let () = smin_row t ws c' in
                 let low =
                   round
                   +. Array.unsafe_get sm
@@ -789,7 +860,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
                 && round +. (Array.unsafe_get sm ((c' * stride) + 1) *. lb_hi)
                    >= !best
                 && begin
-                     force_ub t c';
+                     force_ub t ws c';
                      round +. Array.unsafe_get ub c' >= !best
                    end
               then incr pruned
@@ -846,7 +917,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
   let latency =
     if c0 = 1 then 0.0
     else if q0 >= ch2.(c0) then begin
-      if Float.is_nan ub.(c0) then force_ub t c0;
+      if Float.is_nan ub.(c0) then force_ub t ws c0;
       ub.(c0)
     end
     else begin
@@ -879,7 +950,7 @@ let solve ?(metrics = Metrics.disabled) ?cache (problem : Problem.t) =
           (* computed already: the DP, or the entry that chose c,
              compared this tail exactly; the check only keeps a NaN
              from ever yielding a default next count *)
-          if Float.is_nan ub.(c) then force_ub t c;
+          if Float.is_nan ub.(c) then force_ub t ws c;
           Array.unsafe_get t.ub_next c
         end
         else begin

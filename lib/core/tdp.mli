@@ -61,7 +61,18 @@ type solution = {
     with their first steps (every entry for models outside the
     round-count bound, the entries computed so far for those under it),
     the L memo (non-linear models) and the flat state arena, retained
-    across {!solve} calls.
+    across {!solve} calls. These are the values of one latency model;
+    a rebuild allocates the two [c0 + 1]-entry optima rows and a small
+    arena, nothing else.
+
+    What a solve needs beyond that — the choose2 memo, the DP work
+    stacks and the round-count bound's per-c rows — lives in one
+    workspace per domain, shared by every cache solved on it. It grows
+    by doubling to the largest capacity solved and is never shrunk.
+    The bound's rows are filled on first read for the cache that owns
+    them; a solve through another cache, or through the owner after a
+    rebuild, clears their ready marks and takes ownership. None of it
+    changes a solution, only what a cold solve allocates.
 
     Invalidation rule — a solve reuses the cache iff both hold:
     - the latency model equals the cached one
@@ -77,7 +88,9 @@ type solution = {
     split and [states_visited] change.
 
     A cache is single-domain mutable state: never share one across
-    domains (give each worker its own, as [Adaptive.replicate] does). *)
+    domains (give each worker its own, as [Adaptive.replicate] does).
+    A solve that raises (a non-finite L) leaves the cache empty, so the
+    next solve rebuilds. *)
 module Cache : sig
   type t
 
@@ -85,7 +98,9 @@ module Cache : sig
   (** An empty cache; the first solve through it builds the tables. *)
 
   val clear : t -> unit
-  (** Drop everything (tables, arena, statistics), as if fresh. *)
+  (** Drop everything (tables, arena, statistics), as if fresh. The
+      domain's workspace is not touched: it never holds values the next
+      rebuild could mistake for its own. *)
 
   val hits : t -> int
   (** Solves that reused the retained tables. *)

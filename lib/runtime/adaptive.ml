@@ -95,6 +95,10 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
   if Ground_truth.size truth <> problem.Problem.elements then
     invalid_arg "Adaptive.run: ground truth size mismatch";
   check_refit_policy ~refit ~refit_window;
+  Engine.check_source ~caller:"Adaptive.run" source;
+  Option.iter
+    (fun (_, shifted) -> Engine.check_source ~caller:"Adaptive.run" shifted)
+    source_shift;
   Engine.check_deadline ~caller:"Adaptive.run" deadline;
   (* Adaptive instruments (all simulated quantities; recording is a
      no-op branch when the registry is disabled, so the default run is

@@ -95,7 +95,8 @@ val run :
     [Invalid_argument] if the ground truth size differs from the
     problem's element count, or on an invalid policy (non-positive
     [Every_k_rounds] period or [On_drift] threshold, [refit_window] < 2,
-    invalid deadline).
+    invalid deadline), or a simulated [source] or [source_shift] with
+    fewer than one vote per question ({!Engine.check_source}).
 
     [source] (default [Oracle]) answers each round through
     {!Engine.answer_round}: the oracle is instant and error-free with

@@ -34,9 +34,15 @@ type config = {
   straggler : straggler_policy;
 }
 
+let check_source ~caller = function
+  | Oracle -> ()
+  | Simulated { rwl = { Rwl.votes; _ }; _ } | Simulated_pool { votes; _ } ->
+      if votes < 1 then invalid_arg (caller ^ ": votes < 1")
+
 let config ?(source = Oracle) ?(pad_to_round_budget = true)
     ?(deadline = Wait_all) ?(straggler = Drop) ~allocation ~selection
     ~latency_model () =
+  check_source ~caller:"Engine.config" source;
   {
     allocation;
     selection;
@@ -64,6 +70,7 @@ let check_deadline ~caller = function
         invalid_arg (caller ^ ": Quantile must be in (0, 1]")
 
 let check_policies cfg =
+  check_source ~caller:"Engine.run" cfg.source;
   check_deadline ~caller:"Engine.run" cfg.deadline;
   match cfg.straggler with
   | Reissue n ->

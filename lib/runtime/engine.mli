@@ -95,7 +95,10 @@ val config :
   latency_model:Crowdmax_latency.Model.t ->
   unit ->
   config
-(** Defaults: [Oracle] source, padding on, [Wait_all], [Drop]. *)
+(** Defaults: [Oracle] source, padding on, [Wait_all], [Drop]. Raises
+    [Invalid_argument "Engine.config: votes < 1"] for a [Simulated] or
+    [Simulated_pool] source asking fewer than one vote per question
+    (see {!check_source}). *)
 
 val plan_config :
   ?metrics:Crowdmax_obs.Metrics.t ->
@@ -114,6 +117,12 @@ val plan_config :
     {!Crowdmax_core.Tdp.solve}: a shared cache makes a budget or
     collection-size sweep of configs pay the table build once.
     Remaining optionals default as in {!config}. *)
+
+val check_source : caller:string -> answer_source -> unit
+(** The vote-count check every driver runs at construction: raises
+    [Invalid_argument "<caller>: votes < 1"] for a simulated source
+    whose RWL config or pool asks fewer than one vote per question,
+    before any round posts it. [Oracle] always passes. *)
 
 val check_deadline : caller:string -> deadline_policy -> unit
 (** The one deadline-policy check every driver runs at construction.

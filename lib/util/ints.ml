@@ -8,6 +8,14 @@ let range lo hi =
   let rec loop acc i = if i < lo then acc else loop (i :: acc) (i - 1) in
   loop [] hi
 
+(* A while loop, not a local [rec loop]: that would capture [n] in a
+   closure allocated on every call, and the planner calls this once per
+   round-count row it fills. *)
 let log2_ceil n =
-  let rec loop k pow = if pow >= n then k else loop (k + 1) (pow * 2) in
-  if n <= 1 then 0 else loop 0 1
+  let k = ref 0 and pow = ref 1 in
+  while !pow < n do
+    incr k;
+    pow := !pow * 2
+  done;
+  !k
+[@@alloc_free]

@@ -102,10 +102,12 @@ let test_metrics () =
       Metrics.observe h 2.5)
 
 let test_int_kernels () =
-  check_alloc_free "Tournament.questions + Ints.choose2/ceil_div" (fun () ->
+  check_alloc_free "Tournament.questions + Ints.choose2/ceil_div/log2_ceil"
+    (fun () ->
       ignore (Tournament.questions 64 8 : int);
       ignore (Ints.choose2 100 : int);
-      ignore (Ints.ceil_div 17 4 : int))
+      ignore (Ints.ceil_div 17 4 : int);
+      ignore (Ints.log2_ceil 1000 : int))
 
 (* The composite paths: not exactly zero (setup builds latency tables,
    the report record, one boxed return), but the budget must not scale
@@ -222,6 +224,27 @@ let test_query_recycles_dag () =
        fresh DAG: %.0f)"
       recycled fresh
 
+let test_cold_solve_major_words () =
+  (* A cold plan cache allocates its model's [ub]/[ub_next] rows (c0 + 1
+     words each, past the minor heap's size limit) and nothing else on
+     the major heap: the choose2 memo, the work stacks and the
+     round-count rows live in the domain's planner workspace, sized by
+     the warm-up solve below. *)
+  let c0 = 1000 in
+  List.iter
+    (fun budget ->
+      let p = Problem.create ~elements:c0 ~budget ~latency:Model.paper_mturk in
+      ignore (Tdp.solve ~cache:(Tdp.Cache.create ()) p);
+      let cache = Tdp.Cache.create () in
+      let _, words = major_words (fun () -> Tdp.solve ~cache p) in
+      let limit = float_of_int ((2 * (c0 + 1)) + 128) in
+      if words > limit then
+        Alcotest.failf
+          "cold Tdp.solve c0=%d b=%d: %.0f major words (limit %.0f: the \
+           two ub rows plus a constant)"
+          c0 budget words limit)
+    [ 2000; 8000 ]
+
 let suite =
   [
     ( "alloc_free",
@@ -239,5 +262,7 @@ let suite =
           test_platform_simulate_bounded;
         Alcotest.test_case "query recycles its DAG" `Quick
           test_query_recycles_dag;
+        Alcotest.test_case "cold tdp solve major words" `Quick
+          test_cold_solve_major_words;
       ] );
   ]

@@ -220,6 +220,38 @@ let test_policy_validation () =
   raises "Engine.run: Quantile must be in (0, 1]" (E.Quantile 1.5) E.Drop;
   raises "Engine.run: Reissue retry cap < 0" E.Wait_all (E.Reissue (-1))
 
+let test_source_vote_validation () =
+  (* Both simulated sources reject a vote count below one when the config
+     is built, before any round could post it; so do the runs that take
+     a source directly, and a hand-edited config at run time. *)
+  let alloc = tdp_alloc 10 40 in
+  let rng = Rng.create 2 in
+  let msg = "Engine.config: votes < 1" in
+  Alcotest.check_raises "simulated" (Invalid_argument msg) (fun () ->
+      ignore
+        (simulated_cfg ~votes:0 ~deadline:E.Wait_all ~straggler:E.Drop alloc));
+  let pool =
+    Crowdmax_crowd.Worker_pool.create rng ~workers:5 ~good_fraction:0.8
+      ~good_accuracy:0.97 ~bad_accuracy:0.6
+  in
+  let pool_source votes =
+    E.Simulated_pool { platform = Platform.create (); pool; votes }
+  in
+  Alcotest.check_raises "simulated pool" (Invalid_argument msg) (fun () ->
+      ignore
+        (E.config ~source:(pool_source (-1)) ~allocation:alloc
+           ~selection:S.tournament ~latency_model:model ()));
+  let cfg = { (oracle_cfg alloc) with E.source = pool_source 0 } in
+  Alcotest.check_raises "hand-edited config"
+    (Invalid_argument "Engine.run: votes < 1") (fun () ->
+      ignore (E.run rng cfg (G.random rng 10)));
+  Alcotest.check_raises "adaptive" (Invalid_argument "Adaptive.run: votes < 1")
+    (fun () ->
+      ignore
+        (Crowdmax_runtime.Adaptive.run rng ~source:(pool_source 0)
+           ~problem:(Problem.create ~elements:10 ~budget:40 ~latency:model)
+           ~selection:S.tournament (G.random rng 10)))
+
 let test_zero_question_rounds_keep_trace_dense () =
   (* a selector that refuses to ask anything: every allocation slot must
      still emit a (zero-question, zero-latency) trace record, so trace
@@ -638,5 +670,6 @@ let suite =
         tc "deterministic given seed" `Quick test_deterministic_given_seed;
         tc "finished query is spent" `Quick test_query_spent_after_finish;
         tc "DAG pool retention capped" `Quick test_pool_retention_capped;
+        tc "source vote validation" `Quick test_source_vote_validation;
       ] );
   ]

@@ -606,6 +606,129 @@ let prop_forced_cache_sweep_equals_fresh =
       && agrees (c0 - 1) (2 * c0)
       && Test_tdp.ub_entries_match_seed model cache)
 
+(* --- caches sharing one domain's planner workspace ------------------------- *)
+
+(* A model spec: 0 = linear under the round-count bound (with the corner
+   parameters above), 1 = linear outside it (negative or subnormal
+   alpha), 2 = power. Specs outside the bound settle every DP state, so
+   their instances stay small. *)
+let spec_model (kind, delta, alpha) =
+  match kind with
+  | 2 -> Model.power ~delta ~alpha ~p:1.5
+  | _ -> Model.linear ~delta ~alpha
+
+let spec_gen =
+  Q.Gen.(
+    frequency
+      [
+        (3, bound_params >|= fun (d, a) -> (0, d, a));
+        ( 1,
+          oneofl [ (200.0, -0.01); (100.0, 1e-310) ] >|= fun (d, a) -> (1, d, a)
+        );
+        (1, return (2, 239.0, 0.002));
+      ])
+
+let max_c0 (kind, _, alpha) =
+  if kind <> 0 then 100 else if Float.equal alpha 0.0 then 150 else 400
+
+let prop_interleaved_caches_equal_private =
+  (* Two or three caches take turns on one domain, so each solve may
+     find the workspace's stacks and round-count rows last used by
+     another cache, by the same cache before a rebuild, or sized for
+     smaller instances. Every solve must match a fresh private solve
+     (sequence, latency bits, questions), and its [states_visited] must
+     match the same cache history replayed without interleaving — on a
+     cold (rebuilt) cache that is the fresh solve's count. The sequence
+     runs in a new domain, so the workspace starts empty and grows as
+     the generated c0 pass 64, 128 and 256. *)
+  let op_gen specs ncaches =
+    Q.Gen.(
+      int_range 0 (ncaches - 1) >>= fun ci ->
+      int_range 0 (Array.length specs - 1) >>= fun si ->
+      int_range 3 (max_c0 specs.(si)) >>= fun c0 ->
+      oneof [ int_range (c0 - 1) (4 * c0); return (Ints.choose2 c0) ]
+      >>= fun b -> return (ci, si, c0, b))
+  in
+  Q.Test.make ~name:"interleaved caches on one domain = private solves"
+    ~count:30
+    (Q.make
+       ~print:(fun (specs, ncaches, ops) ->
+         Printf.sprintf "specs=[%s] caches=%d ops=[%s]"
+           (String.concat "; "
+              (Array.to_list
+                 (Array.map
+                    (fun (k, d, a) -> Printf.sprintf "(%d, %g, %g)" k d a)
+                    specs)))
+           ncaches
+           (String.concat "; "
+              (List.map
+                 (fun (ci, si, c0, b) ->
+                   Printf.sprintf "(cache %d, spec %d, c0=%d, b=%d)" ci si c0
+                     b)
+                 ops)))
+       Q.Gen.(
+         array_repeat 2 spec_gen >>= fun specs ->
+         int_range 2 3 >>= fun ncaches ->
+         list_size (int_range 4 10) (op_gen specs ncaches) >>= fun ops ->
+         return (specs, ncaches, ops)))
+    (fun (specs, ncaches, ops) ->
+      let problem (_, si, c0, b) =
+        Problem.create ~elements:c0 ~budget:b ~latency:(spec_model specs.(si))
+      in
+      let check () =
+        let caches = Array.init ncaches (fun _ -> Tdp.Cache.create ()) in
+        let interleaved =
+          List.map
+            (fun ((ci, _, _, _) as op) ->
+              let p = problem op in
+              let misses = Tdp.Cache.misses caches.(ci) in
+              let sol = Tdp.solve ~cache:caches.(ci) p in
+              let fresh = Tdp.solve p in
+              let cold = Tdp.Cache.misses caches.(ci) > misses in
+              ( op,
+                sol,
+                same_solution sol fresh
+                && ((not cold)
+                   || sol.Tdp.states_visited = fresh.Tdp.states_visited) ))
+            ops
+        in
+        List.for_all (fun (_, _, ok) -> ok) interleaved
+        && List.for_all
+             (fun ci ->
+               let twin = Tdp.Cache.create () in
+               List.for_all
+                 (fun ((cj, _, _, _) as op, (sol : Tdp.solution), _) ->
+                   cj <> ci
+                   ||
+                   let replay = Tdp.solve ~cache:twin (problem op) in
+                   same_solution sol replay
+                   && sol.Tdp.states_visited = replay.Tdp.states_visited)
+                 interleaved)
+             (List.init ncaches Fun.id)
+      in
+      Domain.join (Domain.spawn check))
+
+let prop_adaptive_replicate_jobs_deterministic =
+  (* Per-chunk plan caches re-planning every round: under [jobs:2] the
+     chunks solve on two domains' workspaces and split the runs
+     differently among caches, and the aggregate must not notice. The
+     model shift makes every cache rebuild mid-run. *)
+  let module A = Crowdmax_runtime.Adaptive in
+  Q.Test.make ~name:"oracle adaptive replicate: jobs 1 = jobs 2" ~count:4
+    (Q.make ~print:(Printf.sprintf "seed=%d") Q.Gen.(int_range 0 10_000))
+    (fun seed ->
+      let problem =
+        Problem.create ~elements:150 ~budget:450 ~latency:Model.paper_mturk
+      in
+      let agg jobs =
+        A.replicate ~jobs
+          ~model_shift:(2, Model.linear ~delta:120.0 ~alpha:0.3)
+          ~runs:6 ~seed ~problem ~selection:S.tournament ()
+      in
+      let a = agg 1 and b = agg 2 in
+      E.equal_stats a.A.engine_aggregate b.A.engine_aggregate
+      && a.A.total_replans = b.A.total_replans)
+
 (* --- latency models ------------------------------------------------------ *)
 
 let valid_knots_and_q =
@@ -875,6 +998,8 @@ let suite =
           prop_cached_sweep_equals_fresh;
           prop_ub_on_demand_matches_seed;
           prop_forced_cache_sweep_equals_fresh;
+          prop_interleaved_caches_equal_private;
+          prop_adaptive_replicate_jobs_deterministic;
           prop_piecewise_eval_sane;
           prop_metrics_deterministic;
           prop_fit_recovers_model;

@@ -170,6 +170,23 @@ let test_non_finite_latency_fails_loudly () =
     (fun () ->
       ignore (solve ~model:(Model.Custom (fun _ -> Float.infinity)) 5 8))
 
+(* A failed build leaves the cache empty: the same model must fail
+   again on the same cache, not reuse the previous model's tables. *)
+let test_failed_build_is_not_reused () =
+  let cache = Tdp.Cache.create () in
+  let p c0 model = Problem.create ~elements:c0 ~budget:(4 * c0) ~latency:model in
+  ignore (Tdp.solve ~cache (p 20 Model.paper_mturk));
+  let overflowing = Model.linear ~delta:1.0 ~alpha:1e308 in
+  for _ = 1 to 2 do
+    Alcotest.check_raises "overflowing linear L"
+      (Invalid_argument "Tdp.solve: L(190) = inf is not finite") (fun () ->
+        ignore (Tdp.solve ~cache (p 20 overflowing)))
+  done;
+  check_int "empty after the failed build" 0 (Tdp.Cache.capacity cache);
+  let good = p 20 Model.paper_mturk in
+  check_bool "rebuilt for the next model" true
+    ((Tdp.solve ~cache good).Tdp.sequence = (Tdp.solve good).Tdp.sequence)
+
 let test_planner_metrics () =
   let module M = Crowdmax_obs.Metrics in
   let p = Problem.create ~elements:40 ~budget:108 ~latency:(linear 100.0 1.0) in
@@ -501,6 +518,7 @@ let suite =
         tc "brute force guard" `Quick test_brute_force_guard;
         tc "states visited" `Quick test_states_visited_positive;
         tc "non-finite L fails loudly" `Quick test_non_finite_latency_fails_loudly;
+        tc "failed build is not reused" `Quick test_failed_build_is_not_reused;
         tc "planner metrics" `Quick test_planner_metrics;
         tc "flat arena = hashtbl reference" `Slow test_flat_matches_hashtbl;
         tc "flat = hashtbl outside the round bound" `Slow
