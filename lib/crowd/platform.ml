@@ -87,25 +87,6 @@ let create ?(config = default_config) () =
 
 let config t = t.cfg
 
-(* Reusable simulation buffers. [t] itself stays immutable — one
-   platform value is shared by every run of an engine config, across
-   domains under parallel replication — so mutable storage lives in a
-   per-caller scratch handle instead. *)
-type scratch = {
-  cal : Event_calendar.t;  (* in-flight completion events *)
-  mutable qbuf : int array;  (* answer_batch question pairs, flattened *)
-  mutable slot_query : int array;  (* simulate_shared: slot -> query *)
-  mutable slot_local : int array;  (* simulate_shared: slot -> local idx *)
-}
-
-let scratch () =
-  {
-    cal = Event_calendar.create ();
-    qbuf = [||];
-    slot_query = [||];
-    slot_local = [||];
-  }
-
 (* One simulated worker sitting: how many questions they answer before
    switching tasks — geometric on {1, 2, ...} with success probability
    p = 1 / patience_mean. Drawn by inversion from one uniform U on
@@ -208,500 +189,401 @@ let arrival_bucket_spec =
   Metrics.bucket_spec
     [| 160.0; 180.0; 210.0; 240.0; 300.0; 420.0; 600.0; 900.0; 1800.0 |]
 
-(* Scalar float state threaded through the event loop. An all-float
-   record is flat, so these fields update without boxing — unlike a
-   [float ref], which allocates on every store. *)
-type loop_state = { mutable arr_time : float; mutable last_time : float }
+(* --- the marketplace event loop -------------------------------------------
+
+   One worker marketplace serving [nq] batches ("queries") posted at
+   time 0: [simulate] is its one-query case, [simulate_shared] the fleet
+   case, and there is no other event loop. One arrival stream is driven
+   by the total visible question count; a batch stays visible until its
+   query is withdrawn. A lone query draws nothing to pick, and under
+   [Fifo] with no deadlines k queries are draw-for-draw one merged batch.
+
+   An event strictly past a live query's deadline withdraws it: its
+   unassigned questions leave the market, later completions of its
+   in-flight ones are discarded (they stay in its [in_flight] bucket),
+   and the worker, patience permitting, moves on. Stop rule: if the
+   sweep leaves no live query, the event that triggered it is neither
+   processed nor counted.
+
+   Per-call arrays live in the scratch, scalar ints in its mutable
+   fields and scalar floats in [loop_state], an all-float (unboxed)
+   record. Helpers read the current event time from [fs.now] rather
+   than take a float argument, so calling them boxes nothing. *)
+
+type pick_policy = Fifo | Proportional
+
+type loop_state = {
+  mutable arr_time : float;  (* the one pending worker arrival *)
+  mutable now : float;  (* the event being processed *)
+  mutable next_deadline : float;  (* earliest deadline of a live query *)
+  mutable burst_mean : float;  (* 1 / burst rate of the visible total *)
+  mutable tail_mean : float;
+}
+
+(* Per-query lifecycle, in [scratch.status]. *)
+let live = 0 and finished = 1 and withdrawn = 2
+
+(* Reusable simulation buffers. [t] itself stays immutable — one
+   platform value is shared by every run of an engine config, across
+   domains under parallel replication — so mutable storage lives in a
+   per-caller scratch handle instead. Per-query arrays hold [nq]
+   entries. *)
+type scratch = {
+  cal : Event_calendar.t;  (* in-flight completions: (question, patience) *)
+  fs : loop_state;
+  mutable nq : int;
+  mutable qs : int array;  (* posted size *)
+  mutable deadlines : float array;
+  mutable next_q : int array;  (* assignment cursor *)
+  mutable answered : int array;
+  mutable last_time : float array;  (* last counted completion *)
+  mutable status : int array;
+  mutable remaining : int;  (* live queries *)
+  mutable visible : int;  (* posted questions of unwithdrawn queries *)
+  mutable unassigned_total : int;  (* over live queries *)
+  mutable pick_weight : int;  (* posted size of the pickable queries *)
+  mutable pick_count : int;  (* pickable: live with unassigned questions *)
+  mutable head : int;  (* the earliest pickable query, when one exists *)
+  (* The log-normal service parameters: fixed per call, so they sit
+     here, stored boxed, rather than in [fs] — passing them to the draw
+     then never boxes, even where the draw is not inlined. *)
+  mutable mu : float;
+  mutable sigma : float;
+}
+
+let scratch () =
+  let fs =
+    { arr_time = 0.0; now = 0.0; next_deadline = 0.0; burst_mean = 0.0;
+      tail_mean = 0.0 }
+  in
+  { cal = Event_calendar.create (); fs; nq = 0; qs = [||]; deadlines = [||];
+    next_q = [||]; answered = [||]; last_time = [||]; status = [||];
+    remaining = 0; visible = 0;
+    unassigned_total = 0; pick_weight = 0; pick_count = 0; head = 0;
+    mu = 0.0; sigma = 0.0 }
+
+(* Size the per-query arrays for [nq] queries; the caller then fills
+   [qs] and [deadlines]. *)
+let reserve_queries s nq =
+  if Array.length s.qs < nq then begin
+    let n = max 8 (2 * nq) in
+    s.qs <- Array.make n 0;
+    s.deadlines <- Array.make n 0.0;
+    s.next_q <- Array.make n 0;
+    s.answered <- Array.make n 0;
+    s.last_time <- Array.make n 0.0;
+    s.status <- Array.make n live
+  end;
+  s.nq <- nq
+
+let recompute_next_deadline s =
+  let fs = s.fs in
+  fs.next_deadline <- Float.infinity;
+  for i = 0 to s.nq - 1 do
+    if s.status.(i) = live && s.deadlines.(i) < fs.next_deadline then
+      fs.next_deadline <- s.deadlines.(i)
+  done
+[@@alloc_free]
+
+(* Move [head] past queries that stopped being pickable. Queries never
+   become pickable again, so the earliest pickable one only moves on. *)
+let advance_head s =
+  while
+    s.head < s.nq
+    && (s.status.(s.head) <> live || s.next_q.(s.head) >= s.qs.(s.head))
+  do
+    s.head <- s.head + 1
+  done
+[@@alloc_free]
+
+(* Withdraw every live query whose deadline [fs.now] has passed. *)
+let withdraw_sweep cfg s =
+  let fs = s.fs in
+  for i = 0 to s.nq - 1 do
+    if s.status.(i) = live && fs.now > s.deadlines.(i) then begin
+      let q = s.qs.(i) in
+      if s.next_q.(i) < q then begin
+        s.pick_weight <- s.pick_weight - q;
+        s.pick_count <- s.pick_count - 1
+      end;
+      s.status.(i) <- withdrawn;
+      s.remaining <- s.remaining - 1;
+      s.visible <- s.visible - q;
+      s.unassigned_total <- s.unassigned_total - (q - s.next_q.(i));
+      if s.visible > 0 then fs.burst_mean <- 1.0 /. burst_rate_of cfg s.visible
+    end
+  done;
+  advance_head s;
+  recompute_next_deadline s
+[@@alloc_free]
+
+(* Replace [fs.arr_time] by the next worker arrival after it: the draws
+   of [arrival_after] for the visible total, with the steady path
+   written out over the hoisted constants. *)
+let[@inline] advance_arrival cfg s rng =
+  let fs = s.fs in
+  let post = cfg.post_overhead in
+  let burst_end = post +. cfg.burst_seconds in
+  let t = fs.arr_time in
+  fs.arr_time <-
+    (if cfg.diurnal_amplitude > 0.0 then arrival_after rng cfg s.visible t
+     else begin
+       let t = if t >= post then t else post in
+       if t < burst_end then begin
+         let dt = Rng.exponential rng fs.burst_mean in
+         if t +. dt <= burst_end then t +. dt
+         else burst_end +. Rng.exponential rng fs.tail_mean
+       end
+       else t +. Rng.exponential rng fs.tail_mean
+     end)
+[@@alloc_free]
+
+(* The [Proportional] pick among two or more pickable queries: one
+   [Rng.int] over their posted sizes, then an early-exit scan. *)
+let pick_proportional s rng =
+  let r = ref (Rng.int rng s.pick_weight) and j = ref (-1) and i = ref 0 in
+  while !j < 0 do
+    let q = s.qs.(!i) in
+    if s.status.(!i) = live && s.next_q.(!i) < q then begin
+      if !r < q then j := !i else r := !r - q
+    end;
+    incr i
+  done;
+  !j
+[@@alloc_free]
 
 (* The canonical do-nothing completion callback ([batch_latency] only
    wants the report). The event loop recognizes it by physical equality
    and skips the indirect call — and the float boxing of its argument —
    on every completion. *)
 let noop_complete (_ : int) (_ : float) = ()
+let noop_shared ~query:(_ : int) (_ : int) (_ : float) = ()
 
-let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
-    ?scratch:scr t rng q ~on_complete =
+(* Run the market over the [s.nq] queries whose sizes and deadlines the
+   caller loaded into [s], leaving each query's outcome there for
+   [report_of]. Answers lost to a withdrawal are counted in [discards]:
+   [simulate_shared]'s registry, while [simulate] passes the disabled
+   one (a lone query never discards — the stop rule ends its run first)
+   and so registers no shared-only instrument. Metrics record simulated
+   quantities only and draw nothing, so they are deterministic given
+   the rng, and a no-op branch when disabled. *)
+let run_market t rng s ~metrics ~discards ~pick ~on_complete =
   let cfg = t.cfg in
-  if q < 0 then invalid_arg "Platform: negative batch size";
-  if Float.is_nan deadline || deadline <= 0.0 then
-    invalid_arg "Platform: deadline must be > 0";
-  let m_batches = Metrics.counter metrics ~section:"platform" "batches" in
-  Metrics.incr m_batches;
-  if q = 0 then begin
-    let latency = Float.min cfg.post_overhead deadline in
-    {
-      latency;
-      (* No completions happened; the visibility time is the closest
-         well-defined "last event", and it keeps the no-deadline
-         invariant [last_completion = latency] intact for q = 0. *)
-      last_completion = latency;
-      completed = 0;
-      in_flight = 0;
-      unassigned = 0;
-      deadline_hit = deadline < cfg.post_overhead;
-    }
-  end
-  else begin
-    (* All platform metrics record *simulated* quantities (event times,
-       queue depths), never the wall clock, so they are deterministic
-       given the rng — and every recording call is a no-op branch when
-       [metrics] is disabled. *)
+  Metrics.add (Metrics.counter metrics ~section:"platform" "batches") s.nq;
+  s.remaining <- s.nq;
+  s.visible <- 0;
+  for i = 0 to s.nq - 1 do
+    s.next_q.(i) <- 0;
+    s.answered.(i) <- 0;
+    s.last_time.(i) <- cfg.post_overhead;
+    s.status.(i) <- (if s.qs.(i) = 0 then finished else live);
+    if s.qs.(i) = 0 then s.remaining <- s.remaining - 1;
+    s.visible <- s.visible + s.qs.(i)
+  done;
+  let total = s.visible in
+  if total > 0 then begin
     let m_events = Metrics.counter metrics ~section:"platform" "events_drained" in
     let m_arrivals = Metrics.counter metrics ~section:"platform" "worker_arrivals" in
     let m_completions = Metrics.counter metrics ~section:"platform" "completions" in
+    let m_discarded =
+      Metrics.counter discards ~section:"platform" "shared_discarded_answers"
+    in
     let m_peak = Metrics.peak metrics ~section:"platform" "in_flight_peak" in
     let m_arrival_h =
       Metrics.histogram_spec metrics ~section:"platform" "arrival_seconds"
         ~buckets:arrival_bucket_spec
     in
-    let cal =
-      match scr with
-      | Some s ->
-          Event_calendar.clear s.cal;
-          s.cal
-      | None -> Event_calendar.create ()
-    in
-    (* Per-batch constants, hoisted out of the loop: the visibility
-       power, the exponential means, the log-normal location and the
-       patience probability are all fixed for the batch. *)
-    let post = cfg.post_overhead in
-    let burst_end = post +. cfg.burst_seconds in
-    let diurnal = cfg.diurnal_amplitude > 0.0 in
-    let burst_mean = 1.0 /. burst_rate_of cfg q in
-    let tail_mean = 1.0 /. cfg.tail_rate in
-    let median = cfg.service.Worker.median_seconds in
-    let sigma = cfg.service.Worker.sigma in
-    let mu = if sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service in
+    (* A completion event carries its question as one int: the index
+       within its query, shifted past [qbits] low bits holding the
+       query. The index never exceeds the questions assigned so far, so
+       it overflows only after ~2^(62 - qbits) simulated assignments. *)
+    let qbits = Ints.log2_ceil s.nq in
+    let qmask = (1 lsl qbits) - 1 in
+    let cal = s.cal in
+    Event_calendar.clear cal;
+    s.unassigned_total <- total;
+    s.pick_weight <- total;
+    s.pick_count <- s.remaining;
+    s.head <- 0;
+    advance_head s;
+    recompute_next_deadline s;
+    (* Per-call constants, hoisted: the burst mean (recomputed only when
+       a withdrawal shrinks the visible total), the tail mean, the
+       log-normal parameters and the patience probability. *)
+    let fs = s.fs in
+    fs.burst_mean <- 1.0 /. burst_rate_of cfg total;
+    fs.tail_mean <- 1.0 /. cfg.tail_rate;
+    s.sigma <- cfg.service.Worker.sigma;
+    s.mu <- (if s.sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service);
     let log_q = Float.log1p (-.(1.0 /. cfg.patience_mean)) in
-    (* Draw-for-draw the same arrival stream as [next_arrival]: the
-       clamp, the burst/tail split and the draw order are identical —
-       only the per-call constant recomputation is gone. *)
-    let next_arr t =
-      if diurnal then arrival_after rng cfg q t
-      else begin
-        let t = if t >= post then t else post in
-        if t < burst_end then begin
-          let dt = Rng.exponential rng burst_mean in
-          if t +. dt <= burst_end then t +. dt
-          else burst_end +. Rng.exponential rng tail_mean
-        end
-        else t +. Rng.exponential rng tail_mean
-      end
-    in
-    (* The arrival stream is a scalar chain — at any moment exactly one
-       future arrival exists (each processed arrival draws the next) —
-       so it stays out of the calendar: the next event is simply the
-       earlier of the pending arrival and the earliest completion, with
-       the arrival preferred on (measure-zero) exact ties, matching the
-       old heap's insertion order for that case. Once every question is
-       assigned the chain dies without drawing a successor; the old
-       loop's already-queued final arrival popped as a silent no-op, so
-       dropping it changes no draw and no report field. *)
-    let next_question = ref 0 in
-    let answered = ref 0 in
-    let st = { arr_time = 0.0; last_time = post } in
-    st.arr_time <- next_arr 0.0;
+    fs.arr_time <- 0.0;
+    advance_arrival cfg s rng;
+    (* The arrival stream is a scalar chain — exactly one future arrival
+       exists at a time — so it stays out of the calendar: the next
+       event is the earlier of the pending arrival and the earliest
+       completion, the arrival winning (measure-zero) exact ties. Once
+       no question is left to assign, the chain dies without drawing a
+       successor. *)
     let arrivals_alive = ref true in
-    let deadline_hit = ref false in
-    let live_cb = on_complete != noop_complete in
-    (* An event past the deadline ends the round: with the default
-       infinite deadline the guard never fires and the loop — and its
-       rng draw sequence — is exactly the historical one. The
-       take-a-question step (assign the next index, record the queue
-       peak, draw the service time, schedule the completion) is written
-       out at both event sites rather than through a local closure: a
-       closure call re-boxes the float event time on every event. *)
-    (* The [@alloc_free] attribute puts the whole steady-state event
-       loop under the R6 lint gate: every call in it resolves to an
-       annotated function, and the one caller-supplied escape hatch
-       ([on_complete]) is marked [@alloc_cold] below. *)
-    (while (not !deadline_hit) && !answered < q do
-      if
-        !arrivals_alive
-        && (Event_calendar.is_empty cal
-           || st.arr_time <= Event_calendar.min_time cal)
-      then begin
-        let time = st.arr_time in
-        if time > deadline then deadline_hit := true
-        else if !next_question < q then begin
-          Metrics.incr m_events;
-          Metrics.incr m_arrivals;
-          Metrics.observe m_arrival_h time;
-          (* [next_arr] written out for the steady case: [time] is a
-             processed arrival, so it is >= [post] already and the clamp
-             is a no-op — the draws are [next_arr]'s exactly. Keeping it
-             inline spares the per-arrival closure call and its float
-             boxing. *)
-          st.arr_time <-
-            (if diurnal then arrival_after rng cfg q time
-             else if time < burst_end then begin
-               let dt = Rng.exponential rng burst_mean in
-               if time +. dt <= burst_end then time +. dt
-               else burst_end +. Rng.exponential rng tail_mean
-             end
-             else time +. Rng.exponential rng tail_mean);
-          let patience = draw_patience rng ~log_q in
-          (* patience >= 1 and a question is free: always take one. *)
-          let idx = !next_question in
-          incr next_question;
-          Metrics.record_peak m_peak (!next_question - !answered);
-          let s = if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma in
-          Event_calendar.add cal ~time:(time +. s) idx (patience - 1)
-        end
-        else arrivals_alive := false
-      end
-      else begin
-        let time = Event_calendar.min_time cal in
-        if time > deadline then deadline_hit := true
-        else begin
-          let idx = Event_calendar.min_a cal in
-          let patience = Event_calendar.min_b cal in
-          Event_calendar.remove_min cal;
-          Metrics.incr m_events;
-          incr answered;
-          Metrics.incr m_completions;
-          if time > st.last_time then st.last_time <- time;
-          if live_cb then (on_complete [@alloc_cold]) idx time;
-          if patience > 0 && !next_question < q then begin
-            let idx = !next_question in
-            incr next_question;
-            Metrics.record_peak m_peak (!next_question - !answered);
-            let s =
-              if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma
-            in
-            Event_calendar.add cal ~time:(time +. s) idx (patience - 1)
-          end
-        end
-      end
-    done)
-    [@alloc_free];
-    {
-      latency = (if !deadline_hit then deadline else st.last_time);
-      (* The loop's running last-completion time, surfaced even when a
-         deadline clips [latency] to the cutoff: this is the observed
-         completion time an estimator can trust (the deadline says how
-         long the caller waited, not how fast the platform was). *)
-      last_completion = st.last_time;
-      completed = !answered;
-      in_flight = !next_question - !answered;
-      unassigned = q - !next_question;
-      deadline_hit = !deadline_hit;
-    }
+    let live_cb = on_complete != noop_shared in
+    (* The loop indexes the per-query arrays only with query indices
+       below [nq], within the sizes reserved above, so those accesses
+       skip the bounds check. [@alloc_free] puts the whole loop under
+       the R6 lint gate: every call resolves to an annotated function,
+       and the one caller-supplied escape hatch ([on_complete]) is
+       [@alloc_cold]. *)
+    (while s.remaining > 0 do
+       (* Each event frees a worker at [fs.now] who may give [free] more
+          answers: a fresh arrival's patience, or what a completing
+          worker has left. *)
+       let free =
+         if
+           !arrivals_alive
+           && (Event_calendar.is_empty cal
+              || fs.arr_time <= Event_calendar.min_time cal)
+         then begin
+           fs.now <- fs.arr_time;
+           if fs.now > fs.next_deadline then withdraw_sweep cfg s;
+           (* With no live query left, nothing is unassigned either. *)
+           if s.unassigned_total > 0 then begin
+             Metrics.incr m_events;
+             Metrics.incr m_arrivals;
+             Metrics.observe m_arrival_h fs.now;
+             advance_arrival cfg s rng;
+             draw_patience rng ~log_q
+           end
+           else begin
+             arrivals_alive := false;
+             0
+           end
+         end
+         else if Event_calendar.is_empty cal then begin
+           (* Defensive only — unreachable while tail_rate > 0: a live
+              query needs an in-flight completion or a live arrival. *)
+           s.remaining <- 0;
+           0
+         end
+         else begin
+           let time = Event_calendar.min_time cal in
+           fs.now <- time;
+           if time > fs.next_deadline then withdraw_sweep cfg s;
+           if s.remaining = 0 then 0
+           else begin
+             let question = Event_calendar.min_a cal in
+             let patience = Event_calendar.min_b cal in
+             Event_calendar.remove_min cal;
+             Metrics.incr m_events;
+             let qi = question land qmask in
+             if Array.unsafe_get s.status qi = withdrawn then
+               Metrics.incr m_discarded
+             else begin
+               Metrics.incr m_completions;
+               let n = Array.unsafe_get s.answered qi + 1 in
+               Array.unsafe_set s.answered qi n;
+               if time > Array.unsafe_get s.last_time qi then
+                 Array.unsafe_set s.last_time qi time;
+               if live_cb then
+                 (on_complete [@alloc_cold]) ~query:qi (question lsr qbits)
+                   time;
+               if n = Array.unsafe_get s.qs qi then begin
+                 Array.unsafe_set s.status qi finished;
+                 s.remaining <- s.remaining - 1;
+                 recompute_next_deadline s
+               end
+             end;
+             patience
+           end
+         end
+       in
+       (* The freed worker takes a question, if any is left: written
+          once, here, rather than as a call from both event kinds. A
+          lone pickable query is the head under either policy, so only
+          a contested [Proportional] pick draws. *)
+       if free > 0 && s.unassigned_total > 0 then begin
+         let qi =
+           match pick with
+           | Proportional when s.pick_count > 1 -> pick_proportional s rng
+           | Fifo | Proportional -> s.head
+         in
+         let local = Array.unsafe_get s.next_q qi in
+         Array.unsafe_set s.next_q qi (local + 1);
+         if local + 1 = Array.unsafe_get s.qs qi then begin
+           s.pick_weight <- s.pick_weight - local - 1;
+           s.pick_count <- s.pick_count - 1;
+           advance_head s
+         end;
+         s.unassigned_total <- s.unassigned_total - 1;
+         let sv =
+           if s.sigma <= 0.0 then cfg.service.Worker.median_seconds
+           else Rng.lognormal rng ~mu:s.mu ~sigma:s.sigma
+         in
+         Event_calendar.add cal ~time:(fs.now +. sv)
+           ((local lsl qbits) lor qi)
+           (free - 1);
+         (* Every assigned question waits in the calendar until popped. *)
+         Metrics.record_peak m_peak (Event_calendar.length cal)
+       end
+     done)
+    [@alloc_free]
   end
+
+(* Query [i]'s outcome after [run_market]. A withdrawn query reports
+   its deadline as latency (the caller waited that long) but keeps its
+   unclipped last completion; an empty one costs the visibility time,
+   deadline-clamped. *)
+let report_of cfg s i =
+  let q = s.qs.(i) and deadline = s.deadlines.(i) in
+  let hit = s.status.(i) = withdrawn in
+  if q = 0 then
+    let latency = Float.min cfg.post_overhead deadline in
+    { latency; last_completion = latency; completed = 0; in_flight = 0;
+      unassigned = 0; deadline_hit = deadline < cfg.post_overhead }
+  else
+    { latency = (if hit then deadline else s.last_time.(i));
+      last_completion = s.last_time.(i);
+      completed = s.answered.(i);
+      in_flight = s.next_q.(i) - s.answered.(i);
+      unassigned = q - s.next_q.(i);
+      deadline_hit = hit }
+
+let check_deadline d =
+  if Float.is_nan d || d <= 0.0 then invalid_arg "Platform: deadline must be > 0"
+
+let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
+    ?scratch:scr t rng q ~on_complete =
+  if q < 0 then invalid_arg "Platform: negative batch size";
+  check_deadline deadline;
+  let s = match scr with Some s -> s | None -> scratch () in
+  reserve_queries s 1;
+  s.qs.(0) <- q;
+  s.deadlines.(0) <- deadline;
+  let on_complete =
+    if on_complete == noop_complete then noop_shared
+    else fun ~query:_ idx time -> on_complete idx time
+  in
+  run_market t rng s ~metrics ~discards:Metrics.disabled ~pick:Fifo
+    ~on_complete;
+  report_of t.cfg s 0
 
 let batch_latency ?deadline ?metrics ?scratch t rng q =
   (simulate ?deadline ?metrics ?scratch t rng q ~on_complete:noop_complete)
     .latency
 
-type answered = { question : int * int; winner : int; completed_at : float }
-
-let answer_batch ?deadline ?metrics ?scratch:scr t rng ~error ~truth questions =
-  let s = match scr with Some s -> s | None -> scratch () in
-  (* Flatten the pairs into the scratch buffer (grown geometrically, so
-     steady-state rounds copy into existing storage) instead of
-     allocating a fresh pair array per round. *)
-  let n = List.length questions in
-  if Array.length s.qbuf < 2 * n then
-    s.qbuf <- Array.make (max 16 (2 * (2 * n))) 0;
-  let qbuf = s.qbuf in
-  List.iteri
-    (fun i (a, b) ->
-      qbuf.((2 * i)) <- a;
-      qbuf.((2 * i) + 1) <- b)
-    questions;
-  let results = ref [] in
-  let on_complete idx time =
-    let a = qbuf.(2 * idx) and b = qbuf.((2 * idx) + 1) in
-    let winner = Worker.answer rng error truth a b in
-    results := { question = (a, b); winner; completed_at = time } :: !results
-  in
-  let report = simulate ?deadline ?metrics ~scratch:s t rng n ~on_complete in
-  (List.rev !results, report)
-
-(* --- shared-supply mode -------------------------------------------------- *)
-
-type pick_policy = Fifo | Proportional
-
-(* One worker marketplace serving several concurrent batches ("queries")
-   at once. A single arrival stream whose rate is driven by the *total*
-   visible question count replaces the per-batch streams [simulate]
-   would conjure — the whole point: concurrent batches no longer each
-   summon an independent crowd.
-
-   Draw contracts (tested):
-   - A single query [|q|] is draw-for-draw identical to [simulate q]:
-     the pick step consumes no rng when only one query is live, and the
-     arrival/patience/service draws happen in [simulate]'s exact order.
-   - Under [Fifo] with no deadlines, k queries are draw-for-draw
-     identical to one merged [simulate (sum qs)] batch: FIFO assigns
-     global question [i] to the query owning flattened slot [i], and
-     visibility (hence the arrival rate) is the constant total, exactly
-     like the merged batch — the no-supply-duplication invariant.
-
-   Visibility: a posted batch contributes its full size to the arrival
-   rate until its query is withdrawn (deadline passed) — matching
-   [simulate], where the batch size drives the rate for the whole run
-   regardless of how much of it is already assigned. [Proportional]
-   picks a query for each free worker with probability proportional to
-   the query's posted size among queries that still have unassigned
-   questions (no draw when only one qualifies).
-
-   Per-query deadlines: when an event lands strictly past a query's
-   deadline the query is withdrawn — its unassigned questions leave the
-   market and later completions of its in-flight questions are
-   discarded (the worker, patience permitting, picks up another query's
-   question instead; the crowd does not evaporate because one requester
-   stopped listening). Discarded questions stay in the query's
-   [in_flight] bucket, so [completed + in_flight + unassigned = q]
-   holds per query. *)
 let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
     ~pick ~on_complete qs =
-  let cfg = t.cfg in
   let nq = Array.length qs in
   if nq = 0 then invalid_arg "Platform.simulate_shared: no queries";
-  Array.iter
-    (fun q -> if q < 0 then invalid_arg "Platform: negative batch size")
-    qs;
-  let deadlines =
-    match deadlines with
-    | None -> Array.make nq Float.infinity
-    | Some d ->
-        if Array.length d <> nq then
-          invalid_arg "Platform.simulate_shared: deadlines length mismatch";
-        Array.iter
-          (fun x ->
-            if Float.is_nan x || x <= 0.0 then
-              invalid_arg "Platform: deadline must be > 0")
-          d;
-        Array.copy d
-  in
-  let m_batches = Metrics.counter metrics ~section:"platform" "batches" in
-  Metrics.add m_batches nq;
-  let m_shared =
-    Metrics.counter metrics ~section:"platform" "shared_calls"
-  in
-  Metrics.incr m_shared;
-  let post = cfg.post_overhead in
-  let zero_report i =
-    let deadline = deadlines.(i) in
-    let latency = Float.min post deadline in
-    {
-      latency;
-      last_completion = latency;
-      completed = 0;
-      in_flight = 0;
-      unassigned = 0;
-      deadline_hit = deadline < post;
-    }
-  in
-  let total = Array.fold_left ( + ) 0 qs in
-  if total = 0 then Array.init nq zero_report
-  else begin
-    let m_events = Metrics.counter metrics ~section:"platform" "events_drained" in
-    let m_arrivals = Metrics.counter metrics ~section:"platform" "worker_arrivals" in
-    let m_completions = Metrics.counter metrics ~section:"platform" "completions" in
-    let m_discarded =
-      Metrics.counter metrics ~section:"platform" "shared_discarded_answers"
-    in
-    let m_peak = Metrics.peak metrics ~section:"platform" "in_flight_peak" in
-    let m_arrival_h =
-      Metrics.histogram_spec metrics ~section:"platform" "arrival_seconds"
-        ~buckets:arrival_bucket_spec
-    in
-    let s = match scr with Some s -> s | None -> scratch () in
-    Event_calendar.clear s.cal;
-    let cal = s.cal in
-    if Array.length s.slot_query < total then begin
-      s.slot_query <- Array.make (max 16 (2 * total)) 0;
-      s.slot_local <- Array.make (max 16 (2 * total)) 0
-    end;
-    let slot_query = s.slot_query and slot_local = s.slot_local in
-    (* Per-query progress. [next_q] is the assignment cursor; a query is
-       "done" once fully answered or withdrawn, and the loop runs until
-       every query is done. *)
-    let next_q = Array.make nq 0 in
-    let answered = Array.make nq 0 in
-    let last_time = Array.make nq post in
-    let withdrawn = Array.make nq false in
-    let done_ = Array.make nq false in
-    let remaining = ref nq in
-    let visible = ref 0 in
-    let unassigned_total = ref 0 in
-    Array.iteri
-      (fun i q ->
-        if q = 0 then begin
-          done_.(i) <- true;
-          decr remaining
-        end
-        else begin
-          visible := !visible + q;
-          unassigned_total := !unassigned_total + q
-        end)
-      qs;
-    (* A query is pickable while it has unassigned questions and is not
-       withdrawn. [pick_weight] and [pick_count] are the pickable
-       queries' total posted size and their number, kept current by
-       [withdraw_sweep] and [assign]. *)
-    let pick_weight = ref !visible and pick_count = ref !remaining in
-    let next_deadline = ref Float.infinity in
-    let recompute_next_deadline () =
-      let d = ref Float.infinity in
-      for i = 0 to nq - 1 do
-        if (not done_.(i)) && deadlines.(i) < !d then d := deadlines.(i)
-      done;
-      next_deadline := !d
-    in
-    recompute_next_deadline ();
-    (* Arrival-rate constants depend on total visibility, so they are
-       recomputed only when a withdrawal shrinks it. *)
-    let burst_end = post +. cfg.burst_seconds in
-    let diurnal = cfg.diurnal_amplitude > 0.0 in
-    let burst_mean = ref (1.0 /. burst_rate_of cfg !visible) in
-    let tail_mean = 1.0 /. cfg.tail_rate in
-    let median = cfg.service.Worker.median_seconds in
-    let sigma = cfg.service.Worker.sigma in
-    let mu = if sigma <= 0.0 then 0.0 else Worker.service_mu cfg.service in
-    let log_q = Float.log1p (-.(1.0 /. cfg.patience_mean)) in
-    let next_arr t =
-      if diurnal then arrival_after rng cfg !visible t
-      else begin
-        let t = if t >= post then t else post in
-        if t < burst_end then begin
-          let dt = Rng.exponential rng !burst_mean in
-          if t +. dt <= burst_end then t +. dt
-          else burst_end +. Rng.exponential rng tail_mean
-        end
-        else t +. Rng.exponential rng tail_mean
-      end
-    in
-    let withdraw_sweep time =
-      for i = 0 to nq - 1 do
-        if (not done_.(i)) && time > deadlines.(i) then begin
-          if next_q.(i) < qs.(i) then begin
-            pick_weight := !pick_weight - qs.(i);
-            decr pick_count
-          end;
-          withdrawn.(i) <- true;
-          done_.(i) <- true;
-          decr remaining;
-          visible := !visible - qs.(i);
-          unassigned_total := !unassigned_total - (qs.(i) - next_q.(i));
-          if !visible > 0 then burst_mean := 1.0 /. burst_rate_of cfg !visible
-        end
-      done;
-      recompute_next_deadline ()
-    in
-    (* One pickable query always exists when this runs
-       ([unassigned_total > 0] is checked at both call sites). The
-       single-candidate case draws nothing — that is what makes the
-       one-query run identical to [simulate] — and its scan, starting
-       from [r = 0], stops at that candidate. *)
-    let pick_query () =
-      match pick with
-      | Fifo ->
-          let i = ref 0 in
-          while withdrawn.(!i) || next_q.(!i) >= qs.(!i) do
-            incr i
-          done;
-          !i
-      | Proportional ->
-          let r = ref (if !pick_count = 1 then 0 else Rng.int rng !pick_weight) in
-          let j = ref (-1) in
-          let i = ref 0 in
-          while !j < 0 do
-            if (not withdrawn.(!i)) && next_q.(!i) < qs.(!i) then begin
-              if !r < qs.(!i) then j := !i else r := !r - qs.(!i)
-            end;
-            incr i
-          done;
-          !j
-    in
-    let next_slot = ref 0 in
-    let completions_seen = ref 0 in
-    let discarded = ref 0 in
-    (* Assign one question to a worker arriving (or freed) at [time]
-       with [patience] answers left after this one. *)
-    let assign time patience =
-      let qi = pick_query () in
-      let slot = !next_slot in
-      incr next_slot;
-      slot_query.(slot) <- qi;
-      slot_local.(slot) <- next_q.(qi);
-      next_q.(qi) <- next_q.(qi) + 1;
-      if next_q.(qi) = qs.(qi) then begin
-        pick_weight := !pick_weight - qs.(qi);
-        decr pick_count
-      end;
-      decr unassigned_total;
-      Metrics.record_peak m_peak (!next_slot - !completions_seen);
-      let sv = if sigma <= 0.0 then median else Rng.lognormal rng ~mu ~sigma in
-      Event_calendar.add cal ~time:(time +. sv) slot patience
-    in
-    let st = { arr_time = 0.0; last_time = post } in
-    st.arr_time <- next_arr 0.0;
-    let arrivals_alive = ref true in
-    while !remaining > 0 do
-      if
-        !arrivals_alive
-        && (Event_calendar.is_empty cal
-           || st.arr_time <= Event_calendar.min_time cal)
-      then begin
-        let time = st.arr_time in
-        if time > !next_deadline then withdraw_sweep time;
-        if !unassigned_total > 0 then begin
-          Metrics.incr m_events;
-          Metrics.incr m_arrivals;
-          Metrics.observe m_arrival_h time;
-          st.arr_time <- next_arr time;
-          let patience = draw_patience rng ~log_q in
-          assign time (patience - 1)
-        end
-        else arrivals_alive := false
-      end
-      else if Event_calendar.is_empty cal then
-        (* No future events can exist: every not-done query would need
-           an in-flight completion or a live arrival to finish. Defensive
-           only — unreachable while tail_rate > 0. *)
-        remaining := 0
-      else begin
-        let time = Event_calendar.min_time cal in
-        if time > !next_deadline then withdraw_sweep time;
-        let slot = Event_calendar.min_a cal in
-        let patience = Event_calendar.min_b cal in
-        Event_calendar.remove_min cal;
-        Metrics.incr m_events;
-        incr completions_seen;
-        let qi = slot_query.(slot) in
-        if withdrawn.(qi) then begin
-          (* The requester stopped listening; the answer is lost but the
-             worker is still on the market. *)
-          incr discarded;
-          Metrics.incr m_discarded
-        end
-        else begin
-          Metrics.incr m_completions;
-          answered.(qi) <- answered.(qi) + 1;
-          if time > last_time.(qi) then last_time.(qi) <- time;
-          on_complete ~query:qi slot_local.(slot) time;
-          if answered.(qi) = qs.(qi) then begin
-            done_.(qi) <- true;
-            decr remaining;
-            recompute_next_deadline ()
-          end
-        end;
-        if patience > 0 && !unassigned_total > 0 then
-          assign time (patience - 1)
-      end
-    done;
-    Array.init nq (fun i ->
-        if qs.(i) = 0 then zero_report i
-        else
-          {
-            latency = (if withdrawn.(i) then deadlines.(i) else last_time.(i));
-            last_completion = last_time.(i);
-            completed = answered.(i);
-            in_flight = next_q.(i) - answered.(i);
-            unassigned = qs.(i) - next_q.(i);
-            deadline_hit = withdrawn.(i);
-          })
-  end
+  Array.iter (fun q -> if q < 0 then invalid_arg "Platform: negative batch size") qs;
+  let s = match scr with Some s -> s | None -> scratch () in
+  reserve_queries s nq;
+  Array.blit qs 0 s.qs 0 nq;
+  (match deadlines with
+  | None -> Array.fill s.deadlines 0 nq Float.infinity
+  | Some d ->
+      if Array.length d <> nq then
+        invalid_arg "Platform.simulate_shared: deadlines length mismatch";
+      Array.iter check_deadline d;
+      Array.blit d 0 s.deadlines 0 nq);
+  Metrics.incr (Metrics.counter metrics ~section:"platform" "shared_calls");
+  run_market t rng s ~metrics ~discards:metrics ~pick ~on_complete;
+  Array.init nq (report_of t.cfg s)

@@ -70,13 +70,14 @@ val create : ?config:config -> unit -> t
 val config : t -> config
 
 type scratch
-(** Reusable simulation buffers (the event calendar and the
-    [answer_batch] question buffer). A platform value itself is
-    immutable and freely shared across runs and domains; a [scratch] is
-    mutable and must be confined to one caller at a time — create one
-    per replication worker and thread it through consecutive rounds to
-    make the event loop allocation-free in steady state. Optional
-    everywhere: omitting it allocates fresh buffers per call. *)
+(** Reusable simulation buffers: the event calendar and the per-query
+    progress arrays of the event loop.
+    A platform value itself is immutable and freely shared across runs
+    and domains; a [scratch] is mutable and must be confined to one
+    caller at a time — create one per replication worker and thread it
+    through consecutive rounds to make the event loop allocation-free in
+    steady state. Optional everywhere: omitting it allocates fresh
+    buffers per call. *)
 
 val scratch : unit -> scratch
 
@@ -131,15 +132,17 @@ val simulate :
   int ->
   on_complete:(int -> float -> unit) ->
   report
-(** Run the event loop for a [q]-question batch. [on_complete idx time]
-    fires for every answer in completion order; question indices are
-    assigned to arriving workers sequentially ([0, 1, ...]).
+(** Run the event loop for a [q]-question batch: the one-query case of
+    {!simulate_shared} ([[|q|]] under [Fifo], with [[|deadline|]]),
+    returning its one report. [on_complete idx time] fires for every
+    answer in completion order; question indices are assigned to
+    arriving workers sequentially ([0, 1, ...]).
 
     [deadline] (simulated seconds after posting, default infinity) stops
     the loop at the first event strictly past it: answers already in
     are kept, [on_complete] never fires for later ones, and the report
-    says what was cut off. [deadline = infinity] draws the exact
-    historical rng sequence — bit-identical results. Raises
+    says what was cut off. [deadline = infinity] never cuts the loop
+    and draws exactly what an uncut run draws. Raises
     [Invalid_argument] on negative [q] or a NaN/non-positive
     [deadline].
 
@@ -153,9 +156,10 @@ val simulate :
     always. The first event past the deadline — observed, but discarded
     — is not processed and not counted, and neither is an arrival
     falling after every question was assigned (it can affect nothing).
-    All values are simulated quantities — deterministic given the rng —
-    and recording never draws from [rng], so enabling metrics cannot
-    perturb the simulation. *)
+    With [q = 0] only [batches] is recorded. All values are simulated
+    quantities — deterministic given the rng — and recording never
+    draws from [rng], so enabling metrics cannot perturb the
+    simulation. *)
 
 val batch_latency :
   ?deadline:float ->
@@ -168,28 +172,6 @@ val batch_latency :
 (** Time (seconds) from posting a [q]-question batch until the last
     answer returns ([report.latency]). [q = 0] costs just the posting
     overhead. Raises [Invalid_argument] on negative [q]. *)
-
-type answered = {
-  question : int * int;
-  winner : int;
-  completed_at : float;  (** seconds after posting *)
-}
-
-val answer_batch :
-  ?deadline:float ->
-  ?metrics:Crowdmax_obs.Metrics.t ->
-  ?scratch:scratch ->
-  t ->
-  Crowdmax_util.Rng.t ->
-  error:Worker.error_model ->
-  truth:Ground_truth.t ->
-  (int * int) list ->
-  answered list * report
-(** Simulate one round: every question that completes by the deadline
-    (all of them, when no deadline is given) is answered exactly once by
-    a raw worker under [error]; returns the answers (in completion
-    order) and the batch report. Question repetition for reliability is
-    the RWL's job ({!Rwl}). *)
 
 (** {1 Shared-supply mode}
 
@@ -226,14 +208,11 @@ val simulate_shared :
     {e within its own query} (assigned sequentially per query, exactly
     like {!simulate}'s indices).
 
-    Visibility and rates: a posted batch contributes its full size to
-    the arrival rate until its query is withdrawn — matching
-    {!simulate}, where the batch size drives the rate for the whole
-    run. Consequently a single query [[|q|]] is {e draw-for-draw
-    identical} to [simulate q], and under [Fifo] with no deadlines, k
-    queries are draw-for-draw identical to one merged
-    [simulate (sum qs)] batch (no supply duplication; the conservation
-    tests pin both).
+    A posted batch contributes its full size to the arrival rate until
+    its query is withdrawn. {!simulate} {e is} the single-query case
+    [[|q|]] under [Fifo], and under [Fifo] with no deadlines k queries
+    are draw-for-draw one merged [simulate (sum qs)] batch (no supply
+    duplication).
 
     [deadlines] (per query, default all infinity, each > 0): the first
     event strictly past a query's deadline withdraws it — its
@@ -245,10 +224,16 @@ val simulate_shared :
     query, and summed over queries the three buckets account for every
     posted question. A withdrawn query reports [deadline_hit = true],
     [latency = deadline] and an unclipped [last_completion], exactly
-    like {!simulate}.
+    like {!simulate}. When a withdrawal leaves no query live, the event
+    that triggered it is not processed: the run ends there.
 
     [metrics] (default disabled) records into the ["platform"] section
     the same instruments as {!simulate} ([batches] advances by the
-    query count) plus [shared_calls] and [shared_discarded_answers].
+    query count) plus [shared_calls] and, when some question is posted,
+    [shared_discarded_answers] — the completions that landed after
+    their query's withdrawal. Every processed event is an arrival, a
+    counted completion or a discard:
+    [events_drained = worker_arrivals + completions +
+    shared_discarded_answers].
     Raises [Invalid_argument] on an empty [qs], a negative count, a
     deadlines-length mismatch or a NaN/non-positive deadline. *)

@@ -173,7 +173,7 @@ let test_platform_simulate_bounded () =
   (* The dev profile compiles with -opaque, so the event loop's
      cross-module float traffic — Rng.exponential/lognormal returns,
      the calendar's [~time] argument — is boxed at every call: a
-     floor of ~12 minor words per question that release builds
+     floor of ~10 minor words per question that release builds
      mostly inline away. That boxing is the documented dynamic
      soundness boundary of R6 (DESIGN.md §6g); the pinned per-question
      coefficient keeps it visible and still catches any structural
@@ -187,6 +187,35 @@ let test_platform_simulate_bounded () =
       "Platform.batch_latency: %.1f minor words per question (dev-profile \
        float-boxing floor is ~12; the event loop gained a structural \
        per-event allocation)"
+      per_q
+
+let test_platform_shared_bounded () =
+  (* The fleet case of the same loop, contested picks and deadline
+     withdrawals included, under the same dev-profile boxing floor plus
+     the live callback's boxed completion time (2 words per answer):
+     ~10 words per question. The loop's own per-event state lives in
+     the scratch, so doubling every batch adds no structural
+     allocation. *)
+  let p = Platform.create () in
+  let scratch = Platform.scratch () in
+  let rng = Rng.create 7 in
+  let sizes = [| 30; 60; 90; 120; 45; 75; 150; 30 |] in
+  let deadlines = [| 400.; infinity; 300.; 600.; infinity; 250.; 1000.; 200. |] in
+  let on_complete ~query:_ _ _ = () in
+  let fleet_words k =
+    let qs = Array.map (fun q -> k * q) sizes in
+    words_for ~n:1 (fun () ->
+        ignore
+          (Platform.simulate_shared ~deadlines ~scratch p rng
+             ~pick:Platform.Proportional ~on_complete qs
+            : Platform.report array))
+  in
+  let per_q = (fleet_words 2 -. fleet_words 1) /. 600.0 in
+  if per_q > 12.0 then
+    Alcotest.failf
+      "Platform.simulate_shared: %.1f minor words per question (dev-profile \
+       floor plus the callback's boxed time is ~10; the event loop gained \
+       a per-event allocation)"
       per_q
 
 (* Words [f] allocates straight into the major heap. The leading minor
@@ -260,6 +289,8 @@ let suite =
         Alcotest.test_case "tdp solve bounded" `Quick test_tdp_solve_bounded;
         Alcotest.test_case "platform simulate bounded" `Quick
           test_platform_simulate_bounded;
+        Alcotest.test_case "platform simulate_shared bounded" `Quick
+          test_platform_shared_bounded;
         Alcotest.test_case "query recycles its DAG" `Quick
           test_query_recycles_dag;
         Alcotest.test_case "cold tdp solve major words" `Quick

@@ -1,6 +1,5 @@
 module P = Crowdmax_crowd.Platform
 module W = Crowdmax_crowd.Worker
-module G = Crowdmax_crowd.Ground_truth
 module Rng = Crowdmax_util.Rng
 module Stats = Crowdmax_util.Stats
 
@@ -58,35 +57,6 @@ let test_calibration_near_paper () =
   check_bool "alpha in range" true
     (f.Crowdmax_experiments.Fig11a.alpha > 0.0
     && f.Crowdmax_experiments.Fig11a.alpha < 0.2)
-
-let test_answer_batch_answers_everything () =
-  let p = P.create () in
-  let rng = Rng.create 11 in
-  let truth = G.random rng 10 in
-  let questions = [ (0, 1); (2, 3); (4, 5); (6, 7); (8, 9) ] in
-  let answers, report = P.answer_batch p rng ~error:W.Perfect ~truth questions in
-  let latency = report.P.latency in
-  check_int "one answer per question" 5 (List.length answers);
-  check_int "all completed" 5 report.P.completed;
-  check_int "none in flight" 0 report.P.in_flight;
-  check_int "none unassigned" 0 report.P.unassigned;
-  check_bool "no deadline hit" false report.P.deadline_hit;
-  check_bool "positive latency" true (latency > 0.0);
-  List.iter
-    (fun a ->
-      let x, y = a.P.question in
-      Alcotest.check Alcotest.int "truthful" (G.better truth x y) a.P.winner;
-      check_bool "completed after posting" true (a.P.completed_at > 0.0);
-      check_bool "completed before batch end" true (a.P.completed_at <= latency))
-    answers
-
-let test_answer_batch_empty () =
-  let p = P.create () in
-  let rng = Rng.create 13 in
-  let truth = G.random rng 4 in
-  let answers, report = P.answer_batch p rng ~error:W.Perfect ~truth [] in
-  check_int "no answers" 0 (List.length answers);
-  check_bool "just overhead" true (report.P.latency > 0.0)
 
 let test_deterministic_given_seed () =
   let p = P.create () in
@@ -217,32 +187,29 @@ let test_deadline_validation () =
     (Invalid_argument "Platform: deadline must be > 0") (fun () ->
       ignore (P.batch_latency ~deadline:Float.nan p (Rng.create 3) 4))
 
-let test_answer_batch_deadline_partial_deterministic () =
-  (* answer_batch under a cutoff: answers are consistent with the
-     report, and the partial path is reproducible from the seed *)
+let test_deadline_partial_deterministic () =
+  (* A cutoff inside the burst window: the callbacks agree with the
+     report, none lands after the deadline, and the partial run is
+     reproducible from the seed, completion stream included. *)
   let p = P.create () in
-  let truth = G.random (Rng.create 59) 20 in
-  let questions = List.init 10 (fun i -> (2 * i, (2 * i) + 1)) in
-  (* 165 s sits inside the burst window for this seed: some questions
-     are in, some in flight, some unassigned *)
   let run () =
-    P.answer_batch ~deadline:165.0 p (Rng.create 61) ~error:W.Perfect ~truth
-      questions
+    let answers = ref [] in
+    let report =
+      P.simulate ~deadline:165.0 p (Rng.create 61) 20 ~on_complete:(fun idx t ->
+          answers := (idx, t) :: !answers)
+    in
+    (List.rev !answers, report)
   in
   let answers, report = run () in
   check_int "answers = completed" report.P.completed (List.length answers);
   check_bool "some made it" true (report.P.completed > 0);
-  check_bool "not everything made it" true (report.P.completed < 10);
+  check_bool "not everything made it" true (report.P.completed < 20);
   List.iter
-    (fun a ->
-      check_bool "answered before deadline" true (a.P.completed_at <= 165.0))
+    (fun (_, t) -> check_bool "answered before deadline" true (t <= 165.0))
     answers;
   let answers2, report2 = run () in
-  check_int "deterministic completed" report.P.completed report2.P.completed;
-  check_bool "deterministic latency" true
-    (Float.equal report.P.latency report2.P.latency);
-  check_int "deterministic answers" (List.length answers)
-    (List.length answers2)
+  check_bool "deterministic report" true (report = report2);
+  check_bool "deterministic answers" true (answers = answers2)
 
 (* --- arrival-process regressions ---------------------------------------- *)
 
@@ -514,10 +481,188 @@ let test_config_validation_table () =
   let r = P.simulate p (Rng.create 4) 5 ~on_complete:(fun _ _ -> ()) in
   check_int "edge config answers everything" 5 r.P.completed
 
+(* --- the solo simulator, pinned scenario by scenario ---------------------
+
+   Every observable of [simulate] on a grid of configs, batch sizes,
+   deadlines and both callback kinds: the report fields as [%h], a
+   digest of the completion stream, the raw rng draws consumed and a
+   digest of the "platform" metrics snapshot. A row is pinned once and
+   never re-pinned, so any change to an arrival, patience, service,
+   deadline or instrument rule of the event loop fails here with the
+   scenario named. The noop-callback run ([batch_latency], whose
+   callback the loop elides) must agree with the live run on latency,
+   draws and metrics. *)
+
+let scenario_configs =
+  let d = P.default_config in
+  [
+    ("default", d);
+    ( "diurnal",
+      { d with P.diurnal_amplitude = 0.9; diurnal_period = 4000.0;
+        diurnal_phase = 1000.0 } );
+    ("sigma0", { d with P.service = { d.P.service with W.sigma = 0.0 } });
+    ("patience1", { d with P.patience_mean = 1.0 });
+  ]
+
+let short_digest s = String.sub (Digest.to_hex (Digest.string s)) 0 16
+
+let render_platform_metrics snap =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun { M.section; name; value } ->
+      Buffer.add_string b (section ^ "." ^ name ^ "=");
+      (match value with
+      | M.Count n -> Buffer.add_string b (Printf.sprintf "c%d" n)
+      | M.Peak n -> Buffer.add_string b (Printf.sprintf "p%d" n)
+      | M.Histogram { counts; total; sum; _ } ->
+          Array.iter (fun c -> Buffer.add_string b (Printf.sprintf "%d," c)) counts;
+          Buffer.add_string b (Printf.sprintf "t%d s%h" total sum)
+      | M.Real_seconds _ -> ());
+      Buffer.add_char b ';')
+    snap;
+  Buffer.contents b
+
+let scenario_seed = 211
+
+(* The completion times of an undeadlined live run, in completion
+   order: the "mid-batch" deadline is the median one, so the cutoff
+   lands exactly on a counted answer with work still in flight. *)
+let completion_times p q =
+  let times = ref [] in
+  ignore
+    (P.simulate p (Rng.create scenario_seed) q ~on_complete:(fun _ t ->
+         times := t :: !times));
+  Array.of_list (List.rev !times)
+
+let scenario_rows () =
+  List.concat_map
+    (fun (cname, cfg) ->
+      let p = P.create ~config:cfg () in
+      let post = cfg.P.post_overhead in
+      List.concat_map
+        (fun q ->
+          let mid =
+            if q = 0 then 2.0 *. post else (completion_times p q).(q / 2)
+          in
+          List.map
+            (fun (dname, deadline) ->
+              let run_live () =
+                let m = M.create () in
+                let rng = Rng.create scenario_seed in
+                let base = Rng.copy rng in
+                let stream = Buffer.create 1024 in
+                let r =
+                  P.simulate ?deadline ~metrics:m p rng q
+                    ~on_complete:(fun idx t ->
+                      Buffer.add_string stream (Printf.sprintf "%d %h;" idx t))
+                in
+                (r, Buffer.contents stream, Rng.draws_since ~base rng, M.snapshot m)
+              in
+              let r, stream, draws, snap = run_live () in
+              let m = M.create () in
+              let rng = Rng.create scenario_seed in
+              let base = Rng.copy rng in
+              let noop_latency = P.batch_latency ?deadline ~metrics:m p rng q in
+              let label = Printf.sprintf "%s q=%d d=%s" cname q dname in
+              check_bool (label ^ ": noop latency") true
+                (Float.equal noop_latency r.P.latency);
+              check_int (label ^ ": noop draws") draws (Rng.draws_since ~base rng);
+              check_bool (label ^ ": noop metrics") true
+                (M.equal snap (M.snapshot m));
+              Printf.sprintf
+                "%s: lat=%h last=%h c=%d f=%d u=%d hit=%b draws=%d stream=%s \
+                 metrics=%s"
+                label r.P.latency r.P.last_completion r.P.completed
+                r.P.in_flight r.P.unassigned r.P.deadline_hit draws
+                (short_digest stream)
+                (short_digest (render_platform_metrics snap)))
+            [
+              ("none", None);
+              ("pre", Some (post /. 2.0));
+              ("post", Some post);
+              ("mid", Some mid);
+            ])
+        [ 0; 1; 40; 1500 ])
+    scenario_configs
+
+let scenario_expected =
+  [
+    "default q=0 d=none: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "default q=0 d=pre: lat=0x1.2cp+6 last=0x1.2cp+6 c=0 f=0 u=0 hit=true draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "default q=0 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "default q=0 d=mid: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "default q=1 d=none: lat=0x1.9500b93a78157p+7 last=0x1.9500b93a78157p+7 c=1 f=0 u=0 hit=false draws=4 stream=7ab521aaccd437fb metrics=94ac23db8c67d135";
+    "default q=1 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "default q=1 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "default q=1 d=mid: lat=0x1.9500b93a78157p+7 last=0x1.9500b93a78157p+7 c=1 f=0 u=0 hit=false draws=4 stream=7ab521aaccd437fb metrics=94ac23db8c67d135";
+    "default q=40 d=none: lat=0x1.032a8921cfeccp+8 last=0x1.032a8921cfeccp+8 c=40 f=0 u=0 hit=false draws=60 stream=869916cf44e75485 metrics=82267d9683c78e1c";
+    "default q=40 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "default q=40 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "default q=40 d=mid: lat=0x1.cb5916a66db09p+7 last=0x1.cb5916a66db09p+7 c=21 f=1 u=18 hit=true draws=36 stream=329d6d01aa29214f metrics=7a8898b30d23a970";
+    "default q=1500 d=none: lat=0x1.0728c0206fcdbp+8 last=0x1.0728c0206fcdbp+8 c=1500 f=0 u=0 hit=false draws=1983 stream=c7fe752bd3d954ab metrics=9b6f5fcd1cb6ad81";
+    "default q=1500 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "default q=1500 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "default q=1500 d=mid: lat=0x1.af464c4a9957dp+7 last=0x1.af464c4a9957dp+7 c=751 f=77 u=672 hit=true draws=1162 stream=b6069449b9e2e7b6 metrics=137a531d6ac63ad7";
+    "diurnal q=0 d=none: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "diurnal q=0 d=pre: lat=0x1.2cp+6 last=0x1.2cp+6 c=0 f=0 u=0 hit=true draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "diurnal q=0 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "diurnal q=0 d=mid: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "diurnal q=1 d=none: lat=0x1.7a29891c3245bp+7 last=0x1.7a29891c3245bp+7 c=1 f=0 u=0 hit=false draws=6 stream=11624727ce63602f metrics=7b79a5eabb2c03bf";
+    "diurnal q=1 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=2 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "diurnal q=1 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=2 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "diurnal q=1 d=mid: lat=0x1.7a29891c3245bp+7 last=0x1.7a29891c3245bp+7 c=1 f=0 u=0 hit=false draws=6 stream=11624727ce63602f metrics=7b79a5eabb2c03bf";
+    "diurnal q=40 d=none: lat=0x1.a7b370885eb78p+7 last=0x1.a7b370885eb78p+7 c=40 f=0 u=0 hit=false draws=69 stream=162fbcbf37adb00c metrics=f7224178cbec61ca";
+    "diurnal q=40 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=2 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "diurnal q=40 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=2 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "diurnal q=40 d=mid: lat=0x1.85250cef8411p+7 last=0x1.85250cef8411p+7 c=21 f=5 u=14 hit=true draws=49 stream=2af6b71bc8540a36 metrics=15fbbd145714f76a";
+    "diurnal q=1500 d=none: lat=0x1.d138dedf663bep+7 last=0x1.d138dedf663bep+7 c=1500 f=0 u=0 hit=false draws=2385 stream=14da406bbe8836ee metrics=2a0b43aae4da7456";
+    "diurnal q=1500 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=2 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "diurnal q=1500 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=2 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "diurnal q=1500 d=mid: lat=0x1.8a2fd9e928badp+7 last=0x1.8a2fd9e928badp+7 c=751 f=94 u=655 hit=true draws=1424 stream=35d353093b6fc1e1 metrics=09182a417b2c12e1";
+    "sigma0 q=0 d=none: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "sigma0 q=0 d=pre: lat=0x1.2cp+6 last=0x1.2cp+6 c=0 f=0 u=0 hit=true draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "sigma0 q=0 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "sigma0 q=0 d=mid: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "sigma0 q=1 d=none: lat=0x1.9919c6a1e74dep+7 last=0x1.9919c6a1e74dep+7 c=1 f=0 u=0 hit=false draws=3 stream=7a184b169c7b2295 metrics=94ac23db8c67d135";
+    "sigma0 q=1 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "sigma0 q=1 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "sigma0 q=1 d=mid: lat=0x1.9919c6a1e74dep+7 last=0x1.9919c6a1e74dep+7 c=1 f=0 u=0 hit=false draws=3 stream=7a184b169c7b2295 metrics=94ac23db8c67d135";
+    "sigma0 q=40 d=none: lat=0x1.ec89e44bf9283p+7 last=0x1.ec89e44bf9283p+7 c=40 f=0 u=0 hit=false draws=21 stream=70c6f974024b94b8 metrics=ed96787fd8ade61d";
+    "sigma0 q=40 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "sigma0 q=40 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "sigma0 q=40 d=mid: lat=0x1.ab9088cdb7298p+7 last=0x1.ab9088cdb7298p+7 c=21 f=2 u=17 hit=true draws=13 stream=11603a7cda647489 metrics=d938b1f6acf8ac63";
+    "sigma0 q=1500 d=none: lat=0x1.fb0675d49e05dp+7 last=0x1.fb0675d49e05dp+7 c=1500 f=0 u=0 hit=false draws=471 stream=2e0de208bbb49957 metrics=44fb495c8b47f7c0";
+    "sigma0 q=1500 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "sigma0 q=1500 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "sigma0 q=1500 d=mid: lat=0x1.aac01cb9f57ecp+7 last=0x1.aac01cb9f57ecp+7 c=751 f=66 u=683 hit=true draws=295 stream=a9d59e64b83dbde4 metrics=b2498aa017ad99e9";
+    "patience1 q=0 d=none: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "patience1 q=0 d=pre: lat=0x1.2cp+6 last=0x1.2cp+6 c=0 f=0 u=0 hit=true draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "patience1 q=0 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "patience1 q=0 d=mid: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=0 hit=false draws=0 stream=d41d8cd98f00b204 metrics=b2763dfc348d5688";
+    "patience1 q=1 d=none: lat=0x1.9500b93a78157p+7 last=0x1.9500b93a78157p+7 c=1 f=0 u=0 hit=false draws=4 stream=7ab521aaccd437fb metrics=94ac23db8c67d135";
+    "patience1 q=1 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "patience1 q=1 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "patience1 q=1 d=mid: lat=0x1.9500b93a78157p+7 last=0x1.9500b93a78157p+7 c=1 f=0 u=0 hit=false draws=4 stream=7ab521aaccd437fb metrics=94ac23db8c67d135";
+    "patience1 q=40 d=none: lat=0x1.2f52e6c93d5efp+10 last=0x1.2f52e6c93d5efp+10 c=40 f=0 u=0 hit=false draws=122 stream=eac291b5f48d65ec metrics=7220f95f87564a61";
+    "patience1 q=40 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "patience1 q=40 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=40 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "patience1 q=40 d=mid: lat=0x1.6887e380b6c52p+8 last=0x1.6887e380b6c52p+8 c=21 f=1 u=18 hit=true draws=67 stream=0e2e1958b2a7573d metrics=fb48e16151e07ab4";
+    "patience1 q=1500 d=none: lat=0x1.44495094b8f25p+15 last=0x1.44495094b8f25p+15 c=1500 f=0 u=0 hit=false draws=4535 stream=8beb9b5edb87c25d metrics=7863eec78b940980";
+    "patience1 q=1500 d=pre: lat=0x1.2cp+6 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "patience1 q=1500 d=post: lat=0x1.2cp+7 last=0x1.2cp+7 c=0 f=0 u=1500 hit=true draws=1 stream=d41d8cd98f00b204 metrics=2712ad5535339e99";
+    "patience1 q=1500 d=mid: lat=0x1.186c1f171fe89p+12 last=0x1.186c1f171fe89p+12 c=751 f=0 u=749 hit=true draws=2264 stream=a598b1741f186a47 metrics=b8ed810bad283e3f";
+  ]
+
+let test_solo_scenario_table () =
+  let rows = scenario_rows () in
+  check_int "row count" (List.length scenario_expected) (List.length rows);
+  List.iter2 (Alcotest.check Alcotest.string "scenario") scenario_expected rows
+
 let suite =
   [
     ( "platform",
       [
+        tc "solo scenario table" `Quick test_solo_scenario_table;
         tc "config validation table" `Quick test_config_validation_table;
         tc "diurnal config validation" `Quick test_diurnal_config_validation;
         tc "diurnal draw budget bounded" `Quick test_diurnal_draw_budget_bounded;
@@ -530,8 +675,8 @@ let suite =
         tc "deadline infinity bit-identical" `Quick test_deadline_infinity_bit_identical;
         tc "deadline partition + monotone" `Quick test_deadline_partition_and_monotone;
         tc "deadline validation" `Quick test_deadline_validation;
-        tc "answer_batch partial deterministic" `Quick
-          test_answer_batch_deadline_partial_deterministic;
+        tc "deadline partial deterministic" `Quick
+          test_deadline_partial_deterministic;
         tc "diurnal peak beats trough" `Slow test_diurnal_peak_beats_trough;
         tc "tiny amplitude ~ steady" `Slow test_diurnal_zero_amplitude_matches_steady_stats;
         tc "zero batch = overhead" `Quick test_zero_batch_costs_overhead;
@@ -540,8 +685,6 @@ let suite =
         tc "latency above overhead" `Quick test_latency_exceeds_overhead;
         tc "Fig 11(a) shape" `Slow test_fig11a_shape;
         tc "calibration near paper" `Slow test_calibration_near_paper;
-        tc "answer_batch complete" `Quick test_answer_batch_answers_everything;
-        tc "answer_batch empty" `Quick test_answer_batch_empty;
         tc "deterministic given seed" `Quick test_deterministic_given_seed;
       ] );
   ]

@@ -967,6 +967,101 @@ let prop_one_query_fleet_matches_adaptive =
       && q.Server.questions = solo.E.questions_posted
       && q.Server.rounds = solo.E.rounds_run)
 
+(* The shared marketplace over generated fleets: 1-8 queries (empty ones
+   included), deadlines that never bind, cut before anything is visible
+   or land mid-batch, both pick policies, diurnal supply on and off.
+   Every query conserves its questions, no answer is delivered after
+   its query's cutoff, the callbacks are exactly the counted
+   completions, every processed event is an arrival, a counted
+   completion or a discard, and a rerun from the same seed through a
+   reused scratch is bit-identical, completion stream included. *)
+let prop_shared_market_invariants =
+  let module P = Crowdmax_crowd.Platform in
+  let module M = Crowdmax_obs.Metrics in
+  let post = P.default_config.P.post_overhead in
+  let deadline_gen =
+    Q.Gen.(
+      oneof
+        [
+          return Float.infinity;
+          float_range 1.0 (post -. 1.0);
+          map (fun d -> post +. d) (float_range 1.0 400.0);
+        ])
+  in
+  let size_gen = Q.Gen.(oneof [ return 0; int_range 1 200 ]) in
+  let scratch = P.scratch () in
+  Q.Test.make ~name:"shared market: conservation, cutoffs, accounting"
+    ~count:200
+    (Q.make
+       ~print:(fun (qs, deadlines, proportional, diurnal, seed) ->
+         Printf.sprintf "qs=[%s] deadlines=[%s] %s diurnal=%b seed=%d"
+           (String.concat "; " (List.map string_of_int (Array.to_list qs)))
+           (String.concat "; "
+              (List.map (Printf.sprintf "%h") (Array.to_list deadlines)))
+           (if proportional then "Proportional" else "Fifo")
+           diurnal seed)
+       Q.Gen.(
+         int_range 1 8 >>= fun nq ->
+         array_repeat nq size_gen >>= fun qs ->
+         array_repeat nq deadline_gen >>= fun deadlines ->
+         bool >>= fun proportional ->
+         bool >>= fun diurnal ->
+         int_range 0 100_000 >>= fun seed ->
+         return (qs, deadlines, proportional, diurnal, seed)))
+    (fun (qs, deadlines, proportional, diurnal, seed) ->
+      let config =
+        if diurnal then
+          { P.default_config with P.diurnal_amplitude = 0.8;
+            diurnal_period = 4000.0 }
+        else P.default_config
+      in
+      let platform = P.create ~config () in
+      let pick = if proportional then P.Proportional else P.Fifo in
+      let run ?scratch () =
+        let metrics = M.create () in
+        let stream = ref [] in
+        let reports =
+          P.simulate_shared ~deadlines ~metrics ?scratch platform
+            (Rng.create seed) ~pick
+            ~on_complete:(fun ~query idx time ->
+              stream := (query, idx, Int64.bits_of_float time) :: !stream)
+            qs
+        in
+        (reports, List.rev !stream, M.snapshot metrics)
+      in
+      let reports, stream, snap = run () in
+      let count name =
+        match M.find snap ~section:"platform" name with
+        | Some (M.Count n) -> n
+        | _ -> 0
+      in
+      let bits (r : P.report) =
+        ( Int64.bits_of_float r.P.latency,
+          Int64.bits_of_float r.P.last_completion,
+          (r.P.completed, r.P.in_flight, r.P.unassigned, r.P.deadline_hit) )
+      in
+      let callbacks = Array.make (Array.length qs) 0 in
+      List.iter
+        (fun (query, _, _) -> callbacks.(query) <- callbacks.(query) + 1)
+        stream;
+      let reports2, stream2, _ = run ~scratch () in
+      Array.for_all2
+        (fun q (r : P.report) ->
+          r.P.completed + r.P.in_flight + r.P.unassigned = q)
+        qs reports
+      && List.for_all
+           (fun (query, _, time) ->
+             Int64.float_of_bits time <= deadlines.(query))
+           stream
+      && Array.for_all2
+           (fun n (r : P.report) -> n = r.P.completed)
+           callbacks reports
+      && count "events_drained"
+         = count "worker_arrivals" + count "completions"
+           + count "shared_discarded_answers"
+      && Array.map bits reports = Array.map bits reports2
+      && stream = stream2)
+
 let suite =
   [
     ( "properties",
@@ -1005,5 +1100,6 @@ let suite =
           prop_fit_recovers_model;
           prop_closed_loop_replicate_jobs_deterministic;
           prop_one_query_fleet_matches_adaptive;
+          prop_shared_market_invariants;
         ] );
   ]

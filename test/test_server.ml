@@ -1,5 +1,5 @@
 (* The query server and its shared-supply marketplace: conservation
-   invariants, single-query/merged-batch equivalences, validation,
+   invariants, the merged-batch equivalence, validation,
    any-jobs determinism and golden pins for the replicate aggregate. *)
 
 module Server = Crowdmax_server.Server
@@ -23,28 +23,6 @@ let events () =
   let log = ref [] in
   let on_complete ~query idx time = log := (query, idx, time) :: !log in
   (log, on_complete)
-
-(* A single shared query is the solo simulator, draw for draw: same
-   report, same completion stream, from the same seed. *)
-let test_shared_single_query_matches_simulate () =
-  let p = Platform.create () in
-  List.iter
-    (fun (q, deadline) ->
-      let solo_log = ref [] in
-      let solo =
-        Platform.simulate ?deadline p (Rng.create 101) q
-          ~on_complete:(fun idx time -> solo_log := (0, idx, time) :: !solo_log)
-      in
-      let shared_log, on_complete = events () in
-      let shared =
-        Platform.simulate_shared
-          ?deadlines:(Option.map (fun d -> [| d |]) deadline)
-          p (Rng.create 101) ~pick:Platform.Fifo ~on_complete [| q |]
-      in
-      check_int "one report" 1 (Array.length shared);
-      check_bool "report bit-identical" true (solo = shared.(0));
-      check_bool "completion stream identical" true (!solo_log = !shared_log))
-    [ (12, None); (40, None); (40, Some 165.0) ]
 
 (* FIFO with no deadlines assigns query 0's questions first, so k
    queries are one merged batch: global index = offset + local index,
@@ -308,8 +286,6 @@ let suite =
   [
     ( "server",
       [
-        tc "shared single query = simulate" `Quick
-          test_shared_single_query_matches_simulate;
         tc "shared fifo = merged batch" `Quick test_shared_fifo_is_merged_batch;
         tc "shared conservation under deadlines" `Quick
           test_shared_conservation_under_deadlines;
