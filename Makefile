@@ -8,11 +8,14 @@ build:
 test:
 	dune runtest
 
-# The figure and micro harness builds with the release profile: the dev
-# profile passes -opaque, which disables the cross-module [@inline] the
-# simulator and rng hot paths rely on, so dev-profile timings undersell
-# the code. Wall-clock regressions are perfbench's job
-# (`python3 perfbench/run.py`, see perfbench/README.md).
+# The gate and micro-benchmark harness (bench/main.exe: opcheck,
+# history-append, history-check, micro; micro when ARGS is empty) builds
+# with the release profile: the dev profile passes -opaque, which
+# disables the cross-module [@inline] the simulator and rng hot paths
+# rely on, so dev-profile timings undersell the code. Figures and
+# ablation tables come from `crowdmax experiment`; wall-clock
+# regressions are perfbench's job (`python3 perfbench/run.py`, see
+# perfbench/README.md).
 bench:
 	dune exec --profile release bench/main.exe -- $(ARGS)
 
@@ -27,15 +30,17 @@ lint:
 # the lib/ warning set to errors), the whole test suite, the lint gate,
 # a metrics round-trip smoke (a simulated run dumps --metrics JSON,
 # metrics-check must accept it — exercises the full
-# planner/engine/platform document, not just the library tests), and a
-# smoke-scale pass through the bechamel harness so the bench executable
+# planner/engine/platform document, not just the library tests), and one
+# pass through the bechamel micro-benchmarks so the bench executable
 # stays runnable (its engine cases include the finite-deadline path).
-# `dune runtest` includes the operation-count gate: `bench/main.exe
-# opcheck` prints the deterministic work counters (the simulated event
-# loop's events, the tDP planner's DP states and plan-cache reuse, the
-# closed loop's re-fits, the query server's fleet counters), fails on a
-# broken structural cross-check or any-jobs bit-identity, and its output
-# is diffed against bench/opcheck.expected. history-check recomputes the
+# `dune runtest` includes the experiment golden (bin/experiments.expected:
+# `crowdmax experiment` at its committed seeds) and the operation-count
+# gate: `bench/main.exe opcheck` prints the deterministic work counters
+# (the simulated event loop's events, the tDP planner's DP states and
+# plan-cache reuse, the closed loop's re-fits, the query server's fleet
+# counters), fails on a broken structural cross-check or any-jobs
+# bit-identity, and its output is diffed against
+# bench/opcheck.expected. history-check recomputes the
 # same counters and fails on >2% drift against the last counters-bearing
 # BENCH_history.jsonl row, catching cross-PR work-profile regressions
 # even when opcheck.expected was promoted
@@ -53,7 +58,7 @@ ci:
 		--runs 3 --simulated --metrics _build/ci_metrics_smoke.json
 	dune exec bin/crowdmax_cli.exe -- metrics-check _build/ci_metrics_smoke.json
 	rm -f _build/ci_metrics_smoke.json
-	CROWDMAX_BENCH_RUNS=2 dune exec bench/main.exe -- micro
+	dune exec bench/main.exe -- micro
 	dune exec bench/main.exe -- history-check
 	dune exec bin/crowdmax_cli.exe -- run --elements 60 --budget 200 \
 		--runs 2 --simulated --adaptive --refit drift:0.5

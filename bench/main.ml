@@ -1,23 +1,18 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Sec. 6), runs bechamel micro-benchmarks over the
-   computational kernels plus the metrics-overhead estimate, and keeps
-   the deterministic work-counter gates (opcheck, history-append,
-   history-check). End-to-end wall-clock throughput is perfbench's job
+(* Benchmark harness: the deterministic work-counter gates (opcheck,
+   history-append, history-check) and bechamel micro-benchmarks over the
+   computational kernels plus the metrics-overhead estimate. The
+   paper's figures and the ablation tables are `crowdmax experiment`'s
+   job; end-to-end wall-clock throughput is perfbench's
    (perfbench/README.md).
 
    Usage:
-     dune exec bench/main.exe                 # figures, ablations, micro
-     dune exec bench/main.exe -- fig13a       # one figure
-     dune exec bench/main.exe -- micro        # only micro-benchmarks
-     dune exec bench/main.exe -- figures      # only the paper figures
-     dune exec bench/main.exe -- opcheck      # deterministic counters
-     CROWDMAX_BENCH_RUNS=100 dune exec bench/main.exe   # paper-scale runs *)
+     dune exec bench/main.exe                   # micro-benchmarks
+     dune exec bench/main.exe -- opcheck        # deterministic counters
+     dune exec bench/main.exe -- history-check  # counters vs history *)
 
-module X = Crowdmax_experiments
 module Model = Crowdmax_latency.Model
 module Problem = Crowdmax_core.Problem
 module Tdp = Crowdmax_core.Tdp
-module Heuristics = Crowdmax_core.Heuristics
 module Selection = Crowdmax_selection.Selection
 module Dag = Crowdmax_graph.Answer_dag
 module Scoring = Crowdmax_graph.Scoring
@@ -29,385 +24,10 @@ module W = Crowdmax_crowd.Worker
 module Rng = Crowdmax_util.Rng
 module Metrics = Crowdmax_obs.Metrics
 
-(* A malformed CROWDMAX_BENCH_RUNS used to fall back to 30 silently,
-   which made typos indistinguishable from the default. Fail loudly. *)
-let runs =
-  match Sys.getenv_opt "CROWDMAX_BENCH_RUNS" with
-  | None -> 30
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some n ->
-          Printf.eprintf
-            "bench: CROWDMAX_BENCH_RUNS must be a positive integer, got %d\n" n;
-          exit 2
-      | None ->
-          Printf.eprintf
-            "bench: CROWDMAX_BENCH_RUNS must be a positive integer, got %S\n" s;
-          exit 2)
-
-(* Worker domains for replicated runs; 0 means "all cores". Settable via
-   CROWDMAX_JOBS or --jobs/-j on the command line (argv wins). *)
-let parse_jobs ~source s =
-  match int_of_string_opt (String.trim s) with
-  | Some 0 -> Crowdmax_util.Parallel.recommended_jobs ()
-  | Some n when n > 128 ->
-      Printf.eprintf "bench: %s capped at 128, got %d\n" source n;
-      exit 2
-  | Some n when n >= 1 -> n
-  | Some n ->
-      Printf.eprintf "bench: %s must be a non-negative integer, got %d\n" source
-        n;
-      exit 2
-  | None ->
-      Printf.eprintf "bench: %s must be a non-negative integer, got %S\n" source
-        s;
-      exit 2
-
-let jobs =
-  ref
-    (match Sys.getenv_opt "CROWDMAX_JOBS" with
-    | None -> 1
-    | Some s -> parse_jobs ~source:"CROWDMAX_JOBS" s)
-
 let section title =
   Printf.printf "\n================ %s ================\n%!" title
 
 let model = Model.paper_mturk
-
-(* --- paper figures ------------------------------------------------------ *)
-
-let fig11a () =
-  section "Fig 11(a) - L(q) estimation on the simulated platform";
-  X.Fig11a.print (X.Fig11a.run ())
-
-let fig11b () =
-  section "Fig 11(b) - real-time runs (platform vs estimate), c0=500 b=4000";
-  X.Fig11b.print (X.Fig11b.run ~jobs:!jobs ())
-
-let fig12 () =
-  section
-    (Printf.sprintf "Fig 12(a,b) - question selection algorithms (%d runs)" runs);
-  X.Fig12.print (X.Fig12.run ~jobs:!jobs ~runs ())
-
-let fig13a () =
-  section
-    (Printf.sprintf "Fig 13(a) - latency vs collection size (%d runs)" runs);
-  let f = X.Fig13.run_a ~jobs:!jobs ~runs () in
-  X.Fig13.print f;
-  (* Sec. 6.4 also quotes the allocations behind the coincidences *)
-  print_newline ();
-  List.iter
-    (fun (label, note) ->
-      if String.equal label "tDP+Tournament" || String.equal label "uHF+CT25" then
-        Printf.printf "  %s\n" note)
-    f.X.Fig13.example_allocations
-
-let fig13b () =
-  section (Printf.sprintf "Fig 13(b) - latency vs budget (%d runs)" runs);
-  X.Fig13.print (X.Fig13.run_b ~jobs:!jobs ~runs ())
-
-let fig14a () =
-  section
-    (Printf.sprintf "Fig 14(a) - non-linear latency functions (%d runs)" runs);
-  X.Fig14.print_a (X.Fig14.run_a ~jobs:!jobs ~runs ())
-
-let fig14b () =
-  section "Fig 14(b) - questions used by tDP vs available budget";
-  X.Fig14.print_b (X.Fig14.run_b ())
-
-let fig15 () =
-  section "Fig 15 - tDP running time";
-  X.Fig15.print (X.Fig15.run ())
-
-(* Beyond the paper: per-round re-planning vs the static tDP schedule.
-   With pure tournament rounds the two coincide (DP suffix optimality);
-   the gain appears when cross-tournament extras over-eliminate. *)
-let ablation_adaptive () =
-  section "Ablation - adaptive re-planning tDP vs static tDP";
-  let table =
-    Crowdmax_util.Table.create
-      [ ("c0", Crowdmax_util.Table.Right); ("b", Crowdmax_util.Table.Right);
-        ("static (s)", Crowdmax_util.Table.Right);
-        ("adaptive (s)", Crowdmax_util.Table.Right);
-        ("gain", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun (c0, b) ->
-      let problem = Problem.create ~elements:c0 ~budget:b ~latency:model in
-      let static = Tdp.solve problem in
-      let cfg =
-        Engine.config ~allocation:static.Tdp.allocation
-          ~selection:Selection.tournament ~latency_model:model ()
-      in
-      let st = Engine.replicate ~jobs:!jobs ~runs ~seed:3 cfg ~elements:c0 in
-      let ad =
-        Crowdmax_runtime.Adaptive.replicate ~jobs:!jobs ~runs ~seed:3 ~problem
-          ~selection:Selection.tournament ()
-      in
-      Crowdmax_util.Table.add_row table
-        [
-          string_of_int c0; string_of_int b;
-          Printf.sprintf "%.1f" st.Engine.mean_latency;
-          Printf.sprintf "%.1f" ad.Crowdmax_runtime.Adaptive.engine_aggregate.Engine.mean_latency;
-          Printf.sprintf "%.1f%%"
-            (100.0
-            *. (st.Engine.mean_latency
-               -. ad.Crowdmax_runtime.Adaptive.engine_aggregate
-                    .Engine.mean_latency)
-            /. st.Engine.mean_latency);
-        ])
-    [ (125, 1000); (250, 2000); (500, 4000); (500, 999) ];
-  Crowdmax_util.Table.print table
-
-(* Ablation - CT split point sensitivity (Sec. 5.2 / 6.8): latency and
-   singleton rate of CT25 / CT50 / CT75 and SPREAD+GREEDY under the tDP
-   allocation. *)
-let ablation_ct_split () =
-  section "Ablation - CT split point (CT25/CT50/CT75, SG25) under tDP";
-  let c0 = 500 and b = 4000 in
-  let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
-  let table =
-    Crowdmax_util.Table.create
-      [ ("selector", Crowdmax_util.Table.Left);
-        ("latency (s)", Crowdmax_util.Table.Right);
-        ("singleton", Crowdmax_util.Table.Right);
-        ("correct", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun sel ->
-      let cfg =
-        Engine.config ~allocation:sol.Tdp.allocation ~selection:sel
-          ~latency_model:model ()
-      in
-      let agg = Engine.replicate ~jobs:!jobs ~runs ~seed:7 cfg ~elements:c0 in
-      Crowdmax_util.Table.add_row table
-        [
-          sel.Selection.name;
-          Printf.sprintf "%.1f" agg.Engine.mean_latency;
-          Printf.sprintf "%.0f%%" (100.0 *. agg.Engine.singleton_rate);
-          Printf.sprintf "%.0f%%" (100.0 *. agg.Engine.correct_rate);
-        ])
-    [
-      Selection.tournament; Selection.ct25; Selection.ct50; Selection.ct75;
-      Selection.sg 0.25; Selection.spread; Selection.complete; Selection.greedy;
-    ];
-  Crowdmax_util.Table.print table
-
-(* Ablation - RWL repetition factor: answer accuracy and correct-MAX
-   rate as votes grow, at fixed worker error. *)
-let ablation_rwl () =
-  section "Ablation - RWL repetition factor (15% worker error, c0=100)";
-  let c0 = 100 and b = 800 in
-  let sol = Tdp.solve (Problem.create ~elements:c0 ~budget:b ~latency:model) in
-  let platform = Crowdmax_crowd.Platform.create () in
-  let table =
-    Crowdmax_util.Table.create
-      [ ("votes", Crowdmax_util.Table.Right);
-        ("correct MAX", Crowdmax_util.Table.Right);
-        ("mean latency (s)", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun votes ->
-      let cfg =
-        Engine.config
-          ~source:
-            (Engine.Simulated
-               { platform; rwl = { Rwl.votes; error = W.Uniform 0.15 } })
-          ~allocation:sol.Tdp.allocation ~selection:Selection.tournament
-          ~latency_model:model ()
-      in
-      let agg = Engine.replicate ~jobs:!jobs ~runs ~seed:11 cfg ~elements:c0 in
-      Crowdmax_util.Table.add_row table
-        [
-          string_of_int votes;
-          Printf.sprintf "%.0f%%" (100.0 *. agg.Engine.correct_rate);
-          Printf.sprintf "%.0f" agg.Engine.mean_latency;
-        ])
-    [ 1; 3; 5; 7 ];
-  Crowdmax_util.Table.print table
-
-(* Extension - top-k via successive MAX with answer reuse, vs k naive
-   independent MAX runs. *)
-let extension_topk () =
-  section "Extension - top-k with answer reuse vs naive repetition";
-  let table =
-    Crowdmax_util.Table.create
-      [ ("c0", Crowdmax_util.Table.Right); ("k", Crowdmax_util.Table.Right);
-        ("reuse (s)", Crowdmax_util.Table.Right);
-        ("naive (s)", Crowdmax_util.Table.Right);
-        ("reuse questions", Crowdmax_util.Table.Right);
-        ("exact", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun (c0, k, b) ->
-      let master = Crowdmax_util.Rng.create 5 in
-      let reuse_lat = ref 0.0 and naive_lat = ref 0.0 in
-      let reuse_q = ref 0 and exact = ref 0 in
-      let trials = max 3 (runs / 5) in
-      for _ = 1 to trials do
-        let rng = Crowdmax_util.Rng.split master in
-        let truth = G.random rng c0 in
-        let problem = Problem.create ~elements:c0 ~budget:b ~latency:model in
-        let r =
-          Crowdmax_topk.Topk.run rng ~k ~problem
-            ~selection:Selection.tournament truth
-        in
-        reuse_lat := !reuse_lat +. r.Crowdmax_topk.Topk.total_latency;
-        reuse_q := !reuse_q + r.Crowdmax_topk.Topk.questions_posted;
-        if r.Crowdmax_topk.Topk.exact then incr exact;
-        (* naive: k independent MAX runs over shrinking budgets *)
-        for pass = 0 to k - 1 do
-          let sub =
-            Problem.create ~elements:(c0 - pass) ~budget:(b / k) ~latency:model
-          in
-          let sol = Tdp.solve sub in
-          let cfg =
-            Engine.config ~allocation:sol.Tdp.allocation
-              ~selection:Selection.tournament ~latency_model:model ()
-          in
-          let t = G.random rng (c0 - pass) in
-          let res = Engine.run rng cfg t in
-          naive_lat := !naive_lat +. res.Engine.total_latency
-        done
-      done;
-      let f = float_of_int trials in
-      Crowdmax_util.Table.add_row table
-        [
-          string_of_int c0; string_of_int k;
-          Printf.sprintf "%.0f" (!reuse_lat /. f);
-          Printf.sprintf "%.0f" (!naive_lat /. f);
-          Printf.sprintf "%.0f" (float_of_int !reuse_q /. f);
-          Printf.sprintf "%d/%d" !exact trials;
-        ])
-    [ (100, 3, 1200); (300, 3, 3000); (300, 5, 5000) ];
-  Crowdmax_util.Table.print table
-
-(* Extension - SORT in rounds: the same cost-latency tradeoff on the
-   sibling operator, under overhead-heavy and question-heavy L. *)
-let extension_sort () =
-  section "Extension - SORT strategies (n = 40)";
-  let n = 40 in
-  let strategies =
-    [ Crowdmax_sort.Sort.All_pairs; Crowdmax_sort.Sort.Odd_even;
-      Crowdmax_sort.Sort.Odd_even_skip ]
-  in
-  let models =
-    [ ("L=239+0.06q (MTurk)", model);
-      ("L=10+2q (question-heavy)", Model.linear ~delta:10.0 ~alpha:2.0) ]
-  in
-  let table =
-    Crowdmax_util.Table.create
-      (("strategy", Crowdmax_util.Table.Left)
-      :: ("questions", Crowdmax_util.Table.Right)
-      :: ("rounds", Crowdmax_util.Table.Right)
-      :: List.map (fun (l, _) -> (l, Crowdmax_util.Table.Right)) models)
-  in
-  List.iter
-    (fun strategy ->
-      let rng = Crowdmax_util.Rng.create 11 in
-      let truth = G.random rng n in
-      let runs_for m =
-        (Crowdmax_sort.Sort.run rng ~strategy ~latency:m truth, ())
-      in
-      let base, () = runs_for model in
-      Crowdmax_util.Table.add_row table
-        (Crowdmax_sort.Sort.strategy_name strategy
-        :: string_of_int base.Crowdmax_sort.Sort.questions_posted
-        :: string_of_int base.Crowdmax_sort.Sort.rounds_run
-        :: List.map
-             (fun (_, m) ->
-               let r, () = runs_for m in
-               Printf.sprintf "%.0f s" r.Crowdmax_sort.Sort.total_latency)
-             models))
-    strategies;
-  Crowdmax_util.Table.print table
-
-(* Extension - posting time on a diurnal platform: the same batch is
-   slower when posted at the availability trough. *)
-let extension_diurnal () =
-  section "Extension - diurnal worker availability (batch of 80)";
-  let cfg phase =
-    {
-      Crowdmax_crowd.Platform.default_config with
-      Crowdmax_crowd.Platform.diurnal_amplitude = 0.9;
-      diurnal_period = 4000.0;
-      diurnal_phase = phase;
-      base_rate = 0.01;
-      attract_per_question = 0.0001;
-    }
-  in
-  let table =
-    Crowdmax_util.Table.create
-      [ ("posting time", Crowdmax_util.Table.Left);
-        ("mean latency (s)", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun (label, phase) ->
-      let p = Crowdmax_crowd.Platform.create ~config:(cfg phase) () in
-      let rng = Crowdmax_util.Rng.create 13 in
-      let xs =
-        Array.init (max 10 runs) (fun _ ->
-            Crowdmax_crowd.Platform.batch_latency p rng 80)
-      in
-      Crowdmax_util.Table.add_row table
-        [ label; Printf.sprintf "%.0f" (Crowdmax_util.Stats.mean xs) ])
-    [ ("peak availability", 1000.0); ("mid", 0.0); ("trough", 3000.0) ];
-  Crowdmax_util.Table.print table
-
-(* Extension - the cost-latency skyline: dollars (at the paper's $0.01 a
-   question) against the optimal latency each budget buys. *)
-let extension_frontier () =
-  section "Extension - cost-latency Pareto frontier (c0 = 500, $0.01/question)";
-  let budgets = [ 499; 750; 1000; 1500; 2000; 3000; 4000; 8000 ] in
-  let pts =
-    Crowdmax_core.Cost.frontier ~latency:model ~elements:500 ~budgets ()
-  in
-  let table =
-    Crowdmax_util.Table.create
-      [ ("budget (questions)", Crowdmax_util.Table.Right);
-        ("spend ($)", Crowdmax_util.Table.Right);
-        ("optimal latency (s)", Crowdmax_util.Table.Right) ]
-  in
-  List.iter
-    (fun pt ->
-      Crowdmax_util.Table.add_row table
-        [
-          string_of_int pt.Crowdmax_core.Cost.budget;
-          Printf.sprintf "%.2f" pt.Crowdmax_core.Cost.dollars;
-          Printf.sprintf "%.1f" pt.Crowdmax_core.Cost.latency;
-        ])
-    pts;
-  Crowdmax_util.Table.print table
-
-let extension_robustness () =
-  section "Extension - error robustness sweep";
-  X.Robustness.print (X.Robustness.run ~jobs:!jobs ~runs:(max 10 (runs / 2)) ())
-
-let ablations () =
-  ablation_adaptive ();
-  ablation_ct_split ();
-  ablation_rwl ();
-  extension_topk ();
-  extension_sort ();
-  extension_diurnal ();
-  extension_frontier ();
-  extension_robustness ()
-
-let findings () =
-  section "Sec. 6.8 - the paper's summary findings, re-derived";
-  X.Findings.print (X.Findings.run ~jobs:!jobs ~runs ())
-
-let figures () =
-  fig11a ();
-  fig11b ();
-  fig12 ();
-  fig13a ();
-  fig13b ();
-  fig14a ();
-  fig14b ();
-  fig15 ();
-  findings ()
 
 (* --- deterministic operation-count table --------------------------------- *)
 
@@ -1131,46 +751,19 @@ let timed name f =
   let t0 = Unix.gettimeofday () in
   f ();
   flush stdout;
-  Printf.eprintf "[%s: %.2f s wall, jobs=%d]\n%!" name
-    (Unix.gettimeofday () -. t0)
-    !jobs
+  Printf.eprintf "[%s: %.2f s wall]\n%!" name (Unix.gettimeofday () -. t0)
 
 let () =
-  (* Strip --jobs/-j (argv overrides CROWDMAX_JOBS); the rest are
-     benchmark names. *)
-  let rec strip_jobs acc = function
-    | [] -> List.rev acc
-    | ("--jobs" | "-j") :: v :: rest ->
-        jobs := parse_jobs ~source:"--jobs" v;
-        strip_jobs acc rest
-    | ("--jobs" | "-j") :: [] ->
-        Printf.eprintf "bench: --jobs requires an argument\n";
-        exit 2
-    | a :: rest when String.length a > 7 && String.equal (String.sub a 0 7) "--jobs=" ->
-        jobs :=
-          parse_jobs ~source:"--jobs"
-            (String.sub a 7 (String.length a - 7));
-        strip_jobs acc rest
-    | a :: rest -> strip_jobs (a :: acc) rest
-  in
-  let args = strip_jobs [] (List.tl (Array.to_list Sys.argv)) in
   let known =
     [
-      ("fig11a", fig11a); ("fig11b", fig11b); ("fig12", fig12);
-      ("fig13a", fig13a); ("fig13b", fig13b); ("fig14a", fig14a);
-      ("fig14b", fig14b); ("fig15", fig15); ("findings", findings);
-      ("figures", figures); ("ablations", ablations); ("micro", micro);
-      ("opcheck", opcheck);
+      ("micro", micro); ("opcheck", opcheck);
       ("history-append", history_append);
       ("history-check", history_check);
     ]
   in
-  match args with
-  | [] ->
-      timed "figures" figures;
-      timed "ablations" ablations;
-      timed "micro" micro
-  | _ ->
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> timed "micro" micro
+  | args ->
       List.iter
         (fun a ->
           match

@@ -5,9 +5,9 @@
      run         - simulate one MAX computation end to end
      topk        - top-k by successive MAX passes with answer reuse
      frontier    - the cost-latency Pareto frontier of a budget sweep
-     estimate    - run the Sec. 6.1 latency-estimation pipeline
      serve       - a fleet of concurrent MAX queries on one shared marketplace
-     experiment  - regenerate a paper figure (fig11a .. fig15)
+     experiment  - regenerate a figure (fig11a .. fig15), the Sec. 6.8
+                   findings, the robustness sweep or the ablation tables
      metrics-check - validate a `run --metrics` JSON document *)
 
 open Cmdliner
@@ -857,18 +857,6 @@ let serve_cmd =
           marketplace, re-planning each through tDP as fleet load shifts.")
     term
 
-(* --- estimate ------------------------------------------------------------ *)
-
-let estimate_cmd =
-  let run runs seed =
-    X.Fig11a.print (X.Fig11a.run ~runs_per_size:runs ~seed ())
-  in
-  let term = Term.(const run $ runs_arg $ seed_arg) in
-  Cmd.v
-    (Cmd.info "estimate"
-       ~doc:"Estimate L(q) from the simulated platform (Sec. 6.1 pipeline).")
-    term
-
 (* --- experiment ---------------------------------------------------------- *)
 
 let experiment_cmd =
@@ -876,8 +864,10 @@ let experiment_cmd =
     [
       ("fig11a", `Fig11a); ("fig11b", `Fig11b); ("fig12", `Fig12);
       ("fig13a", `Fig13a); ("fig13b", `Fig13b); ("fig14a", `Fig14a);
-      ("fig14b", `Fig14b); ("fig15", `Fig15); ("fig_deadline", `Fig_deadline);
-      ("fig_adapt", `Fig_adapt); ("fig_server", `Fig_server);
+      ("fig14b", `Fig14b); ("fig15", `Fig15); ("findings", `Findings);
+      ("robustness", `Robustness); ("ablations", `Ablations);
+      ("fig_deadline", `Fig_deadline); ("fig_adapt", `Fig_adapt);
+      ("fig_server", `Fig_server);
     ]
   in
   let figure_arg =
@@ -886,29 +876,77 @@ let experiment_cmd =
       & pos 0 (some (enum figures)) None
       & info [] ~docv:"FIGURE"
           ~doc:
-            (Printf.sprintf "Which figure to regenerate: %s."
+            (Printf.sprintf "Which figure or table to regenerate: %s."
                (String.concat ", " (List.map fst figures))))
+  in
+  (* Absent flags stay absent: each experiment then runs at its own
+     module's committed defaults, the one place they are written down. *)
+  let runs_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "runs" ] ~docv:"RUNS"
+          ~doc:
+            "Replicated runs per cell (fig11a: runs per batch size). \
+             Default: the experiment's own. fig14b and fig15 ignore it.")
+  in
+  let seed_arg =
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:
+            "Random seed. Default: the experiment's own committed seed. \
+             fig14b, fig15 and ablations ignore it.")
+  in
+  (* One blank line, then the figure: [show] runs the experiment before
+     printing anything, so a rejected flag prints only its error. *)
+  let show print result =
+    print_newline ();
+    print result
   in
   let run figure runs seed jobs =
     let jobs = resolve_jobs jobs in
     match figure with
-    | `Fig11a -> X.Fig11a.print (X.Fig11a.run ~seed ())
-    | `Fig11b -> X.Fig11b.print (X.Fig11b.run ~jobs ~seed ())
-    | `Fig12 -> X.Fig12.print (X.Fig12.run ~jobs ~runs ~seed ())
-    | `Fig13a -> X.Fig13.print (X.Fig13.run_a ~jobs ~runs ~seed ())
-    | `Fig13b -> X.Fig13.print (X.Fig13.run_b ~jobs ~runs ~seed ())
-    | `Fig14a -> X.Fig14.print_a (X.Fig14.run_a ~jobs ~runs ~seed ())
-    | `Fig14b -> X.Fig14.print_b (X.Fig14.run_b ())
-    | `Fig15 -> X.Fig15.print (X.Fig15.run ())
+    | `Fig11a ->
+        show X.Fig11a.print (X.Fig11a.run ?runs_per_size:runs ?seed ())
+    | `Fig11b -> show X.Fig11b.print (X.Fig11b.run ~jobs ?runs ?seed ())
+    | `Fig12 -> show X.Fig12.print (X.Fig12.run ~jobs ?runs ?seed ())
+    | `Fig13a ->
+        show
+          (fun f ->
+            X.Fig13.print f;
+            (* Sec. 6.4 also quotes the allocations behind the coincidences *)
+            print_newline ();
+            List.iter
+              (fun (label, note) ->
+                if
+                  String.equal label "tDP+Tournament"
+                  || String.equal label "uHF+CT25"
+                then Printf.printf "  %s\n" note)
+              f.X.Fig13.example_allocations)
+          (X.Fig13.run_a ~jobs ?runs ?seed ())
+    | `Fig13b -> show X.Fig13.print (X.Fig13.run_b ~jobs ?runs ?seed ())
+    | `Fig14a -> show X.Fig14.print_a (X.Fig14.run_a ~jobs ?runs ?seed ())
+    | `Fig14b -> show X.Fig14.print_b (X.Fig14.run_b ())
+    | `Fig15 -> show X.Fig15.print (X.Fig15.run ())
+    | `Findings -> show X.Findings.print (X.Findings.run ~jobs ?runs ?seed ())
+    | `Robustness ->
+        show X.Robustness.print (X.Robustness.run ~jobs ?runs ?seed ())
+    | `Ablations -> X.Ablations.print ~jobs ?runs ()
     | `Fig_deadline ->
-        X.Fig_deadline.print (X.Fig_deadline.run ~jobs ~runs ~seed ())
-    | `Fig_adapt -> X.Fig_adapt.print (X.Fig_adapt.run ~jobs ~runs ~seed ())
-    | `Fig_server -> X.Fig_server.print (X.Fig_server.run ~jobs ~runs ~seed ())
+        show X.Fig_deadline.print (X.Fig_deadline.run ~jobs ?runs ?seed ())
+    | `Fig_adapt ->
+        show X.Fig_adapt.print (X.Fig_adapt.run ~jobs ?runs ?seed ())
+    | `Fig_server ->
+        show X.Fig_server.print (X.Fig_server.run ~jobs ?runs ?seed ())
   in
   let term = Term.(const run $ figure_arg $ runs_arg $ seed_arg $ jobs_arg) in
   Cmd.v
     (Cmd.info "experiment"
-       ~doc:"Regenerate a figure of the paper's evaluation section.")
+       ~doc:
+         "Regenerate a figure of the paper's evaluation section, the Sec. 6.8 \
+          findings, or one of the beyond-the-paper tables.")
     term
 
 let () =
@@ -918,8 +956,8 @@ let () =
   in
   let cmd =
     Cmd.group info
-      [ allocate_cmd; run_cmd; topk_cmd; frontier_cmd; estimate_cmd;
-        serve_cmd; experiment_cmd; metrics_check_cmd ]
+      [ allocate_cmd; run_cmd; topk_cmd; frontier_cmd; serve_cmd;
+        experiment_cmd; metrics_check_cmd ]
   in
   (* The library's validated constructors (Problem.create,
      Engine.replicate, Rwl, ...) reject bad input with

@@ -393,6 +393,10 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
       Metrics.histogram_spec metrics ~section:"platform" "arrival_seconds"
         ~buckets:arrival_bucket_spec
     in
+    (* [observe] is an out-of-line call taking a boxed float, so the
+       loop tests this flag first: with metrics off, an arrival boxes
+       nothing. *)
+    let observe_arrivals = Metrics.enabled metrics in
     (* A completion event carries its question as one int: the index
        within its query, shifted past [qbits] low bits holding the
        query. The index never exceeds the questions assigned so far, so
@@ -448,7 +452,7 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
            if s.unassigned_total > 0 then begin
              Metrics.incr m_events;
              Metrics.incr m_arrivals;
-             Metrics.observe m_arrival_h fs.now;
+             if observe_arrivals then Metrics.observe m_arrival_h fs.now;
              advance_arrival cfg s rng;
              draw_patience rng ~log_q
            end

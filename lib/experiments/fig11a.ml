@@ -13,6 +13,7 @@ type t = {
 let batch_sizes = [ 10; 20; 40; 80; 160; 320; 640; 1280 ]
 
 let run ?(runs_per_size = 20) ?(seed = 11) ?platform () =
+  if runs_per_size < 1 then invalid_arg "Fig11a.run: runs_per_size < 1";
   let platform =
     match platform with Some p -> p | None -> Platform.create ()
   in

@@ -22,6 +22,7 @@ val run :
   ?platform:Crowdmax_crowd.Platform.t ->
   unit ->
   t
-(** Defaults: 20 runs per size (as in the paper), seed 11. *)
+(** Defaults: 20 runs per size (as in the paper), seed 11. Raises
+    [Invalid_argument] if [runs_per_size < 1]. *)
 
 val print : t -> unit
