@@ -20,15 +20,17 @@ bench:
 	dune exec --profile release bench/main.exe -- $(ARGS)
 
 # Static analysis gate: runs crowdmax-lint (tools/lint/) over every
-# typedtree in lib/, enforcing the comparison/determinism/domain-safety
-# rules documented in CONTRIBUTING.md. Fails on any finding not
-# suppressed in tools/lint/allow.txt.
+# typedtree in lib/, bin/, bench/, tools/ and examples/, enforcing rules
+# R1-R7 documented in CONTRIBUTING.md (comparison, determinism, domain
+# safety, interfaces, allocation discipline, and R7: every lib/ export
+# has a user, with test/ and perfbench/ read as users only). Fails on
+# any finding not suppressed in tools/lint/allow.txt.
 lint:
 	dune build @lint
 
 # The CI gate: warnings-as-errors build (the ci dune profile promotes
-# the lib/ warning set to errors), the whole test suite, the lint gate,
-# a metrics round-trip smoke (a simulated run dumps --metrics JSON,
+# the lib/ warning set to errors), the whole test suite, the lint gate
+# (R1-R7), a metrics round-trip smoke (a simulated run dumps --metrics JSON,
 # metrics-check must accept it — exercises the full
 # planner/engine/platform document, not just the library tests), and one
 # pass through the bechamel micro-benchmarks so the bench executable

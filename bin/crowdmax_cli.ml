@@ -873,7 +873,9 @@ let experiment_cmd =
   let figure_arg =
     Arg.(
       required
-      & pos 0 (some (enum figures)) None
+      & pos 0
+          (some (enum (List.map (fun (name, fig) -> (name, (name, fig))) figures)))
+          None
       & info [] ~docv:"FIGURE"
           ~doc:
             (Printf.sprintf "Which figure or table to regenerate: %s."
@@ -888,7 +890,8 @@ let experiment_cmd =
       & info [ "runs" ] ~docv:"RUNS"
           ~doc:
             "Replicated runs per cell (fig11a: runs per batch size). \
-             Default: the experiment's own. fig14b and fig15 ignore it.")
+             Default: the experiment's own. fig14b (deterministic) and \
+             fig15 (solve-time measurements) reject it.")
   in
   let seed_arg =
     Arg.(
@@ -897,15 +900,26 @@ let experiment_cmd =
       & info [ "seed" ] ~docv:"SEED"
           ~doc:
             "Random seed. Default: the experiment's own committed seed. \
-             fig14b, fig15 and ablations ignore it.")
+             fig14b and fig15 draw no random numbers and ablations fix a \
+             seed per table; all three reject it.")
   in
+  (* A flag the experiment cannot use is an error, not silently
+     dropped. *)
+  let takes_runs = function `Fig14b | `Fig15 -> false | _ -> true in
+  let takes_seed = function `Fig14b | `Fig15 | `Ablations -> false | _ -> true in
   (* One blank line, then the figure: [show] runs the experiment before
      printing anything, so a rejected flag prints only its error. *)
   let show print result =
     print_newline ();
     print result
   in
-  let run figure runs seed jobs =
+  let run (name, figure) runs seed jobs =
+    let refuse flag =
+      Printf.eprintf "crowdmax: experiment %s takes no %s\n" name flag;
+      exit 2
+    in
+    if Option.is_some runs && not (takes_runs figure) then refuse "--runs";
+    if Option.is_some seed && not (takes_seed figure) then refuse "--seed";
     let jobs = resolve_jobs jobs in
     match figure with
     | `Fig11a ->

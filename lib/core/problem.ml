@@ -15,9 +15,6 @@ let create ~elements ~budget ~latency =
     invalid_arg "Problem.create: infeasible (budget < elements - 1, Theorem 1)";
   { elements; budget; latency }
 
-let with_budget t budget =
-  create ~elements:t.elements ~budget ~latency:t.latency
-
 let pp fmt t =
   Format.fprintf fmt "MinLatency(c0 = %d, b = %d, %a)" t.elements t.budget
     Crowdmax_latency.Model.pp t.latency

@@ -25,8 +25,4 @@ val max_useful_budget : elements:int -> int
 (** [choose2 elements]: across any tournament-graph sequence each
     unordered pair meets at most once, so no plan can spend more. *)
 
-val with_budget : t -> int -> t
-(** The same instance at a different budget — the budget-sweep shape
-    that a shared [Tdp.Cache] accelerates. Validates like {!create}. *)
-
 val pp : Format.formatter -> t -> unit

@@ -317,94 +317,6 @@ let resolve ?votes_received rng cfg ~truth questions =
     ~unanswered:(List.rev !unanswered)
     !m
 
-(* Keep, per question, only the first [received qi] collected votes —
-   under a deadline the earliest-assigned workers are the ones whose
-   answers made it back. *)
-let truncate_votes received votes =
-  let kept = Hashtbl.create 64 in
-  List.filter
-    (fun v ->
-      let qi = v.Worker_pool.question in
-      let k = Option.value ~default:0 (Hashtbl.find_opt kept qi) in
-      if k < received qi then begin
-        Hashtbl.replace kept qi (k + 1);
-        true
-      end
-      else false)
-    votes
-
-let resolve_pool ?votes_received rng ~pool ~votes ~truth questions =
-  if votes < 1 then invalid_arg "Rwl.resolve_pool: votes < 1";
-  check_questions "Rwl.resolve_pool" questions;
-  let n_questions = List.length questions in
-  check_received "Rwl.resolve_pool" votes n_questions votes_received;
-  let received qi =
-    match votes_received with None -> votes | Some r -> r.(qi)
-  in
-  match questions with
-  | [] ->
-      {
-        answers = [];
-        unanswered = [];
-        raw_questions = 0;
-        vote_flips = 0;
-        cycle_edges_flipped = 0;
-        accuracy = 1.0;
-      }
-  | _ ->
-      let question_array = Array.of_list questions in
-      let raw_votes =
-        Worker_pool.collect_votes pool rng ~truth ~votes_per_question:votes
-          question_array
-      in
-      let raw_votes =
-        match votes_received with
-        | None -> raw_votes
-        | Some _ -> truncate_votes received raw_votes
-      in
-      if List.compare_length_with raw_votes 0 = 0 then
-        {
-          answers = [];
-          unanswered = questions;
-          raw_questions = votes * n_questions;
-          vote_flips = 0;
-          cycle_edges_flipped = 0;
-          accuracy = 1.0;
-        }
-      else begin
-        (* Zero-vote questions stay in the array (they contribute
-           nothing to the EM) and are reported unanswered below. *)
-        let est =
-          Worker_pool.estimate_accuracies ~questions:question_array
-            ~workers:(Worker_pool.size pool) raw_votes
-        in
-        let ws =
-          workspace ~elements:(Ground_truth.size truth) ~questions:n_questions
-        in
-        let m = ref 0 and vote_flips = ref 0 and unanswered = ref [] in
-        List.iteri
-          (fun qi ((a, b) as q) ->
-            if received qi = 0 then unanswered := q :: !unanswered
-            else begin
-              let winner =
-                (* The estimator's exactly-zero scores fall back to a
-                   deterministic award-to-[a]; re-break them fairly. *)
-                if est.Worker_pool.tied.(qi) then fair_tie rng a b
-                else est.Worker_pool.consensus.(qi)
-              in
-              if winner <> Ground_truth.better truth a b then incr vote_flips;
-              ws.win.(!m) <- winner;
-              ws.lose.(!m) <- (if winner = a then b else a);
-              incr m
-            end)
-          questions;
-        outcome_of ws ~truth
-          ~raw_questions:(votes * n_questions)
-          ~vote_flips:!vote_flips
-          ~unanswered:(List.rev !unanswered)
-          !m
-      end
-
 let is_conflict_free ~n answers =
   let dag = Crowdmax_graph.Answer_dag.create n in
   try

@@ -61,25 +61,6 @@ val resolve :
     self-comparison, or [votes_received] has the wrong length or an
     out-of-range entry. *)
 
-val resolve_pool :
-  ?votes_received:int array ->
-  Crowdmax_util.Rng.t ->
-  pool:Worker_pool.t ->
-  votes:int ->
-  truth:Ground_truth.t ->
-  (int * int) list ->
-  outcome
-(** Like {!resolve}, but the raw answers come from an identified
-    {!Worker_pool} and the per-question consensus is formed by
-    accuracy-weighted voting ([Worker_pool.estimate_accuracies]) instead
-    of a plain majority — the [12]-style quality management the paper's
-    RWL assumes. Same conflict-free guarantee and the same
-    [votes_received] semantics: the first [votes_received.(i)] collected
-    votes of question [i] are kept (earliest-assigned workers answer
-    first). Estimator ties ([Worker_pool.estimate.tied] — an exactly-zero
-    weighted score) are re-broken with a fair draw instead of the
-    estimator's deterministic award to the first element. *)
-
 val is_conflict_free : n:int -> (int * int) list -> bool
 (** [true] iff the [(winner, loser)] pairs over elements [0..n-1] form no
     directed cycle — the contract RWL promises its caller. *)

@@ -13,9 +13,6 @@ type t = {
   alpha : float;
 }
 
-val batch_sizes : int list
-(** 10, 20, 40, ..., 1280 — the paper's x-axis. *)
-
 val run :
   ?runs_per_size:int ->
   ?seed:int ->

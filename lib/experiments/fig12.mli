@@ -15,12 +15,7 @@ type cell = {
 
 type t = { cells : cell list; elements : int }
 
-val budgets : int list
-(** 500, 1000, 2000, 4000, 8000. *)
-
 val run : ?jobs:int -> ?runs:int -> ?seed:int -> ?elements:int -> unit -> t
 (** Defaults: 100 runs (as the paper), c0 = 500. *)
 
-val latency_series : t -> Common.series list
-val singleton_series : t -> Common.series list
 val print : t -> unit

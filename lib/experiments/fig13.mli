@@ -20,10 +20,6 @@ type t = {
 val collection_sizes : int list
 (** 125, 250, 500, 1000, 2000 (Fig. 13(a) x-axis). *)
 
-val budget_sweep : int list
-(** 500 ... 32000 (Fig. 13(b) x-axis). *)
-
 val run_a : ?jobs:int -> ?runs:int -> ?seed:int -> ?budget:int -> unit -> t
 val run_b : ?jobs:int -> ?runs:int -> ?seed:int -> ?elements:int -> unit -> t
-val series : t -> Common.series list
 val print : t -> unit

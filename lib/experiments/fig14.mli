@@ -17,17 +17,6 @@ type t_b = {
   elements : int;
 }
 
-val exponents : float list
-(** 1.0, 1.2, ..., 2.0 (14(a) x-axis). *)
-
-val exponents_b : float list
-(** 1.0, 1.4, 1.8 (the curves of 14(b)). *)
-
-val budgets_b : int list
-
-val model_for : float -> Crowdmax_latency.Model.t
-(** [239 + 0.06 q^p]. *)
-
 val run_a :
   ?jobs:int -> ?runs:int -> ?seed:int -> ?elements:int -> ?budget:int -> unit -> t_a
 val run_b : ?elements:int -> unit -> t_b

@@ -21,9 +21,6 @@ type point = {
 
 type t = { points : point list }
 
-val collection_sizes : int list
-val budget_multiples : int list
-
 val run : ?repeats:int -> ?sizes:int list -> unit -> t
 (** [repeats] timing repetitions per point (default 3, best-of). *)
 

@@ -29,21 +29,6 @@ type t = {
   omniscient : arm;
 }
 
-val supply_scale : float
-(** Factor applied to the platform's worker-arrival knobs at the shift. *)
-
-val slow_platform : float -> Crowdmax_crowd.Platform.t
-(** The default platform with [base_rate] and [attract_per_question]
-    scaled down by the given factor. *)
-
-val drift_threshold : float
-(** Relative-residual threshold the closed arm runs with. *)
-
-val calibrate :
-  ?runs_per_size:int -> ?seed:int -> Crowdmax_crowd.Platform.t -> Model.t
-(** Fig 11(a)-style offline fit of a platform's L(q): measure
-    time-to-last-answer over a batch-size ladder, fit a line. *)
-
 val run :
   ?jobs:int ->
   ?runs:int ->

@@ -17,12 +17,6 @@ type cell = {
 
 type t = { cells : cell list; elements : int; budget : int; runs : int }
 
-val deadline_label : Engine.deadline_policy -> string
-val straggler_label : Engine.straggler_policy -> string
-
-val cell_label : cell -> string
-(** ["wait-all"], or ["q0.9/carry"]-style deadline/straggler pair. *)
-
 val run :
   ?jobs:int ->
   ?runs:int ->

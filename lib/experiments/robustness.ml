@@ -51,13 +51,13 @@ let run ?(jobs = 1) ?(runs = 20) ?(seed = 43) ?(elements = 100) ?(budget = 800)
   in
   { cells; elements; budget }
 
-let print t =
+(* One error-rate x vote-count table of [value] per cell. *)
+let print_table t ~what value =
   let table =
     Crowdmax_util.Table.create
       ~title:
-        (Printf.sprintf
-           "Robustness: correct-MAX rate, worker error x RWL votes (c0=%d, b=%d)"
-           t.elements t.budget)
+        (Printf.sprintf "Robustness: %s, worker error x RWL votes (c0=%d, b=%d)"
+           what t.elements t.budget)
       (("error rate", Crowdmax_util.Table.Right)
       :: List.map
            (fun v -> (Printf.sprintf "%d vote%s" v (if v = 1 then "" else "s"),
@@ -75,10 +75,17 @@ let print t =
                    (fun c -> Float.equal c.error_rate e && c.votes = v)
                    t.cells
                with
-               | Some c -> Printf.sprintf "%.0f%%" (100.0 *. c.correct_rate)
+               | Some c -> value c
                | None -> "-")
              vote_counts
       in
       Crowdmax_util.Table.add_row table row)
     error_rates;
   Crowdmax_util.Table.print table
+
+let print t =
+  print_table t ~what:"correct-MAX rate" (fun c ->
+      Printf.sprintf "%.0f%%" (100.0 *. c.correct_rate));
+  print_newline ();
+  print_table t ~what:"mean latency (s)" (fun c ->
+      Printf.sprintf "%.0f" c.mean_latency)

@@ -4,8 +4,8 @@
     The paper assumes the RWL delivers correct answers and cites [10,
     12, 13, ...] for how; this experiment closes the loop by sweeping
     the raw worker error rate against the repetition factor and
-    measuring the correct-MAX rate of the full tDP + Tournament pipeline
-    on the simulated platform. *)
+    measuring the correct-MAX rate and the mean latency of the full
+    tDP + Tournament pipeline on the simulated platform. *)
 
 type cell = {
   error_rate : float;
@@ -27,3 +27,4 @@ val run :
 (** Defaults: 20 runs, c0 = 100, b = 800. *)
 
 val print : t -> unit
+(** Two tables: the correct-MAX rate and the mean latency of each cell. *)

@@ -79,10 +79,6 @@ val direct_wins : t -> int -> int list
 val direct_losses_to : t -> int -> int list
 (** Elements that beat this element directly. *)
 
-val iter_wins : t -> int -> (int -> unit) -> unit
-(** [iter_wins t x f] applies [f] to each element [x] beat directly,
-    most recent first, without allocating. *)
-
 val iter_lost_to : t -> int -> (int -> unit) -> unit
 (** [iter_lost_to t x f] applies [f] to each element that beat [x]
     directly, most recent first, without allocating. *)

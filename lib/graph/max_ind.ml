@@ -85,8 +85,6 @@ let exact g =
   search [] 0;
   List.sort Int.compare !best
 
-let exact_size g = List.length (exact g)
-
 let greedy g =
   let n = Undirected.size g in
   let alive = Array.make n true in

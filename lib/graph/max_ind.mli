@@ -11,8 +11,6 @@ val exact : Undirected.t -> int list
     Exponential worst case; intended for graphs up to a few dozen nodes
     (tests and theory checks). *)
 
-val exact_size : Undirected.t -> int
-
 val greedy : Undirected.t -> int list
 (** Min-degree greedy independent set — a fast lower bound usable on
     graphs of any size. *)

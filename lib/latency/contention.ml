@@ -66,6 +66,3 @@ let fit ~base observations =
   if Float.is_nan beta || not (Float.is_finite beta) then
     invalid_arg "Contention.fit: degenerate beta";
   { base; beta }
-
-let pp fmt t =
-  Format.fprintf fmt "contention(%a, beta=%.4f)" Model.pp t.base t.beta

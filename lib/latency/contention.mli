@@ -60,5 +60,3 @@ val fit : base:Model.t -> observation list -> t
     Raises [Invalid_argument] if the base is not [Linear] with a
     positive slope, on negative/non-finite observations, if no
     observation carries a foreign load, or on a degenerate fit. *)
-
-val pp : Format.formatter -> t -> unit

@@ -15,11 +15,6 @@ module Rwl = Crowdmax_crowd.Rwl
 type answer_source =
   | Oracle
   | Simulated of { platform : Platform.t; rwl : Rwl.config }
-  | Simulated_pool of {
-      platform : Platform.t;
-      pool : Crowdmax_crowd.Worker_pool.t;
-      votes : int;
-    }
 
 type deadline_policy = Wait_all | Fixed of float | Quantile of float
 type straggler_policy = Drop | Carry_forward | Reissue of int
@@ -36,7 +31,7 @@ type config = {
 
 let check_source ~caller = function
   | Oracle -> ()
-  | Simulated { rwl = { Rwl.votes; _ }; _ } | Simulated_pool { votes; _ } ->
+  | Simulated { rwl = { Rwl.votes; _ }; _ } ->
       if votes < 1 then invalid_arg (caller ^ ": votes < 1")
 
 let config ?(source = Oracle) ?(pad_to_round_budget = true)
@@ -182,27 +177,6 @@ let resolve_votes ~resolve dag counts (report : Platform.report) =
    runs platform-first; it is a distinct, documented draw schedule. *)
 let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
     ~latency_model truth dag questions ~distinct ~posted =
-  let simulated platform votes resolve =
-    match round_deadline ~deadline ~latency_model ~posted with
-    | None ->
-        let outcome = resolve None in
-        (* Latency: all raw repetitions of all posted questions
-           (padding included) go to the platform as one batch. *)
-        let latency =
-          Platform.batch_latency ~metrics ?scratch platform rng (votes * posted)
-        in
-        add_answers dag outcome.Rwl.answers;
-        full_round latency ~answered:(List.length outcome.Rwl.answers)
-    | Some deadline ->
-        let counts = Array.make distinct 0 in
-        let report =
-          Platform.simulate ~deadline ~metrics ?scratch platform rng
-            (votes * posted) ~on_complete:(fun idx _time ->
-              count_vote counts ~posted idx)
-        in
-        resolve_votes dag counts report ~resolve:(fun votes_received ->
-            resolve (Some votes_received))
-  in
   match source with
   | Oracle ->
       (* Answers are instant and error-free; latency is purely the
@@ -215,12 +189,28 @@ let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
           else Dag.add_answer_unchecked dag ~winner:b ~loser:a)
         questions;
       full_round (Model.eval latency_model posted) ~answered:distinct
-  | Simulated { platform; rwl } ->
-      simulated platform rwl.Rwl.votes (fun votes_received ->
-          Rwl.resolve ?votes_received rng rwl ~truth questions)
-  | Simulated_pool { platform; pool; votes } ->
-      simulated platform votes (fun votes_received ->
-          Rwl.resolve_pool ?votes_received rng ~pool ~votes ~truth questions)
+  | Simulated { platform; rwl } -> (
+      let votes = rwl.Rwl.votes in
+      match round_deadline ~deadline ~latency_model ~posted with
+      | None ->
+          let outcome = Rwl.resolve rng rwl ~truth questions in
+          (* Latency: all raw repetitions of all posted questions
+             (padding included) go to the platform as one batch. *)
+          let latency =
+            Platform.batch_latency ~metrics ?scratch platform rng
+              (votes * posted)
+          in
+          add_answers dag outcome.Rwl.answers;
+          full_round latency ~answered:(List.length outcome.Rwl.answers)
+      | Some deadline ->
+          let counts = Array.make distinct 0 in
+          let report =
+            Platform.simulate ~deadline ~metrics ?scratch platform rng
+              (votes * posted) ~on_complete:(fun idx _time ->
+                count_vote counts ~posted idx)
+          in
+          resolve_votes dag counts report ~resolve:(fun votes_received ->
+              Rwl.resolve ~votes_received rng rwl ~truth questions))
 
 (* Split off the first [k] elements (all of them if fewer). *)
 let rec take_at_most k = function

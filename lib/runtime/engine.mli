@@ -30,14 +30,6 @@ type answer_source =
       (** the discrete-event platform answers (with worker errors) and
           the RWL cleans them up; round latency is the simulated batch
           completion time of all [votes * q] raw questions *)
-  | Simulated_pool of {
-      platform : Crowdmax_crowd.Platform.t;
-      pool : Crowdmax_crowd.Worker_pool.t;
-      votes : int;
-    }
-      (** identified workers with heterogeneous latent accuracy; the RWL
-          forms each round's answers by accuracy-weighted consensus
-          ([Rwl.resolve_pool]); latency as in [Simulated] *)
 
 type deadline_policy =
   | Wait_all
@@ -96,8 +88,8 @@ val config :
   unit ->
   config
 (** Defaults: [Oracle] source, padding on, [Wait_all], [Drop]. Raises
-    [Invalid_argument "Engine.config: votes < 1"] for a [Simulated] or
-    [Simulated_pool] source asking fewer than one vote per question
+    [Invalid_argument "Engine.config: votes < 1"] for a [Simulated]
+    source asking fewer than one vote per question
     (see {!check_source}). *)
 
 val plan_config :
@@ -121,7 +113,7 @@ val plan_config :
 val check_source : caller:string -> answer_source -> unit
 (** The vote-count check every driver runs at construction: raises
     [Invalid_argument "<caller>: votes < 1"] for a simulated source
-    whose RWL config or pool asks fewer than one vote per question,
+    whose RWL config asks fewer than one vote per question,
     before any round posts it. [Oracle] always passes. *)
 
 val check_deadline : caller:string -> deadline_policy -> unit
@@ -322,7 +314,6 @@ module Query : sig
   val questions : round -> (int * int) list
   (** Distinct questions, carried ones first. *)
 
-  val distinct : round -> int
   val posted : round -> int  (** distinct plus padding *)
 
   val absorb : t -> round -> round_outcome -> round_record

@@ -42,33 +42,6 @@ let metrics_to_json (s : Metrics.snapshot) =
   in
   J.Obj (("schema", J.String metrics_schema) :: group s)
 
-let round_to_json (r : Engine.round_record) =
-  J.Obj
-    [
-      ("round_index", J.int r.Engine.round_index);
-      ("round_budget", J.int r.Engine.round_budget);
-      ("distinct_questions", J.int r.Engine.distinct_questions);
-      ("padded_questions", J.int r.Engine.padded_questions);
-      ("candidates_before", J.int r.Engine.candidates_before);
-      ("candidates_after", J.int r.Engine.candidates_after);
-      ("round_latency", J.Float r.Engine.round_latency);
-      ("unanswered_questions", J.int r.Engine.unanswered_questions);
-      ("reissued_questions", J.int r.Engine.reissued_questions);
-      ("deadline_hit", J.Bool r.Engine.deadline_hit);
-    ]
-
-let result_to_json (r : Engine.result) =
-  J.Obj
-    [
-      ("chosen", J.int r.Engine.chosen);
-      ("correct", J.Bool r.Engine.correct);
-      ("singleton", J.Bool r.Engine.singleton);
-      ("rounds_run", J.int r.Engine.rounds_run);
-      ("questions_posted", J.int r.Engine.questions_posted);
-      ("total_latency", J.Float r.Engine.total_latency);
-      ("trace", J.List (List.map round_to_json r.Engine.trace));
-    ]
-
 let aggregate_to_json ?metrics (a : Engine.aggregate) =
   let metrics_field =
     match metrics with
@@ -91,58 +64,6 @@ let aggregate_to_json ?metrics (a : Engine.aggregate) =
        ("runs_per_sec", J.Float a.Engine.timing.Engine.runs_per_sec);
      ]
     @ metrics_field)
-
-module Model = Crowdmax_latency.Model
-
-let model_to_json = function
-  | Model.Linear { delta; alpha } ->
-      J.Obj
-        [
-          ("kind", J.String "linear");
-          ("delta", J.Float delta);
-          ("alpha", J.Float alpha);
-        ]
-  | Model.Power { delta; alpha; p } ->
-      J.Obj
-        [
-          ("kind", J.String "power");
-          ("delta", J.Float delta);
-          ("alpha", J.Float alpha);
-          ("p", J.Float p);
-        ]
-  | Model.Piecewise knots ->
-      J.Obj
-        [
-          ("kind", J.String "piecewise");
-          ( "knots",
-            J.List
-              (Array.to_list
-                 (Array.map
-                    (fun (x, y) -> J.List [ J.int x; J.Float y ])
-                    knots)) );
-        ]
-  | Model.Custom _ ->
-      invalid_arg "Serialize.model_to_json: Custom models are closures"
-
-let observation_to_json (o : Crowdmax_latency.Estimate.observation) =
-  J.Obj
-    [
-      ("batch_size", J.int o.Crowdmax_latency.Estimate.batch_size);
-      ("seconds", J.Float o.Crowdmax_latency.Estimate.seconds);
-    ]
-
-let adaptive_result_to_json (r : Adaptive.result) =
-  J.Obj
-    [
-      ("engine_result", result_to_json r.Adaptive.engine_result);
-      ("replans", J.int r.Adaptive.replans);
-      ("refits", J.int r.Adaptive.refits);
-      ("drift_detected", J.int r.Adaptive.drift_detected);
-      ("replans_on_drift", J.int r.Adaptive.replans_on_drift);
-      ("final_model", model_to_json r.Adaptive.final_model);
-      ( "observations",
-        J.List (List.map observation_to_json r.Adaptive.observations) );
-    ]
 
 (* --- decoding ------------------------------------------------------------ *)
 

@@ -1,21 +1,7 @@
-(** JSON documents for engine outputs.
-
-    The encoders let external tooling (plotting, dashboards) consume runs
-    without linking OCaml. Only the metrics documents are read back:
-    [crowdmax_cli metrics-check] decodes an aggregate's ["metrics"] field,
-    and {!metrics_of_json} inverts {!metrics_to_json} exactly (tested). *)
-
-val round_to_json : Engine.round_record -> Crowdmax_util.Json.t
-val result_to_json : Engine.result -> Crowdmax_util.Json.t
-
-val model_to_json : Crowdmax_latency.Model.t -> Crowdmax_util.Json.t
-(** [Linear]/[Power] parameters or [Piecewise] knots, tagged by [kind].
-    Raises [Invalid_argument] for [Custom] models (closures have no
-    serial form). *)
-
-val adaptive_result_to_json : Adaptive.result -> Crowdmax_util.Json.t
-(** The engine result plus the closed-loop fields ([replans], [refits],
-    [drift_detected], [replans_on_drift]) and the final planning model. *)
+(** JSON for the CLI's run dumps: an aggregate document, optionally
+    carrying a metrics snapshot, and the decoders
+    [crowdmax_cli metrics-check] reads back. {!metrics_of_json} inverts
+    {!metrics_to_json} exactly (tested). *)
 
 val aggregate_to_json :
   ?metrics:Crowdmax_obs.Metrics.snapshot ->

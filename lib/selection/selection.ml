@@ -269,6 +269,11 @@ let greedy = { name = "GREEDY"; select = greedy_select }
 
 (* --- HILL --------------------------------------------------------------- *)
 
+(* Hill climbing in the spirit of Venetis et al. [23]: the current
+   champion (strongest score) is compared against as many challengers
+   as the round budget allows, in rank order; leftover budget pairs the
+   following candidates with each other. *)
+
 let hill_select rng input =
   let c = Array.length input.candidates in
   if c <= 1 || input.budget < 1 then []

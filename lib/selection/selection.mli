@@ -68,12 +68,6 @@ val greedy : t
 (** A best-first selector in the spirit of Guo et al. [10]: clique over
     the strongest candidates only (no coverage questions for the rest). *)
 
-val hill : t
-(** A hill-climbing selector in the spirit of Venetis et al. [23]: the
-    current champion (strongest score) is compared against as many
-    challengers as the round budget allows, in rank order; leftover
-    budget pairs the following candidates with each other. *)
-
 val all : t list
 (** The selectors used across the experimental evaluation. *)
 

@@ -59,5 +59,3 @@ let add t a b =
     true
   end
 [@@alloc_free]
-
-let cardinal t = t.count

@@ -22,5 +22,3 @@ val mem : t -> int -> int -> bool
 val add : t -> int -> int -> bool
 (** [add t a b] inserts the pair and returns [true] iff it was not
     already present. Same exceptions as {!mem}. *)
-
-val cardinal : t -> int

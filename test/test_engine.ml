@@ -148,29 +148,6 @@ let test_simulated_source_with_rwl () =
   check_bool "correct with perfect simulated workers" true r.E.correct;
   check_bool "platform latency dominates" true (r.E.total_latency > 100.0)
 
-let test_simulated_pool_source () =
-  let rng = Rng.create 21 in
-  let platform = Platform.create () in
-  let pool =
-    Crowdmax_crowd.Worker_pool.create rng ~workers:50 ~good_fraction:0.8
-      ~good_accuracy:0.97 ~bad_accuracy:0.6
-  in
-  let cfg =
-    E.config
-      ~source:(E.Simulated_pool { platform; pool; votes = 5 })
-      ~allocation:(tdp_alloc 30 200) ~selection:S.tournament
-      ~latency_model:model ()
-  in
-  let correct = ref 0 in
-  for _ = 1 to 10 do
-    let truth = G.random rng 30 in
-    let r = E.run rng cfg truth in
-    check_bool "always terminates with a pick" true (r.E.chosen >= 0);
-    if r.E.correct then incr correct
-  done;
-  (* mostly-good pool with 5 weighted votes: usually right *)
-  check_bool "mostly correct" true (!correct >= 6)
-
 let test_replicate_aggregates () =
   let alloc = tdp_alloc 25 120 in
   let agg = E.replicate ~runs:30 ~seed:7 (oracle_cfg alloc) ~elements:25 in
@@ -221,7 +198,7 @@ let test_policy_validation () =
   raises "Engine.run: Reissue retry cap < 0" E.Wait_all (E.Reissue (-1))
 
 let test_source_vote_validation () =
-  (* Both simulated sources reject a vote count below one when the config
+  (* The simulated source rejects a vote count below one when the config
      is built, before any round could post it; so do the runs that take
      a source directly, and a hand-edited config at run time. *)
   let alloc = tdp_alloc 10 40 in
@@ -230,25 +207,22 @@ let test_source_vote_validation () =
   Alcotest.check_raises "simulated" (Invalid_argument msg) (fun () ->
       ignore
         (simulated_cfg ~votes:0 ~deadline:E.Wait_all ~straggler:E.Drop alloc));
-  let pool =
-    Crowdmax_crowd.Worker_pool.create rng ~workers:5 ~good_fraction:0.8
-      ~good_accuracy:0.97 ~bad_accuracy:0.6
+  let source votes =
+    E.Simulated
+      { platform = Platform.create (); rwl = { Rwl.votes; error = W.Perfect } }
   in
-  let pool_source votes =
-    E.Simulated_pool { platform = Platform.create (); pool; votes }
-  in
-  Alcotest.check_raises "simulated pool" (Invalid_argument msg) (fun () ->
+  Alcotest.check_raises "negative votes" (Invalid_argument msg) (fun () ->
       ignore
-        (E.config ~source:(pool_source (-1)) ~allocation:alloc
+        (E.config ~source:(source (-1)) ~allocation:alloc
            ~selection:S.tournament ~latency_model:model ()));
-  let cfg = { (oracle_cfg alloc) with E.source = pool_source 0 } in
+  let cfg = { (oracle_cfg alloc) with E.source = source 0 } in
   Alcotest.check_raises "hand-edited config"
     (Invalid_argument "Engine.run: votes < 1") (fun () ->
       ignore (E.run rng cfg (G.random rng 10)));
   Alcotest.check_raises "adaptive" (Invalid_argument "Adaptive.run: votes < 1")
     (fun () ->
       ignore
-        (Crowdmax_runtime.Adaptive.run rng ~source:(pool_source 0)
+        (Crowdmax_runtime.Adaptive.run rng ~source:(source 0)
            ~problem:(Problem.create ~elements:10 ~budget:40 ~latency:model)
            ~selection:S.tournament (G.random rng 10)))
 
@@ -664,7 +638,6 @@ let suite =
         tc "single element" `Quick test_single_element_collection;
         tc "heuristics terminate" `Quick test_heuristic_allocations_terminate;
         tc "simulated source with RWL" `Quick test_simulated_source_with_rwl;
-        tc "simulated pool source" `Quick test_simulated_pool_source;
         tc "replicate aggregates" `Quick test_replicate_aggregates;
         tc "replicate rejects zero runs" `Quick test_replicate_rejects_zero_runs;
         tc "deterministic given seed" `Quick test_deterministic_given_seed;

@@ -14,8 +14,6 @@ module S = Crowdmax_selection.Selection
 module Platform = Crowdmax_crowd.Platform
 module Rwl = Crowdmax_crowd.Rwl
 module Worker = Crowdmax_crowd.Worker
-module Worker_pool = Crowdmax_crowd.Worker_pool
-module Rng = Crowdmax_util.Rng
 
 let tc = Alcotest.test_case
 let check_int = Alcotest.check Alcotest.int
@@ -122,11 +120,6 @@ let golden_aggregates =
       [ "40803e06f297ecbb"; "4043ba15a0d4537b"; "40805bfbcc81e7fe";
         "40820cd12c2707b0"; "3ff0000000000000"; "3fe0000000000000";
         "4051800000000000"; "4000000000000000" ] );
-    ( "simulated_pool",
-      `Pool, `Tournament, 25, 150, 9, 8,
-      [ "408084dc4c690398"; "403a1431dab435c0"; "40805eecda4de19e";
-        "408185956fe6e877"; "3ff0000000000000"; "3fec000000000000";
-        "404b000000000000"; "4000000000000000" ] );
   ]
 
 let golden_source = function
@@ -137,12 +130,6 @@ let golden_source = function
           platform = Platform.create ();
           rwl = { Rwl.votes = 3; error = Worker.Uniform 0.15 };
         }
-  | `Pool ->
-      let pool =
-        Worker_pool.create (Rng.create 4242) ~workers:40 ~good_fraction:0.8
-          ~good_accuracy:0.92 ~bad_accuracy:0.55
-      in
-      E.Simulated_pool { platform = Platform.create (); pool; votes = 5 }
 
 let test_engine_aggregate_hex () =
   List.iter

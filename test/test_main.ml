@@ -4,7 +4,7 @@ let () =
   Alcotest.run "crowdmax"
     (Test_rng.suite @ Test_samplers.suite @ Test_stats.suite @ Test_parallel.suite
    @ Test_heap.suite @ Test_table.suite
-   @ Test_ints.suite @ Test_json.suite @ Test_csv.suite @ Test_metrics.suite @ Test_alloc_free.suite
+   @ Test_ints.suite @ Test_json.suite @ Test_metrics.suite @ Test_alloc_free.suite
    @ Test_event_calendar.suite @ Test_answer_dag.suite
    @ Test_dag_model.suite @ Test_undirected.suite
    @ Test_max_ind.suite @ Test_linear_ext.suite @ Test_scoring.suite
@@ -13,10 +13,9 @@ let () =
    @ Test_bounds.suite @ Test_cost.suite
    @ Test_heuristics.suite @ Test_selection.suite @ Test_ground_truth.suite
    @ Test_worker.suite @ Test_platform.suite @ Test_rwl.suite
-   @ Test_worker_pool.suite
    @ Test_engine.suite @ Test_adaptive.suite @ Test_server.suite
    @ Test_topk.suite
-   @ Test_experiments.suite @ Test_export.suite @ Test_analysis.suite
-   @ Test_sort.suite @ Test_serialize.suite @ Test_umbrella.suite
+   @ Test_experiments.suite @ Test_analysis.suite
+   @ Test_sort.suite @ Test_serialize.suite
    @ Test_integration.suite @ Test_golden.suite
    @ Test_properties.suite)

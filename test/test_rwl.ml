@@ -208,94 +208,6 @@ let test_votes_received_validation () =
     (fun () ->
       ignore (Rwl.resolve ~votes_received:[| 4 |] rng cfg ~truth [ (0, 1) ]))
 
-module WP = Crowdmax_crowd.Worker_pool
-
-let mk_pool ?(workers = 40) ?(good_fraction = 0.5) ?(good = 0.95) ?(bad = 0.55)
-    rng =
-  WP.create rng ~workers ~good_fraction ~good_accuracy:good ~bad_accuracy:bad
-
-let test_pool_conflict_free () =
-  let rng = Rng.create 21 in
-  for _ = 1 to 15 do
-    let n = 4 + Rng.int rng 8 in
-    let truth = G.random rng n in
-    let pool = mk_pool ~good_fraction:0.3 ~bad:0.5 rng in
-    let o = Rwl.resolve_pool rng ~pool ~votes:3 ~truth (all_pairs n) in
-    check_bool "acyclic" true (Rwl.is_conflict_free ~n o.Rwl.answers);
-    check_int "one per question" (List.length (all_pairs n))
-      (List.length o.Rwl.answers)
-  done
-
-let test_pool_weighting_beats_majority () =
-  (* a pool that's mostly spammers: weighted consensus should recover
-     at least as many true answers as anonymous majority voting *)
-  let rng = Rng.create 23 in
-  let weighted_acc = ref 0.0 and majority_acc = ref 0.0 in
-  for _ = 1 to 10 do
-    let n = 10 in
-    let truth = G.random rng n in
-    let pool = mk_pool ~good_fraction:0.35 ~good:0.97 ~bad:0.5 rng in
-    let qs = all_pairs n in
-    let ow = Rwl.resolve_pool rng ~pool ~votes:9 ~truth qs in
-    let om =
-      Rwl.resolve rng { Rwl.votes = 9; error = W.Uniform 0.33 } ~truth qs
-    in
-    weighted_acc := !weighted_acc +. ow.Rwl.accuracy;
-    majority_acc := !majority_acc +. om.Rwl.accuracy
-  done;
-  check_bool "weighting helps against spam" true
-    (!weighted_acc >= !majority_acc -. 0.2)
-
-let test_pool_empty_questions () =
-  let rng = Rng.create 25 in
-  let truth = G.random rng 4 in
-  let pool = mk_pool rng in
-  let o = Rwl.resolve_pool rng ~pool ~votes:3 ~truth [] in
-  check_int "no answers" 0 (List.length o.Rwl.answers);
-  Alcotest.check (Alcotest.float 1e-9) "vacuous" 1.0 o.Rwl.accuracy
-
-let test_pool_validation () =
-  let rng = Rng.create 27 in
-  let truth = G.random rng 4 in
-  let pool = mk_pool rng in
-  Alcotest.check_raises "votes" (Invalid_argument "Rwl.resolve_pool: votes < 1")
-    (fun () -> ignore (Rwl.resolve_pool rng ~pool ~votes:0 ~truth []));
-  Alcotest.check_raises "self" (Invalid_argument "Rwl.resolve_pool: self-comparison")
-    (fun () -> ignore (Rwl.resolve_pool rng ~pool ~votes:3 ~truth [ (1, 1) ]))
-
-let test_pool_raw_accounting () =
-  let rng = Rng.create 29 in
-  let truth = G.random rng 5 in
-  let pool = mk_pool rng in
-  let o = Rwl.resolve_pool rng ~pool ~votes:5 ~truth (all_pairs 5) in
-  check_int "votes x questions" (5 * 10) o.Rwl.raw_questions
-
-let test_pool_partial_votes () =
-  let rng = Rng.create 39 in
-  let truth = G.random rng 6 in
-  let pool = mk_pool ~good_fraction:1.0 ~good:0.99 rng in
-  let qs = [ (0, 1); (2, 3); (4, 5) ] in
-  let o =
-    Rwl.resolve_pool ~votes_received:[| 3; 0; 1 |] rng ~pool ~votes:3 ~truth qs
-  in
-  check_int "two answered" 2 (List.length o.Rwl.answers);
-  Alcotest.check
-    Alcotest.(list (pair int int))
-    "zero-vote question unanswered" [ (2, 3) ] o.Rwl.unanswered;
-  check_int "raw counts posted repetitions" 9 o.Rwl.raw_questions
-
-let test_pool_all_zero_votes () =
-  let rng = Rng.create 41 in
-  let truth = G.random rng 4 in
-  let pool = mk_pool rng in
-  let qs = [ (0, 1); (2, 3) ] in
-  let o = Rwl.resolve_pool ~votes_received:[| 0; 0 |] rng ~pool ~votes:3 ~truth qs in
-  check_int "nothing answered" 0 (List.length o.Rwl.answers);
-  Alcotest.check
-    Alcotest.(list (pair int int))
-    "everything unanswered" qs o.Rwl.unanswered;
-  Alcotest.check (Alcotest.float 1e-9) "vacuous accuracy" 1.0 o.Rwl.accuracy
-
 (* --- differential: array kernel vs the list-and-closure reference ------- *)
 
 module Ref = Rwl_reference
@@ -419,22 +331,10 @@ let resolve_with f rng truth c =
   f ?votes_received:c.received rng { Rwl.votes = c.votes; error = c.error } ~truth
     c.questions
 
-let pool_with f rng truth c =
-  let pool =
-    mk_pool ~good_fraction:0.4 ~bad:0.5 (Rng.create (c.seed + 2))
-  in
-  f ?votes_received:c.received rng ~pool ~votes:c.votes ~truth c.questions
-
 let resolve_agrees =
   agrees
     ~kernel:(resolve_with (fun ?votes_received -> Rwl.resolve ?votes_received))
     ~reference:(resolve_with (fun ?votes_received -> Ref.resolve ?votes_received))
-
-let pool_agrees =
-  agrees
-    ~kernel:(pool_with (fun ?votes_received -> Rwl.resolve_pool ?votes_received))
-    ~reference:
-      (pool_with (fun ?votes_received -> Ref.resolve_pool ?votes_received))
 
 let prop_resolve_matches_reference =
   QCheck.Test.make ~name:"resolve = list reference (outcome, draws)" ~count:300
@@ -445,12 +345,6 @@ let prop_resolve_errors_match_reference =
   QCheck.Test.make ~name:"resolve = list reference on bad input" ~count:300
     (QCheck.make ~print:print_case bad_case_gen)
     resolve_agrees
-
-let prop_pool_matches_reference =
-  QCheck.Test.make ~name:"resolve_pool = list reference (outcome, draws)"
-    ~count:60
-    (QCheck.make ~print:print_case case_gen)
-    pool_agrees
 
 let suite =
   [
@@ -463,13 +357,6 @@ let suite =
         tc "full votes_received matches plain resolve" `Quick
           test_all_votes_received_matches_plain;
         tc "votes_received validation" `Quick test_votes_received_validation;
-        tc "pool: partial votes" `Quick test_pool_partial_votes;
-        tc "pool: all votes cut off" `Quick test_pool_all_zero_votes;
-        tc "pool: conflict-free" `Quick test_pool_conflict_free;
-        tc "pool: weighting vs majority" `Slow test_pool_weighting_beats_majority;
-        tc "pool: empty questions" `Quick test_pool_empty_questions;
-        tc "pool: validation" `Quick test_pool_validation;
-        tc "pool: raw accounting" `Quick test_pool_raw_accounting;
         tc "perfect workers exact" `Quick test_perfect_workers_exact;
         tc "one answer per question" `Quick test_output_one_answer_per_question;
         tc "conflict-free under heavy errors" `Quick test_conflict_free_under_heavy_errors;
@@ -485,6 +372,5 @@ let suite =
           [
             prop_resolve_matches_reference;
             prop_resolve_errors_match_reference;
-            prop_pool_matches_reference;
           ] );
   ]

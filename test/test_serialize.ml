@@ -1,16 +1,9 @@
 module Ser = Crowdmax_runtime.Serialize
 module E = Crowdmax_runtime.Engine
 module J = Crowdmax_util.Json
-module Model = Crowdmax_latency.Model
 
 let tc = Alcotest.test_case
 let check_bool = Alcotest.check Alcotest.bool
-
-let test_model_custom_rejected () =
-  Alcotest.check_raises "no serial form for closures"
-    (Invalid_argument "Serialize.model_to_json: Custom models are closures")
-    (fun () ->
-      ignore (Ser.model_to_json (Model.Custom (fun q -> float_of_int q))))
 
 (* --- metrics documents ---------------------------------------------------- *)
 
@@ -137,7 +130,6 @@ let suite =
   [
     ( "serialize",
       [
-        tc "model custom rejected" `Quick test_model_custom_rejected;
         tc "metrics roundtrip" `Quick test_metrics_roundtrip;
         tc "metrics through text" `Quick test_metrics_roundtrip_through_text;
         tc "aggregate with metrics field" `Quick

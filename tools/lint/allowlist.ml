@@ -2,7 +2,7 @@
 
      RULE PATH[:LINE] reason text...
 
-   - RULE is R1..R4 (or * for any rule).
+   - RULE is R1..R7 (or * for any rule).
    - PATH matches a finding whose file equals the path or ends with
      "/PATH"; an optional :LINE pins the entry to one line.
    - The reason is mandatory: every suppression must say why.

@@ -1,9 +1,9 @@
 (* crowdmax-lint — typedtree static analysis gate for the crowdmax repo.
 
    Reads the .cmt files dune emits, reconstructs typing environments
-   from their summaries, and enforces the repo-specific rules R1-R6
-   (see rules.ml, escape.ml, alloc_free.ml and CONTRIBUTING.md).
-   Findings print one per line as
+   from their summaries, and enforces the repo-specific rules R1-R7
+   (see rules.ml, escape.ml, alloc_free.ml, unused.ml and
+   CONTRIBUTING.md). Findings print one per line as
 
        file:line:col RULE message
 
@@ -14,24 +14,28 @@
 
    Usage:
      crowdmax_lint [--allow FILE] [--require-mli] [--require-mli-dir DIR]
-                   [--exclude SUBSTR] [--fail-unused] [-I DIR] PATH...
+                   [--refs-only DIR] [--exclude SUBSTR] [--fail-unused]
+                   [-I DIR] PATH...
 
    Each PATH is a .cmt file or a directory scanned recursively
    (dune hides them under lib/<x>/.<lib>.objs/byte/). --exclude skips
    any cmt whose path contains SUBSTR (the fixture corpus, when the
-   repo-wide gate scans tools/). --require-mli-dir restricts R4 to
-   cmts under DIR, so executables (bin/, bench/) ride the gate without
-   growing interface files. --fail-unused promotes stale-allowlist
-   warnings to failures — the CI mode, so suppressions cannot outlive
-   the code they excused.
+   repo-wide gate scans tools/). --require-mli-dir restricts R4 and R7
+   to cmts under DIR, so executables (bin/, bench/) ride the gate
+   without growing interface files. --refs-only DIR loads the cmts
+   under DIR only as R7's users of that surface; no rule runs on them.
+   --fail-unused promotes stale-allowlist warnings to failures — the CI
+   mode, so suppressions cannot outlive the code they excused.
 
-   Analysis is two-phase: a first pass over every module collects the
+   Analysis is three-phase: a first pass over every module collects the
    [@@alloc_free] annotations into one cross-module set, then the
-   rules run with that set so R6 resolves cross-module calls. *)
+   rules run with that set so R6 resolves cross-module calls, then R7
+   checks the library interfaces against every unit's references. *)
 
 let usage =
   "usage: crowdmax_lint [--allow FILE] [--require-mli] [--require-mli-dir \
-   DIR] [--exclude SUBSTR] [--fail-unused] [-I DIR] PATH..."
+   DIR] [--refs-only DIR] [--exclude SUBSTR] [--fail-unused] [-I DIR] \
+   PATH..."
 
 let fail fmt =
   Printf.ksprintf
@@ -82,18 +86,18 @@ let modname_of (cmt : Cmt_format.cmt_infos) =
 let env_of summary_env =
   try Envaux.env_of_only_summary summary_env with _ -> Env.initial
 
+let under dirs path =
+  List.exists (fun d -> String.starts_with ~prefix:d path) dirs
+
+let cmti_of cmt_path = Filename.remove_extension cmt_path ^ ".cmti"
+
 let analyze ~require_mli ~mli_dirs ~annotated ~report (cmt_path, cmt) =
   let source = source_of cmt in
   if not (is_generated source) then begin
-    let wants_mli =
-      require_mli
-      || List.exists
-           (fun d -> String.starts_with ~prefix:d cmt_path)
-           mli_dirs
-    in
+    let wants_mli = require_mli || under mli_dirs cmt_path in
     if
       wants_mli
-      && not (Sys.file_exists (Filename.remove_extension cmt_path ^ ".cmti"))
+      && not (Sys.file_exists (cmti_of cmt_path))
     then
       report
         {
@@ -128,6 +132,7 @@ let () =
   let allow_file = ref None in
   let require_mli = ref false in
   let mli_dirs = ref [] in
+  let refs_only = ref [] in
   let excludes = ref [] in
   let fail_unused = ref false in
   let includes = ref [] in
@@ -143,6 +148,9 @@ let () =
     | "--require-mli-dir" :: d :: rest ->
         mli_dirs := d :: !mli_dirs;
         parse rest
+    | "--refs-only" :: d :: rest ->
+        refs_only := d :: !refs_only;
+        parse rest
     | "--exclude" :: s :: rest ->
         excludes := s :: !excludes;
         parse rest
@@ -152,7 +160,8 @@ let () =
     | "-I" :: d :: rest ->
         includes := d :: !includes;
         parse rest
-    | ("--allow" | "--require-mli-dir" | "--exclude" | "-I") :: [] ->
+    | ("--allow" | "--require-mli-dir" | "--refs-only" | "--exclude" | "-I")
+      :: [] ->
         fail "%s" usage
     | ("--help" | "-help") :: _ ->
         print_endline usage;
@@ -171,23 +180,28 @@ let () =
         | Allowlist.Malformed msg -> fail "%s" msg
         | Sys_error msg -> fail "%s" msg)
   in
-  let cmt_files =
+  let discover paths =
     List.filter
       (fun f ->
         not (List.exists (fun sub -> contains_substring ~sub f) !excludes))
-      (collect_cmts (List.rev !paths))
+      (collect_cmts paths)
   in
-  (match cmt_files with
+  let target_files =
+    List.filter
+      (fun f -> not (under !refs_only f))
+      (discover (List.rev !paths))
+  in
+  (match target_files with
   | [] -> fail "no .cmt files under the given paths"
   | _ :: _ -> ());
-  let cmts =
-    List.map
-      (fun f ->
-        match Cmt_format.read_cmt f with
-        | cmt -> (f, cmt)
-        | exception _ -> fail "cannot read cmt file %s" f)
-      cmt_files
+  let read f =
+    match Cmt_format.read_cmt f with
+    | cmt -> (f, cmt)
+    | exception _ -> fail "cannot read cmt file %s" f
   in
+  let cmts = List.map read target_files in
+  let ref_cmts = List.map read (discover (List.rev !refs_only)) in
+  let cmt_files = target_files @ List.map fst ref_cmts in
   (* Load path for environment reconstruction: the directories holding
      the scanned cmts (their cmis live alongside), any -I extras, plus
      whatever absolute paths the compiler itself was invoked with
@@ -212,7 +226,7 @@ let () =
         List.iter
           (fun d -> if Filename.is_relative d then () else add d)
           cmt.Cmt_format.cmt_loadpath)
-      cmts;
+      (cmts @ ref_cmts);
     add Config.standard_library;
     List.rev !out
   in
@@ -235,6 +249,32 @@ let () =
   let report f = findings := f :: !findings in
   List.iter
     (analyze ~require_mli:!require_mli ~mli_dirs:!mli_dirs ~annotated ~report)
+    cmts;
+  (* Phase 3: R7, the library surface against every unit's references. *)
+  let uses = Unused.create () in
+  List.iter
+    (fun (_, cmt) ->
+      match cmt.Cmt_format.cmt_annots with
+      | Cmt_format.Implementation str when not (is_generated (source_of cmt))
+        ->
+          Unused.collect uses ~env_of ~modname:(modname_of cmt)
+            ~source:(source_of cmt) str
+      | _ -> ())
+    (cmts @ ref_cmts);
+  List.iter
+    (fun (cmt_path, cmt) ->
+      let cmti = cmti_of cmt_path in
+      if
+        under !mli_dirs cmt_path
+        && (not (is_generated (source_of cmt)))
+        && Sys.file_exists cmti
+      then
+        match Cmt_format.read_cmt cmti with
+        | { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } as intf ->
+            Unused.check uses ~report ~modname:(modname_of cmt)
+              ~source:(source_of intf) sg
+        | _ -> ()
+        | exception _ -> fail "cannot read cmti file %s" cmti)
     cmts;
   let all = List.sort_uniq Finding.compare !findings in
   let kept, suppressed =

@@ -6,7 +6,7 @@ type t = {
   file : string;
   line : int;
   col : int;
-  rule : string; (* "R1" .. "R4" *)
+  rule : string; (* "R1" .. "R7" *)
   message : string;
 }
 
