@@ -75,14 +75,21 @@ let opcheck_engine_runs = 5
 let opcheck_engine_seed = 99
 let opcheck_engine_sizes = [ 100; 500 ]
 
-(* Cold solves, one fresh cache each: (c0, b). The last row is a lean
-   budget (2 c0) at c0=1000: the round-count bound settles ~10^2 states
-   there against 84283 without it, so a refactor that silently disables
-   the bound moves its counters loudly. ub_entries
+(* Cold solves, one fresh cache each: (key tag, model, c0, b). The
+   paper-model rows end on a lean budget (2 c0) at c0=1000: the
+   round-count bound settles ~10^2 states there against 84283 without
+   it, so a refactor that silently disables the bound moves its counters
+   loudly. The power row is outside the bound: the DP settles every
+   reachable state, and its counters pin the unpruned scan. ub_entries
    (Tdp.Cache.ub_entries, not a metrics counter) pins the on-demand
-   unconstrained table: c0 - 1 would mean the eager build came back. *)
+   unconstrained table: under the bound a handful of entries, outside
+   it every entry the DP reads (c0 - 2 here: nothing reads the root's,
+   a lean root state resolves through its children). *)
 let opcheck_cold_solves =
-  [ (40, 108); (200, 1600); (500, 999); (500, 4000); (1000, 2000) ]
+  List.map
+    (fun (c0, b) -> ("", model, c0, b))
+    [ (40, 108); (200, 1600); (500, 999); (500, 4000); (1000, 2000) ]
+  @ [ ("p=1.4.", Model.power ~delta:239.0 ~alpha:0.06 ~p:1.4, 500, 999) ]
 
 (* The cached sweep, one cache and one registry across all solves. At
    c0=300 the first budget is binding (2 c0 - 1), the middle ones span
@@ -192,15 +199,15 @@ let opcheck_counters () =
           prefix events arrivals completions)
     opcheck_engine_sizes;
   List.iter
-    (fun (c0, b) ->
+    (fun (tag, latency, c0, b) ->
       let metrics = Metrics.create () in
       let cache = Tdp.Cache.create () in
       let sol =
         Tdp.solve ~metrics ~cache
-          (Problem.create ~elements:c0 ~budget:b ~latency:model)
+          (Problem.create ~elements:c0 ~budget:b ~latency)
       in
       let snap = Metrics.snapshot metrics in
-      let prefix = Printf.sprintf "planner.cold.c0=%d.b=%d." c0 b in
+      let prefix = Printf.sprintf "planner.cold.%sc0=%d.b=%d." tag c0 b in
       let states = read snap ~section:"planner" prefix "states_visited" in
       read_all snap ~section:"planner" prefix
         [ "memo_hits"; "memo_misses"; "ub_pruned_branches" ];

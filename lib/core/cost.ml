@@ -26,12 +26,16 @@ let allocation_cost p alloc =
 type frontier_point = { budget : int; dollars : float; latency : float }
 
 let frontier ?(pricing = mturk_pricing) ~latency ~elements ~budgets () =
+  (* one plan cache for the sweep: every budget reuses the model's tables *)
+  let cache = Tdp.Cache.create () in
   let raw =
     List.filter_map
       (fun budget ->
         if not (Problem.is_feasible ~elements ~budget) then None
         else begin
-          let sol = Tdp.solve (Problem.create ~elements ~budget ~latency) in
+          let sol =
+            Tdp.solve ~cache (Problem.create ~elements ~budget ~latency)
+          in
           Some
             {
               budget;

@@ -25,9 +25,9 @@
     unconstrained optimum that is non-decreasing in c') are skipped
     whole, without changing any value or decision.
     [L(q)] is inlined for linear models and memoized into a float array
-    for the rest. {!Cache} exposes the working state as a reusable
-    handle so budget sweeps and re-plans skip the table build and
-    explore only unsettled states.
+    for the rest, each batch size evaluated on its first read. {!Cache}
+    exposes the working state as a reusable handle so budget sweeps and
+    re-plans skip the table build and explore only unsettled states.
 
     For a [Linear] model with [delta, alpha >= 0] (the paper's L(q),
     every [Estimate] fit, [Contention.effective]) a plan of R rounds and
@@ -38,10 +38,12 @@
     or lies above its parent's own optimum, is never probed. The float
     DP, its scan order and its tie-breaks are untouched, so solutions
     stay bit-identical while a cold solve settles a handful of states
-    instead of tens of thousands. The same bound, two-sided, lets these
-    models compute the unconstrained optimum [OL(c, choose2 c)] only for
-    the few [c] whose exact value a comparison needs (a handful per
-    solve instead of [c0 - 1]); other models build that table eagerly. *)
+    instead of tens of thousands. For every model the unconstrained
+    optimum [OL(c, choose2 c)] is computed only for the [c] whose exact
+    value a comparison needs. For these models the same bound,
+    two-sided, decides almost every comparison, so a solve computes a
+    handful of entries instead of [c0 - 1]. Other models have no such
+    bound: they compute every entry the search reads. *)
 
 type solution = {
   sequence : int list;  (** (c_i): [elements] down to 1 *)
@@ -58,12 +60,12 @@ type solution = {
 }
 
 (** A reusable planner cache: the unconstrained optima [OL(c, choose2 c)]
-    with their first steps (every entry for models outside the
-    round-count bound, the entries computed so far for those under it),
-    the L memo (non-linear models) and the flat state arena, retained
-    across {!solve} calls. These are the values of one latency model;
-    a rebuild allocates the two [c0 + 1]-entry optima rows and a small
-    arena, nothing else.
+    with their first steps (the entries computed so far), the L memo
+    (non-linear models: the batch sizes evaluated so far) and the flat
+    state arena, retained across {!solve} calls. These are the values
+    of one latency model; a rebuild allocates the two [c0 + 1]-entry
+    optima rows, the L memo's [choose2 c0 + 1] slots for a non-linear
+    model, and a small arena, nothing else.
 
     What a solve needs beyond that — the choose2 memo, the DP work
     stacks and the round-count bound's per-c rows — lives in one
@@ -89,8 +91,15 @@ type solution = {
 
     A cache is single-domain mutable state: never share one across
     domains (give each worker its own, as [Adaptive.replicate] does).
-    A solve that raises (a non-finite L) leaves the cache empty, so the
-    next solve rebuilds. *)
+    A solve that raises (a non-finite or raising L) leaves the cache
+    empty, so the next solve rebuilds.
+
+    A [Custom] L is user code that runs during the search, and it may
+    itself call {!solve}: with no cache or another cache, the nested
+    solve runs on a private workspace and both plans are the ones each
+    solve returns alone. A nested solve through the cache of a solve
+    that is running raises [Invalid_argument] (it would rebuild the
+    tables under that solve), and so does {!Cache.clear} on it. *)
 module Cache : sig
   type t
 
@@ -100,7 +109,8 @@ module Cache : sig
   val clear : t -> unit
   (** Drop everything (tables, arena, statistics), as if fresh. The
       domain's workspace is not touched: it never holds values the next
-      rebuild could mistake for its own. *)
+      rebuild could mistake for its own. Raises [Invalid_argument]
+      while a solve through [t] is running (from a [Custom] L). *)
 
   val hits : t -> int
   (** Solves that reused the retained tables. *)
@@ -116,9 +126,10 @@ module Cache : sig
   (** Largest c0 the current tables cover; 0 when empty. *)
 
   val ub_entries : t -> int
-  (** Unconstrained optima computed since the last rebuild: [capacity - 1]
-      for a model outside the round-count bound (the eager table), only
-      those some solve needed for one under it. *)
+  (** Unconstrained optima computed since the last rebuild: those some
+      solve's comparisons needed, at most [capacity - 1]. Under the
+      round-count bound a handful; outside it every entry the search
+      read, which for a lean root leaves out at least [ub(capacity)]. *)
 
   val ub_entry : t -> int -> (float * int) option
   (** [ub_entry t c] is [Some (OL(c, choose2 c), best next count)] once
@@ -148,7 +159,8 @@ val solve :
 
     Raises [Invalid_argument] if the latency model evaluates to a
     non-finite value at any batch size the search touches (a NaN would
-    otherwise silently poison the whole DP table). *)
+    otherwise silently poison the whole DP table), and on a nested
+    solve through the cache of a running solve (see {!Cache}). *)
 
 val optimal_latency : Problem.t -> float
 (** Just the objective value. *)

@@ -390,7 +390,7 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
     in
     let m_peak = Metrics.peak metrics ~section:"platform" "in_flight_peak" in
     let m_arrival_h =
-      Metrics.histogram_spec metrics ~section:"platform" "arrival_seconds"
+      Metrics.histogram metrics ~section:"platform" "arrival_seconds"
         ~buckets:arrival_bucket_spec
     in
     (* [observe] is an out-of-line call taking a boxed float, so the

@@ -12,22 +12,29 @@ type t = {
 
 let batch_sizes = [ 10; 20; 40; 80; 160; 320; 640; 1280 ]
 
+(* The one measurement: [runs_per_size] time-to-last-answer draws per
+   batch size, sizes in order, from one rng. *)
+let observe ~sizes ~runs_per_size ~seed platform =
+  let rng = Rng.create seed in
+  List.concat_map
+    (fun q ->
+      List.init runs_per_size (fun _ ->
+          {
+            Estimate.batch_size = q;
+            seconds = Platform.batch_latency platform rng q;
+          }))
+    sizes
+
+let calibrate ?(runs_per_size = 12) ?(seed = 17) platform =
+  Estimate.fit_linear
+    (observe ~sizes:[ 10; 20; 40; 80; 160; 320 ] ~runs_per_size ~seed platform)
+
 let run ?(runs_per_size = 20) ?(seed = 11) ?platform () =
   if runs_per_size < 1 then invalid_arg "Fig11a.run: runs_per_size < 1";
   let platform =
     match platform with Some p -> p | None -> Platform.create ()
   in
-  let rng = Rng.create seed in
-  let observations =
-    List.concat_map
-      (fun q ->
-        List.init runs_per_size (fun _ ->
-            {
-              Estimate.batch_size = q;
-              seconds = Platform.batch_latency platform rng q;
-            }))
-      batch_sizes
-  in
+  let observations = observe ~sizes:batch_sizes ~runs_per_size ~seed platform in
   let fit = Estimate.fit_linear observations in
   let delta, alpha =
     match fit with

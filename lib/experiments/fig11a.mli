@@ -22,4 +22,12 @@ val run :
 (** Defaults: 20 runs per size (as in the paper), seed 11. Raises
     [Invalid_argument] if [runs_per_size < 1]. *)
 
+val calibrate :
+  ?runs_per_size:int -> ?seed:int -> Crowdmax_crowd.Platform.t ->
+  Crowdmax_latency.Model.t
+(** The same measurement on the short ladder (batch sizes 10 to 320),
+    fitted: the solo L(q) calibration an operator runs ahead of time.
+    Defaults: 12 runs per size, seed 17. Shared by [Fig_adapt],
+    [Fig_server] and the CLI's [serve] subcommand. *)
+
 val print : t -> unit

@@ -24,11 +24,9 @@ module Adaptive = Crowdmax_runtime.Adaptive
 module Platform = Crowdmax_crowd.Platform
 module Rwl = Crowdmax_crowd.Rwl
 module Worker = Crowdmax_crowd.Worker
-module Estimate = Crowdmax_latency.Estimate
 module Model = Crowdmax_latency.Model
 module Problem = Crowdmax_core.Problem
 module Selection = Crowdmax_selection.Selection
-module Rng = Crowdmax_util.Rng
 
 type arm = {
   label : string;
@@ -74,24 +72,6 @@ let source platform votes =
   Engine.Simulated
     { platform; rwl = { Rwl.votes; error = Worker.Uniform 0.15 } }
 
-(* Offline calibration of the slow platform, Fig 11(a)-style: measure
-   time-to-last-answer over a ladder of batch sizes and fit a line.
-   This is what a supply-shift-aware operator would have measured ahead
-   of time; the omniscient arm installs it at the shift round. *)
-let calibrate ?(runs_per_size = 12) ?(seed = 17) platform =
-  let rng = Rng.create seed in
-  let observations =
-    List.concat_map
-      (fun q ->
-        List.init runs_per_size (fun _ ->
-            {
-              Estimate.batch_size = q;
-              seconds = Platform.batch_latency platform rng q;
-            }))
-      [ 10; 20; 40; 80; 160; 320 ]
-  in
-  Estimate.fit_linear observations
-
 (* Per-observation platform noise sits around 20-30% of the mean
    (relative residual RMS against the platform's own calibration), while
    the supply shift pushes the stale model's relative residual to
@@ -106,7 +86,10 @@ let run ?(jobs = 1) ?(runs = 24) ?(seed = 71) ?(elements = 1000)
   let problem = Problem.create ~elements ~budget ~latency:model in
   let selection = Selection.tournament in
   let fast = source (Platform.create ()) votes in
-  let shifted_model = calibrate (slow_platform scale) in
+  (* The offline calibration of the slow platform: what a
+     supply-shift-aware operator would have measured ahead of time; the
+     omniscient arm installs it at the shift round. *)
+  let shifted_model = Fig11a.calibrate (slow_platform scale) in
   (* Each arm gets its own platform/source values (they are immutable
      config, but per-arm values keep the arms visibly independent) and
      the same seed, so the three arms share ground truths and worker

@@ -29,7 +29,6 @@ module Engine = Crowdmax_runtime.Engine
 module Server = Crowdmax_server.Server
 module Platform = Crowdmax_crowd.Platform
 module Contention = Crowdmax_latency.Contention
-module Estimate = Crowdmax_latency.Estimate
 module Model = Crowdmax_latency.Model
 module Selection = Crowdmax_selection.Selection
 module Rng = Crowdmax_util.Rng
@@ -53,21 +52,7 @@ type t = {
   aware : arm;
 }
 
-(* Solo calibration, Fig 11(a)-style: time-to-last-answer over a
-   ladder of batch sizes on the idle platform, least-squares line. *)
-let calibrate_base ?(runs_per_size = 12) ?(seed = 17) platform =
-  let rng = Rng.create seed in
-  let observations =
-    List.concat_map
-      (fun q ->
-        List.init runs_per_size (fun _ ->
-            {
-              Estimate.batch_size = q;
-              seconds = Platform.batch_latency platform rng q;
-            }))
-      [ 10; 20; 40; 80; 160; 320 ]
-  in
-  Estimate.fit_linear observations
+let calibrate_base = Fig11a.calibrate
 
 (* Contention calibration: a foreground batch of q questions shares
    the marketplace with a foreign batch of o raw questions and we
@@ -137,14 +122,16 @@ let arm label agg =
     deadline_hits = agg.Server.total_deadline_hits;
   }
 
-(* The solo fit gets 200 batches per ladder size, not [calibrate_base]'s
+(* The solo fit gets 200 batches per ladder size, not [Fig11a.calibrate]'s
    default 12. At 12 the fitted alpha spans 0.14-0.21 across
    calibration seeds, and about 4 seeds in 10 land where both arms plan
    alike and the saving is exactly 0; at 200 every calibration seed
    tried gives a 6.3-6.9% saving, for tens of milliseconds more. *)
 let run ?(jobs = 1) ?(runs = 12) ?(seed = 73) ?(calibration_seed = 17) () =
   let platform = Platform.create () in
-  let base = calibrate_base ~runs_per_size:200 ~seed:calibration_seed platform in
+  let base =
+    Fig11a.calibrate ~runs_per_size:200 ~seed:calibration_seed platform
+  in
   let contention = calibrate_beta platform base in
   let specs = specs base in
   let selection = Selection.tournament in

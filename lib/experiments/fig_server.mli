@@ -29,8 +29,8 @@ type t = {
 val calibrate_base :
   ?runs_per_size:int -> ?seed:int -> Crowdmax_crowd.Platform.t ->
   Crowdmax_latency.Model.t
-(** Solo L(q) calibration (Fig 11(a)-style batch-size ladder on the
-    idle platform). Shared with the CLI's [serve] subcommand. *)
+(** {!Fig11a.calibrate}: the solo L(q) calibration on the idle
+    platform. *)
 
 val calibrate_beta :
   ?runs_per_cell:int -> ?seed:int -> Crowdmax_crowd.Platform.t ->

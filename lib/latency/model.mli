@@ -18,6 +18,10 @@ type t =
           knots, flat extrapolation before the first and linear (last
           segment slope) after the last. *)
   | Custom of (int -> float)
+      (** Anything. The planner evaluates it during its search, each
+          batch size once per plan cache; it may itself call
+          [Tdp.solve], but not through the plan cache it is being
+          planned with ([Invalid_argument]). *)
 
 val eval : t -> int -> float
 (** [eval l q] for [q >= 0]. Raises [Invalid_argument] on negative [q]

@@ -151,30 +151,31 @@ type histogram = No_hist | A_hist of hist_cell
 
 let check_buckets buckets =
   let n = Array.length buckets in
-  if n = 0 then invalid_arg "Metrics.histogram: empty bucket array";
+  if n = 0 then invalid_arg "Metrics.bucket_spec: empty bucket array";
   for i = 1 to n - 1 do
     if buckets.(i) <= buckets.(i - 1) then
-      invalid_arg "Metrics.histogram: bucket bounds must be strictly increasing"
+      invalid_arg
+        "Metrics.bucket_spec: bucket bounds must be strictly increasing"
   done
 
 (* A [bucket_spec] is a validated, privately owned copy of the bounds:
    abstract in the interface, so a module-level spec constant is
-   immutable by contract (and passes lint R3), and [histogram_spec] can
-   share it without re-validating or re-copying per registration. *)
+   immutable by contract (and passes lint R3), and [histogram] can share
+   it without re-validating or re-copying per registration. *)
 type bucket_spec = float array
 
 let bucket_spec buckets =
   check_buckets buckets;
   Array.copy buckets
 
-let histogram_of_bounds t ~section name ~copy buckets =
+let histogram t ~section name ~buckets =
   match t with
   | Disabled -> No_hist
   | Enabled s -> (
       let make () =
         C_hist
           {
-            h_buckets = (if copy then Array.copy buckets else buckets);
+            h_buckets = buckets;
             h_counts = Array.make (Array.length buckets + 1) 0;
             h_total = 0;
             h_sum = Array.make 1 0.0;
@@ -183,13 +184,6 @@ let histogram_of_bounds t ~section name ~copy buckets =
       match register s ~section name ~kind:"histogram" make with
       | C_hist c -> A_hist c
       | C_count _ | C_peak _ | C_real _ -> kind_clash ~section name)
-
-let histogram t ~section name ~buckets =
-  (match t with Disabled -> () | Enabled _ -> check_buckets buckets);
-  histogram_of_bounds t ~section name ~copy:true buckets
-
-let histogram_spec t ~section name ~buckets =
-  histogram_of_bounds t ~section name ~copy:false buckets
 
 let observe h v =
   match h with

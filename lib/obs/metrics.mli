@@ -77,25 +77,20 @@ val peak : t -> section:string -> string -> peak
 val record_peak : peak -> int -> unit
 (** Keeps the maximum value ever recorded. *)
 
-val histogram : t -> section:string -> string -> buckets:float array -> histogram
-(** [buckets] are strictly increasing upper bounds; observations above
-    the last bound land in an implicit overflow bucket. Raises
-    [Invalid_argument] on an empty or non-increasing bucket array. *)
-
 type bucket_spec
 (** A validated, immutable set of histogram bucket bounds. Because the
     type is abstract (and the constructor copies its input), a
     module-level [bucket_spec] constant is safely shareable across
-    domains — the supported way to hoist fixed bounds out of a hot
-    registration path without a top-level mutable array. *)
+    domains and registries: registration neither re-validates nor
+    copies it. *)
 
 val bucket_spec : float array -> bucket_spec
-(** Validates like {!histogram} (raises [Invalid_argument] on empty or
-    non-increasing bounds) and captures a private copy. *)
+(** The bounds are strictly increasing upper bounds; observations above
+    the last bound land in an implicit overflow bucket. Raises
+    [Invalid_argument] on an empty or non-increasing array, and
+    captures a private copy. *)
 
-val histogram_spec : t -> section:string -> string -> buckets:bucket_spec -> histogram
-(** {!histogram}, but from a prevalidated {!bucket_spec}: registration
-    skips the per-call validation and defensive copy. *)
+val histogram : t -> section:string -> string -> buckets:bucket_spec -> histogram
 
 val observe : histogram -> float -> unit
 

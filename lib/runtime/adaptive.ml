@@ -109,7 +109,7 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
   in
   let m_drift = Metrics.counter metrics ~section:"adaptive" "drift_detected" in
   let m_residual =
-    Metrics.histogram_spec metrics ~section:"adaptive" "fit_residual_rms_seconds"
+    Metrics.histogram metrics ~section:"adaptive" "fit_residual_rms_seconds"
       ~buckets:residual_bucket_spec
   in
   let model = ref problem.Problem.latency in

@@ -458,8 +458,8 @@ end
 (* Fixed simulated-round-latency buckets (seconds), sized for the
    paper's platform scale (rounds cost hundreds to a few thousand
    seconds). Fixed bounds keep the exported schema stable. *)
-let round_latency_buckets () =
-  [| 120.0; 180.0; 240.0; 300.0; 420.0; 600.0; 900.0; 1500.0; 3600.0 |]
+let round_latency_bucket_spec =
+  Metrics.bucket_spec [| 120.0; 180.0; 240.0; 300.0; 420.0; 600.0; 900.0; 1500.0; 3600.0 |]
 
 (* Engine instruments. Every value recorded is a simulated quantity
    (question counts, simulated latencies) except [selector_seconds],
@@ -501,7 +501,7 @@ let make_instruments metrics =
     i_deadline_hits = Metrics.counter metrics ~section:"engine" "deadline_hits";
     i_round_latency =
       Metrics.histogram metrics ~section:"engine" "round_latency_seconds"
-        ~buckets:(round_latency_buckets ());
+        ~buckets:round_latency_bucket_spec;
     i_sel_span = Metrics.span metrics ~section:"engine" "selector_seconds";
   }
 

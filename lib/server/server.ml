@@ -134,7 +134,7 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
   in
   let m_active_peak = Metrics.peak metrics ~section:"server" "active_queries_peak" in
   let m_query_latency =
-    Metrics.histogram_spec metrics ~section:"server" "query_latency_seconds"
+    Metrics.histogram metrics ~section:"server" "query_latency_seconds"
       ~buckets:query_latency_bucket_spec
   in
   let scratch =

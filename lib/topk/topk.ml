@@ -71,6 +71,8 @@ let run ?answer rng ~k ~problem ~selection truth =
           w
   in
   let model = problem.Problem.latency in
+  (* one plan cache for every re-plan of every pass (c only shrinks) *)
+  let cache = Tdp.Cache.create () in
   let dag = Dag.create n in
   let is_extracted = Array.make n false in
   let remaining_budget = ref problem.Problem.budget in
@@ -104,7 +106,8 @@ let run ?answer rng ~k ~problem ~selection truth =
         (* Re-plan for the actual pass state and run the plan's first
            round (adaptive within the pass). *)
         let plan =
-          Tdp.solve (Problem.create ~elements:c ~budget:left ~latency:model)
+          Tdp.solve ~cache
+            (Problem.create ~elements:c ~budget:left ~latency:model)
         in
         let round_budget =
           match Allocation.round_budgets plan.Tdp.allocation with

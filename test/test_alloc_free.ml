@@ -94,7 +94,10 @@ let test_metrics () =
   let m = Metrics.create () in
   let c = Metrics.counter m ~section:"alloc" "count" in
   let p = Metrics.peak m ~section:"alloc" "peak" in
-  let h = Metrics.histogram m ~section:"alloc" "h" ~buckets:[| 1.0; 10.0 |] in
+  let h =
+    Metrics.histogram m ~section:"alloc" "h"
+      ~buckets:(Metrics.bucket_spec [| 1.0; 10.0 |])
+  in
   check_alloc_free "Metrics.incr/add/record_peak/observe" (fun () ->
       Metrics.incr c;
       Metrics.add c 3;
@@ -117,12 +120,13 @@ let test_tdp_solve_bounded () =
   (* Same c0, wildly different DP work: tens of thousands of settled
      states at the tight budget vs a handful at the loose one. The model
      is a power L, outside the linear round-count bound, so the tight
-     solve still walks the whole DP. The per-solve setup (latency
-     tables, ub table, arena — rebuilt each uncached solve, boxed
-     latency evals and all) is identical between the two, so the
-     difference isolates what the [@@alloc_free] run_stack loop itself
-     allocates: one 2-word float box per state would show as ~10^5
-     words. *)
+     solve still walks the whole DP. The per-solve setup (the L memo
+     and ub table, filled on first read with boxed latency evals, and
+     the arena — rebuilt each uncached solve) is nearly the same between
+     the two: both solves force almost every ub entry, which reads
+     almost every batch size. So the difference isolates what the
+     [@@alloc_free] run_dp loop itself allocates: one 2-word float box
+     per state would show as ~10^5 words. *)
   let solve_words model c0 b =
     let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
     let sol = Tdp.solve p in
@@ -139,7 +143,7 @@ let test_tdp_solve_bounded () =
   if delta > 2_048.0 then
     Alcotest.failf
       "Tdp.solve c0=500: %.0f minor words more at b=999 (%d states) than at \
-       b=4000 (%d states) — the run_stack loop is leaking per-state \
+       b=4000 (%d states) — the run_dp loop is leaking per-state \
        allocations"
       delta tight_states loose_states;
   (* Under the paper's linear L the round-count bound settles the same

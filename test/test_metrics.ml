@@ -4,12 +4,16 @@ let tc = Alcotest.test_case
 let check_int = Alcotest.check Alcotest.int
 let check_bool = Alcotest.check Alcotest.bool
 
+let b1 = M.bucket_spec [| 1.0 |]
+let b12 = M.bucket_spec [| 1.0; 2.0 |]
+let b14 = M.bucket_spec [| 1.0; 4.0 |]
+
 let test_disabled_is_inert () =
   let t = M.disabled in
   check_bool "disabled" false (M.enabled t);
   let c = M.counter t ~section:"engine" "x" in
   let p = M.peak t ~section:"engine" "y" in
-  let h = M.histogram t ~section:"engine" "z" ~buckets:[| 1.0 |] in
+  let h = M.histogram t ~section:"engine" "z" ~buckets:b1 in
   M.incr c;
   M.add c 5;
   M.record_peak p 3;
@@ -60,7 +64,9 @@ let test_add_negative_rejected () =
 
 let test_histogram_buckets () =
   let t = M.create () in
-  let h = M.histogram t ~section:"s" "h" ~buckets:[| 1.0; 2.0; 4.0 |] in
+  let h =
+    M.histogram t ~section:"s" "h" ~buckets:(M.bucket_spec [| 1.0; 2.0; 4.0 |])
+  in
   List.iter (M.observe h) [ 0.5; 1.0; 1.5; 3.0; 100.0 ];
   match M.find (M.snapshot t) ~section:"s" "h" with
   | Some (M.Histogram { buckets; counts; total; sum }) ->
@@ -75,13 +81,13 @@ let test_histogram_buckets () =
   | _ -> Alcotest.fail "histogram"
 
 let test_histogram_validation () =
-  let t = M.create () in
   Alcotest.check_raises "empty"
-    (Invalid_argument "Metrics.histogram: empty bucket array") (fun () ->
-      ignore (M.histogram t ~section:"s" "h" ~buckets:[||]));
+    (Invalid_argument "Metrics.bucket_spec: empty bucket array") (fun () ->
+      ignore (M.bucket_spec [||]));
   Alcotest.check_raises "non-increasing"
-    (Invalid_argument "Metrics.histogram: bucket bounds must be strictly increasing")
-    (fun () -> ignore (M.histogram t ~section:"s" "h2" ~buckets:[| 2.0; 1.0 |]))
+    (Invalid_argument
+       "Metrics.bucket_spec: bucket bounds must be strictly increasing")
+    (fun () -> ignore (M.bucket_spec [| 2.0; 1.0 |]))
 
 let test_span_accumulates () =
   let t = M.create () in
@@ -127,13 +133,13 @@ let test_merge () =
     snap_of (fun t ->
         M.add (M.counter t ~section:"e" "c") 2;
         M.record_peak (M.peak t ~section:"e" "p") 5;
-        M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 1.0; 2.0 |]) 0.5)
+        M.observe (M.histogram t ~section:"e" "h" ~buckets:b12) 0.5)
   in
   let s2 =
     snap_of (fun t ->
         M.add (M.counter t ~section:"e" "c") 3;
         M.record_peak (M.peak t ~section:"e" "p") 4;
-        M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 1.0; 2.0 |]) 1.5;
+        M.observe (M.histogram t ~section:"e" "h" ~buckets:b12) 1.5;
         M.incr (M.counter t ~section:"x" "only_here"))
   in
   let m = M.merge [ s1; s2 ] in
@@ -156,11 +162,13 @@ let test_merge () =
 let test_merge_rejects_mismatches () =
   let s1 =
     snap_of (fun t ->
-        M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 1.0 |]) 0.5)
+        M.observe (M.histogram t ~section:"e" "h" ~buckets:b1) 0.5)
   in
   let s2 =
     snap_of (fun t ->
-        M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 2.0 |]) 0.5)
+        M.observe
+          (M.histogram t ~section:"e" "h" ~buckets:(M.bucket_spec [| 2.0 |]))
+          0.5)
   in
   Alcotest.check_raises "bucket mismatch"
     (Invalid_argument "Metrics.merge: e/h has mismatched histogram buckets")
@@ -190,7 +198,7 @@ let test_reset_reuse_equals_fresh () =
   let pass t x =
     M.add (M.counter t ~section:"e" "c") x;
     M.record_peak (M.peak t ~section:"e" "p") (2 * x);
-    M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 1.0; 4.0 |])
+    M.observe (M.histogram t ~section:"e" "h" ~buckets:b14)
       (float_of_int x)
   in
   let reused = M.create () in
@@ -211,7 +219,7 @@ let test_absorb_equals_merge () =
   let fill t x =
     M.add (M.counter t ~section:"e" "c") x;
     M.record_peak (M.peak t ~section:"e" "p") (10 - x);
-    M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 1.0; 4.0 |])
+    M.observe (M.histogram t ~section:"e" "h" ~buckets:b14)
       (float_of_int x);
     M.incr (M.counter t ~section:(if x mod 2 = 0 then "a" else "z") "extra")
   in
@@ -237,7 +245,9 @@ let test_absorb_equals_merge () =
        "Metrics: e/h is already registered as a different instrument kind")
     (fun () -> M.absorb ~into:acc bad);
   let bad_buckets = M.create () in
-  M.observe (M.histogram bad_buckets ~section:"e" "h" ~buckets:[| 9.0 |]) 1.0;
+  M.observe
+    (M.histogram bad_buckets ~section:"e" "h" ~buckets:(M.bucket_spec [| 9.0 |]))
+    1.0;
   Alcotest.check_raises "bucket mismatch"
     (Invalid_argument "Metrics.absorb: e/h has mismatched histogram buckets")
     (fun () -> M.absorb ~into:acc bad_buckets)
@@ -246,7 +256,7 @@ let test_equal () =
   let mk () =
     snap_of (fun t ->
         M.add (M.counter t ~section:"e" "c") 3;
-        M.observe (M.histogram t ~section:"e" "h" ~buckets:[| 1.0 |]) 0.5)
+        M.observe (M.histogram t ~section:"e" "h" ~buckets:b1) 0.5)
   in
   check_bool "equal snapshots" true (M.equal (mk ()) (mk ()));
   let other = snap_of (fun t -> M.add (M.counter t ~section:"e" "c") 4) in

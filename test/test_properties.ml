@@ -537,6 +537,36 @@ let same_solution (a : Tdp.solution) (b : Tdp.solution) =
        (Int64.bits_of_float b.Tdp.latency)
   && a.Tdp.questions_used = b.Tdp.questions_used
 
+(* A model spec: 0 = linear under the round-count bound (with the corner
+   parameters above), 1 = linear outside it (negative or subnormal
+   alpha), 2 = power, 3 = piecewise, 4 = custom (a fresh closure per
+   call: build the model once per case). Specs outside the bound settle
+   every DP state, so their instances stay small. *)
+let spec_model (kind, delta, alpha) =
+  match kind with
+  | 2 -> Model.power ~delta ~alpha ~p:1.5
+  | 3 ->
+      Model.piecewise
+        [|
+          (0, delta);
+          (40, delta +. (40.0 *. alpha));
+          (90, delta +. (300.0 *. alpha));
+        |]
+  | 4 -> Model.Custom (fun q -> delta +. (alpha *. sqrt (float_of_int q)))
+  | _ -> Model.linear ~delta ~alpha
+
+(* Specs outside the bound, every kind: linear with negative or
+   subnormal alpha, power, piecewise and custom. *)
+let unbound_spec_gen =
+  Q.Gen.(
+    oneof
+      [
+        (oneofl [ (200.0, -0.01); (100.0, 1e-310) ] >|= fun (d, a) -> (1, d, a));
+        ( int_range 2 4 >>= fun kind ->
+          float_range 0.0 400.0 >>= fun d ->
+          oneof [ float_range 0.0 3.0; return 0.0 ] >|= fun a -> (kind, d, a) );
+      ])
+
 let prop_ub_on_demand_matches_seed =
   (* c0 up to 1000 at any budget, generous ones (q0 >= choose2 c0, which
      return ub(c0) itself and must reproduce the seed solver's plan)
@@ -544,33 +574,40 @@ let prop_ub_on_demand_matches_seed =
      c0 = 1000, delta = 0 (long forcing chains), alpha = 0 (every plan
      of R rounds ties) and alpha tiny or large against delta. Generated
      alpha = 0 stays at c0 <= 200: its ties make tight budgets settle
-     ~10^4 states at c0 = 1000, with or without the on-demand table. *)
+     ~10^4 states at c0 = 1000, with or without the on-demand table.
+     Models outside the bound (every kind, c0 <= 100) compute their
+     entries with the same producer and must match the same table. *)
   let corners =
     [
       ((239.0, 0.06), 1000); ((0.0, 0.5), 600); ((300.0, 0.0), 400);
       ((500.0, 1e-6), 700); ((1e6, 1e3), 250); ((1.0, 1e3), 250);
     ]
   in
-  Q.Test.make ~name:"on-demand ub entries = seed table" ~count:40
+  Q.Test.make ~name:"on-demand ub entries = seed table" ~count:60
     (Q.make
-       ~print:(fun ((d, a), c0, b) ->
-         Printf.sprintf "(delta=%g, alpha=%g, c0=%d, b=%d)" d a c0 b)
+       ~print:(fun ((k, d, a), c0, b) ->
+         Printf.sprintf "(kind=%d, delta=%g, alpha=%g, c0=%d, b=%d)" k d a c0 b)
        Q.Gen.(
+         let budget c0 =
+           oneof [ int_range (c0 - 1) (4 * c0); return (Ints.choose2 c0) ]
+         in
          frequency
            [
              ( 3,
                bound_params >>= fun (d, a) ->
                int_range 2 (if Float.equal a 0.0 then 200 else 1000)
                >>= fun c0 ->
-               oneof
-                 [ int_range (c0 - 1) (4 * c0); return (Ints.choose2 c0) ]
-               >>= fun b -> return ((d, a), c0, b) );
+               budget c0 >>= fun b -> return ((0, d, a), c0, b) );
+             ( 2,
+               unbound_spec_gen >>= fun spec ->
+               int_range 2 100 >>= fun c0 ->
+               budget c0 >>= fun b -> return (spec, c0, b) );
              ( 1,
-               oneofl corners >|= fun (params, c0) ->
-               (params, c0, Ints.choose2 c0) );
+               oneofl corners >|= fun ((d, a), c0) ->
+               ((0, d, a), c0, Ints.choose2 c0) );
            ]))
-    (fun ((delta, alpha), c0, b) ->
-      let model = Model.linear ~delta ~alpha in
+    (fun (spec, c0, b) ->
+      let model = spec_model spec in
       let p = Problem.create ~elements:c0 ~budget:b ~latency:model in
       let cache = Tdp.Cache.create () in
       let sol = Tdp.solve ~cache p in
@@ -607,15 +644,6 @@ let prop_forced_cache_sweep_equals_fresh =
       && Test_tdp.ub_entries_match_seed model cache)
 
 (* --- caches sharing one domain's planner workspace ------------------------- *)
-
-(* A model spec: 0 = linear under the round-count bound (with the corner
-   parameters above), 1 = linear outside it (negative or subnormal
-   alpha), 2 = power. Specs outside the bound settle every DP state, so
-   their instances stay small. *)
-let spec_model (kind, delta, alpha) =
-  match kind with
-  | 2 -> Model.power ~delta ~alpha ~p:1.5
-  | _ -> Model.linear ~delta ~alpha
 
 let spec_gen =
   Q.Gen.(

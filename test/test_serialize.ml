@@ -16,7 +16,7 @@ let sample_snapshot () =
   M.record_peak (M.peak t ~section:"platform" "in_flight_peak") 17;
   let h =
     M.histogram t ~section:"platform" "arrival_seconds"
-      ~buckets:[| 160.0; 300.0; 900.0 |]
+      ~buckets:(M.bucket_spec [| 160.0; 300.0; 900.0 |])
   in
   List.iter (M.observe h) [ 170.5; 250.0; 1200.0 ];
   ignore (M.time (M.span t ~section:"planner" "plan_seconds") (fun () -> ()));

@@ -158,15 +158,16 @@ let test_states_visited_positive () =
   let s = solve 30 100 in
   check_bool "some states" true (s.Tdp.states_visited >= 0)
 
-(* The first L evaluation is L(1) (the unconstrained table's c = 2 row),
-   so a model that is non-finite everywhere fails right there instead of
-   yielding a poisoned plan. *)
+(* L is evaluated on its first read. At c0 = 5, b = 8 the first is L(4)
+   (the root's first feasible candidate, Q(5, 2) = 4), so a model that is
+   non-finite everywhere fails right there instead of yielding a
+   poisoned plan. *)
 let test_non_finite_latency_fails_loudly () =
   Alcotest.check_raises "NaN model"
-    (Invalid_argument "Tdp.solve: L(1) = nan is not finite")
+    (Invalid_argument "Tdp.solve: L(4) = nan is not finite")
     (fun () -> ignore (solve ~model:(Model.Custom (fun _ -> Float.nan)) 5 8));
   Alcotest.check_raises "infinite model"
-    (Invalid_argument "Tdp.solve: L(1) = inf is not finite")
+    (Invalid_argument "Tdp.solve: L(4) = inf is not finite")
     (fun () ->
       ignore (solve ~model:(Model.Custom (fun _ -> Float.infinity)) 5 8))
 
@@ -485,17 +486,83 @@ let test_ub_on_demand () =
     (ub_entries_match_seed paper cache);
   check_solutions_identical "paper c0=1000 b=4000 cached = fresh" (Tdp.solve p)
     sol;
-  (* A power L has no cheap bound: the table is built whole. *)
+  (* A power L has no cheap bound: every entry a comparison reads is
+     computed, by the same producer, and no more than the c0 - 1 rows of
+     the seed's table. *)
   let power = Model.power ~delta:239.0 ~alpha:0.002 ~p:1.5 in
   let cache = Tdp.Cache.create () in
   ignore
     (Tdp.solve ~cache (Problem.create ~elements:300 ~budget:1200 ~latency:power));
-  check_int "power c0=300 computes c0 - 1 entries" 299
-    (Tdp.Cache.ub_entries cache);
+  let entries = Tdp.Cache.ub_entries cache in
+  if entries < 1 || entries > 299 then
+    Alcotest.failf "power c0=300 computed %d ub entries (want 1..299)" entries;
   check_bool "power c0=300 entries = seed table" true
     (ub_entries_match_seed power cache);
   Tdp.Cache.clear cache;
   check_int "cleared ub entries" 0 (Tdp.Cache.ub_entries cache)
+
+(* A custom L runs inside the search, so it may plan too. A solve it
+   starts through a cache of its own (or none) runs on a private
+   workspace and leaves the frames of the solve that called L intact:
+   the outer plan equals the one for the same L without the nested
+   call, and every inner plan is right. *)
+let test_custom_latency_may_solve () =
+  let inner = Problem.create ~elements:30 ~budget:60 ~latency:Model.paper_mturk in
+  let expected = Tdp.solve inner in
+  let inner_cache = Tdp.Cache.create () in
+  let wrong = ref 0 and calls = ref 0 in
+  let nested =
+    Model.Custom
+      (fun q ->
+        incr calls;
+        let cache = if !calls mod 2 = 0 then Some inner_cache else None in
+        let s = Tdp.solve ?cache inner in
+        if s.Tdp.sequence <> expected.Tdp.sequence then incr wrong;
+        (s.Tdp.latency /. expected.Tdp.latency) +. 50.0 +. float_of_int q)
+  in
+  let plain = Model.Custom (fun q -> 51.0 +. float_of_int q) in
+  let p model = Problem.create ~elements:60 ~budget:150 ~latency:model in
+  let cache = Tdp.Cache.create () in
+  let got = Tdp.solve ~cache (p nested) in
+  let want = Tdp.solve (p plain) in
+  check_bool "some nested solves ran" true (!calls > 0);
+  check_int "every nested plan is right" 0 !wrong;
+  check_bool "outer plan = plain L" true
+    (got.Tdp.sequence = want.Tdp.sequence
+    && Float.equal got.Tdp.latency want.Tdp.latency
+    && got.Tdp.states_visited = want.Tdp.states_visited)
+
+(* A custom L that plans through the very cache its own solve runs on,
+   or clears it, would pull the tables from under that solve: both
+   raise, and the cache is left empty, so the next solve rebuilds it. *)
+let test_nested_solve_same_cache_raises () =
+  let cache = Tdp.Cache.create () in
+  let inner = Problem.create ~elements:10 ~budget:20 ~latency:Model.paper_mturk in
+  let reentrant =
+    Model.Custom
+      (fun q ->
+        ignore (Tdp.solve ~cache inner);
+        100.0 +. float_of_int q)
+  in
+  let p = Problem.create ~elements:20 ~budget:40 ~latency:reentrant in
+  Alcotest.check_raises "same cache"
+    (Invalid_argument
+       "Tdp.solve: nested solve through a cache whose solve is running")
+    (fun () -> ignore (Tdp.solve ~cache p));
+  check_int "empty after the failed solve" 0 (Tdp.Cache.capacity cache);
+  check_bool "usable again" true
+    ((Tdp.solve ~cache inner).Tdp.sequence = (Tdp.solve inner).Tdp.sequence);
+  let clearing =
+    Model.Custom
+      (fun q ->
+        Tdp.Cache.clear cache;
+        100.0 +. float_of_int q)
+  in
+  Alcotest.check_raises "clear under a running solve"
+    (Invalid_argument "Tdp.Cache.clear: a solve through this cache is running")
+    (fun () ->
+      ignore
+        (Tdp.solve ~cache (Problem.create ~elements:20 ~budget:40 ~latency:clearing)))
 
 let suite =
   [
@@ -535,5 +602,8 @@ let suite =
         tc "plan cache metrics" `Quick test_plan_cache_metrics;
         tc "cached trivial instances" `Quick test_cached_trivial_instances;
         tc "ub on demand = seed table" `Quick test_ub_on_demand;
+        tc "custom L may solve" `Quick test_custom_latency_may_solve;
+        tc "nested solve through the same cache raises" `Quick
+          test_nested_solve_same_cache_raises;
       ] );
   ]
