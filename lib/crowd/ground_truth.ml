@@ -69,6 +69,7 @@ let[@inline] better t a b =
   if a < 0 || a >= n || b < 0 || b >= n then
     invalid_arg "Ground_truth.rank: out of range";
   if Array.unsafe_get t.ranks a > Array.unsafe_get t.ranks b then a else b
+[@@alloc_free]
 
 let compare_elements t a b = Int.compare (rank t a) (rank t b)
 

@@ -4,6 +4,13 @@ type config = { votes : int; error : Worker.error_model }
 
 let default_config = { votes = 3; error = Worker.Uniform 0.1 }
 
+type tally = {
+  raw_questions : int;
+  vote_flips : int;
+  cycle_edges_flipped : int;
+  accuracy : float;
+}
+
 type outcome = {
   answers : (int * int) list;
   unanswered : (int * int) list;
@@ -35,6 +42,7 @@ type workspace = {
   mutable stack : int array;
   mutable frames : int array;
   mutable score : int array;
+  mutable vote_flips : int; (* the vote loop's count, read right after *)
 }
 
 let workspace_key =
@@ -52,6 +60,7 @@ let workspace_key =
         stack = [||];
         frames = [||];
         score = [||];
+        vote_flips = 0;
       })
 
 let ensure a need init =
@@ -97,7 +106,7 @@ let workspace ~elements ~questions =
    order, the successor lists are a CSR over those numbers, and Tarjan
    runs iteratively on it. A visited node not yet in a component is on
    Tarjan's stack, so no separate on-stack flag is kept. *)
-let outcome_of ws ~truth ~raw_questions ~vote_flips ~unanswered m =
+let outcome_of ws ~truth ~raw_questions ~vote_flips ~answers m =
   let local = ws.local and win = ws.win and lose = ws.lose in
   let k = ref 0 in
   for i = 0 to m - 1 do
@@ -193,11 +202,11 @@ let outcome_of ws ~truth ~raw_questions ~vote_flips ~unanswered m =
       score.(l) <- score.(l) - 1
     end
   done;
-  (* The answer list, built once from the back; correctness is counted
-     on the way and [local] is reset to all -1. *)
+  (* The answers, in voted-question order; correctness is counted on
+     the way and [local] is reset to all -1. *)
   let ranks = Ground_truth.ranks truth in
-  let answers = ref [] and flipped = ref 0 and correct = ref 0 in
-  for i = m - 1 downto 0 do
+  let flipped = ref 0 and correct = ref 0 in
+  for i = 0 to m - 1 do
     let w = win.(i) and l = lose.(i) in
     let cw = local.(w) and cl = local.(l) in
     let keep =
@@ -208,12 +217,12 @@ let outcome_of ws ~truth ~raw_questions ~vote_flips ~unanswered m =
     in
     if keep then begin
       if ranks.(w) > ranks.(l) then incr correct;
-      answers := (w, l) :: !answers
+      Pairs.push answers w l
     end
     else begin
       incr flipped;
       if ranks.(l) > ranks.(w) then incr correct;
-      answers := (l, w) :: !answers
+      Pairs.push answers l w
     end
   done;
   for i = 0 to m - 1 do
@@ -221,8 +230,6 @@ let outcome_of ws ~truth ~raw_questions ~vote_flips ~unanswered m =
     local.(lose.(i)) <- -1
   done;
   {
-    answers = !answers;
-    unanswered;
     raw_questions;
     vote_flips;
     cycle_edges_flipped = !flipped;
@@ -231,9 +238,10 @@ let outcome_of ws ~truth ~raw_questions ~vote_flips ~unanswered m =
   }
 
 let check_questions name questions =
-  List.iter
-    (fun (a, b) -> if a = b then invalid_arg (name ^ ": self-comparison"))
-    questions
+  for i = 0 to Pairs.length questions - 1 do
+    if Pairs.first questions i = Pairs.second questions i then
+      invalid_arg (name ^ ": self-comparison")
+  done
 
 (* Validate an optional per-question received-vote vector (deadline
    support): when absent, every question got its full [votes]. *)
@@ -251,71 +259,101 @@ let check_received name votes n_questions = function
 (* An exact split: award the question by a fair draw rather than the
    historical (biased) award-to-[b]. Only consulted on actual ties, so
    odd full-vote configurations never touch the rng here. *)
-let fair_tie rng a b = if Rng.bool rng then a else b
+let fair_tie rng a b = if Rng.bool rng then a else b [@@alloc_free]
 
-let resolve ?votes_received rng cfg ~truth questions =
+(* Repetition + majority vote per question, in question order, into
+   [ws.win]/[ws.lose]; returns the voted count [m] and counts majority
+   answers contradicting the truth in [ws.vote_flips]. A raw vote is
+   wrong with the model's error probability, which is fixed per
+   question, so each vote is one [Rng.bernoulli] — draw for draw
+   [Worker.answer] (no draw at p <= 0 or p >= 1) — and an exact split
+   then draws [fair_tie].
+   [Ground_truth.better] rejects an out-of-range id before the
+   question's first draw, as the first [Worker.answer] would; a
+   question with no received votes is never looked at, only pushed to
+   [unanswered]. Only [Distance_sensitive] depends on the pair
+   ([per_pair]); the other models' probability is [fixed_p], computed
+   once by the caller. *)
+let vote_loop rng cfg ~truth ~received ~fixed_p ~per_pair ws questions
+    ~unanswered =
+  let votes = cfg.votes in
+  let win = ws.win and lose = ws.lose in
+  let m = ref 0 in
+  ws.vote_flips <- 0;
+  for qi = 0 to Pairs.length questions - 1 do
+    let a = Pairs.first questions qi and b = Pairs.second questions qi in
+    let v =
+      if Array.length received = 0 then votes else Array.unsafe_get received qi
+    in
+    if v = 0 then Pairs.push unanswered a b
+    else begin
+      let true_winner = Ground_truth.better truth a b in
+      let p =
+        if per_pair then
+          (* out of line: the distance-sensitive model's probability
+             comes back as a float across a module boundary *)
+          (Worker.error_probability [@alloc_cold]) cfg.error truth a b
+        else fixed_p
+      in
+      let errors = ref 0 in
+      for _ = 1 to v do
+        if Rng.bernoulli rng p then incr errors
+      done;
+      let wins_a = if true_winner = a then v - !errors else !errors in
+      let winner =
+        if 2 * wins_a > v then a
+        else if 2 * wins_a < v then b
+        else fair_tie rng a b
+      in
+      if winner <> true_winner then ws.vote_flips <- ws.vote_flips + 1;
+      Array.unsafe_set win !m winner;
+      Array.unsafe_set lose !m (if winner = a then b else a);
+      incr m
+    end
+  done;
+  !m
+[@@alloc_free]
+
+let resolve_into ?votes_received rng cfg ~truth questions ~answers ~unanswered =
   let votes = cfg.votes in
   if votes < 1 then invalid_arg "Rwl.resolve: votes < 1";
   check_questions "Rwl.resolve" questions;
-  let n_questions = List.length questions in
+  let n_questions = Pairs.length questions in
   check_received "Rwl.resolve" votes n_questions votes_received;
   let ws =
     workspace ~elements:(Ground_truth.size truth) ~questions:n_questions
   in
-  let win = ws.win and lose = ws.lose in
-  (* Repetition + majority vote per question, in question order. A raw
-     vote is wrong with the model's error probability, which is fixed
-     per question, so each vote is one [Rng.bernoulli] — draw for draw
-     [Worker.answer] (no draw at p <= 0 or p >= 1) — and an exact split
-     then draws [fair_tie]. [Ground_truth.better] rejects an
-     out-of-range id before the question's first draw, as the first
-     [Worker.answer] would; a question with no received votes is never
-     looked at. *)
-  (* Only [Distance_sensitive] depends on the pair; the other models'
-     [Worker.error_probability] is computed once, since its clamp costs
-     two sign-bit calls. *)
-  let fixed_p =
+  let fixed_p, per_pair =
     match cfg.error with
-    | Worker.Perfect -> Some 0.0
-    | Worker.Uniform p -> Some (Float.max 0.0 (Float.min 1.0 p))
-    | Worker.Distance_sensitive _ -> None
+    | Worker.Perfect -> (0.0, false)
+    | Worker.Uniform p -> (Float.max 0.0 (Float.min 1.0 p), false)
+    | Worker.Distance_sensitive _ -> (0.0, true)
   in
-  let m = ref 0 and vote_flips = ref 0 and unanswered = ref [] in
-  let rec vote qi = function
-    | [] -> ()
-    | ((a, b) as q) :: rest ->
-        let v = match votes_received with None -> votes | Some r -> r.(qi) in
-        if v = 0 then unanswered := q :: !unanswered
-        else begin
-          let true_winner = Ground_truth.better truth a b in
-          let p =
-            match fixed_p with
-            | Some p -> p
-            | None -> Worker.error_probability cfg.error truth a b
-          in
-          let errors = ref 0 in
-          for _ = 1 to v do
-            if Rng.bernoulli rng p then incr errors
-          done;
-          let wins_a = if true_winner = a then v - !errors else !errors in
-          let winner =
-            if 2 * wins_a > v then a
-            else if 2 * wins_a < v then b
-            else fair_tie rng a b
-          in
-          if winner <> true_winner then incr vote_flips;
-          win.(!m) <- winner;
-          lose.(!m) <- (if winner = a then b else a);
-          incr m
-        end;
-        vote (qi + 1) rest
+  (* [received] of length 0 stands for "every question got [votes]":
+     a question count of 0 makes the two readings agree. *)
+  let received = match votes_received with None -> [||] | Some r -> r in
+  let m =
+    vote_loop rng cfg ~truth ~received ~fixed_p ~per_pair ws questions
+      ~unanswered
   in
-  vote 0 questions;
   outcome_of ws ~truth
     ~raw_questions:(votes * n_questions)
-    ~vote_flips:!vote_flips
-    ~unanswered:(List.rev !unanswered)
-    !m
+    ~vote_flips:ws.vote_flips ~answers m
+
+let resolve ?votes_received rng cfg ~truth questions =
+  let answers = Pairs.create () and unanswered = Pairs.create () in
+  let t =
+    resolve_into ?votes_received rng cfg ~truth (Pairs.of_list questions)
+      ~answers ~unanswered
+  in
+  {
+    answers = Pairs.to_list answers;
+    unanswered = Pairs.to_list unanswered;
+    raw_questions = t.raw_questions;
+    vote_flips = t.vote_flips;
+    cycle_edges_flipped = t.cycle_edges_flipped;
+    accuracy = t.accuracy;
+  }
 
 let is_conflict_free ~n answers =
   let dag = Crowdmax_graph.Answer_dag.create n in

@@ -34,6 +34,33 @@ type outcome = {
           questions (vacuously 1 when none were answered) *)
 }
 
+type tally = {
+  raw_questions : int;
+  vote_flips : int;
+  cycle_edges_flipped : int;
+  accuracy : float;
+}
+(** {!outcome} without its two pair lists: what {!resolve_into} returns
+    while it writes the pairs into buffers. *)
+
+val resolve_into :
+  ?votes_received:int array ->
+  Crowdmax_util.Rng.t ->
+  config ->
+  truth:Ground_truth.t ->
+  Crowdmax_util.Pairs.t ->
+  answers:Crowdmax_util.Pairs.t ->
+  unanswered:Crowdmax_util.Pairs.t ->
+  tally
+(** The resolution kernel: {!resolve} over a question buffer. It
+    appends one [(winner, loser)] per answered question to [answers],
+    in question order, and each question with zero received votes to
+    [unanswered], in question order, and leaves the pairs already in
+    both buffers alone. Same draws, same checks (with the same
+    ["Rwl.resolve: ..."] messages, raised before any draw) and same
+    counts as {!resolve}. Its scratch is per domain and only grows, so
+    a steady-state round allocates only the returned record. *)
+
 val resolve :
   ?votes_received:int array ->
   Crowdmax_util.Rng.t ->
@@ -59,7 +86,10 @@ val resolve :
 
     Raises [Invalid_argument] if [votes < 1], a question is a
     self-comparison, or [votes_received] has the wrong length or an
-    out-of-range entry. *)
+    out-of-range entry.
+    The list view of {!resolve_into}: the questions go into a buffer
+    and the two pair buffers come back as [answers] and
+    [unanswered]. *)
 
 val is_conflict_free : n:int -> (int * int) list -> bool
 (** [true] iff the [(winner, loser)] pairs over elements [0..n-1] form no

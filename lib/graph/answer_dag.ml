@@ -44,6 +44,7 @@ type t = {
   mutable cand_bits : int array; (* words-long bitset: bit x set iff x unbeaten *)
   mutable cand_count : int;
   mutable scratch_desc : int array; (* reused by transitive_win_counts *)
+  mutable generation : int; (* bumped by every reset, never restarted *)
   mutable ext : ext; (* derived-data cache slot (see Scoring) *)
 }
 
@@ -93,8 +94,9 @@ let clear_to t ~edge_capacity n =
   t.answer_count <- 0;
   t.cand_count <- n;
   (* A ranking cache keys on [answer_count], which the new graph starts
-     over: a stale cache could match it. *)
-  t.ext <- Ext_none
+     over, so it also keys on the generation: the bump makes every memo
+     of the old graph stale while [ext] keeps its buffers. *)
+  t.generation <- t.generation + 1
 
 let create ?(edge_capacity = 0) n =
   check_sizes ~caller:"create" ~edge_capacity n;
@@ -114,6 +116,7 @@ let create ?(edge_capacity = 0) n =
       cand_bits = [||];
       cand_count = 0;
       scratch_desc = [||];
+      generation = 0;
       ext = Ext_none;
     }
   in
@@ -143,21 +146,23 @@ let copy t =
     cand_bits = Array.sub t.cand_bits 0 t.words;
     cand_count = t.cand_count;
     scratch_desc = [||];
+    generation = t.generation;
     (* Derived caches must not be shared: the copy diverges from the
        original, and answer_count alone cannot tell their states apart. *)
     ext = Ext_none;
   }
 
 let ext t = t.ext
+let generation t = t.generation
 let set_ext t e = t.ext <- e
 
-let check_id t x name =
+let[@inline] check_id t x name =
   if x < 0 || x >= t.n then
     invalid_arg ("Answer_dag: out-of-range element in " ^ name)
 [@@alloc_free]
 
 (* Direct-loss membership: does [winner] beat [loser] directly? *)
-let mem_edge t ~winner ~loser =
+let[@inline] mem_edge t ~winner ~loser =
   Array.unsafe_get t.loss_bits ((loser * t.words) + (winner lsr 5))
   land (1 lsl (winner land 31))
   <> 0
@@ -184,7 +189,7 @@ let grow_pool t =
 
 (* Clear [x]'s candidate bit; called exactly once per element, on its
    first loss. *)
-let remove_candidate t x =
+let[@inline] remove_candidate t x =
   let w = x lsr 5 in
   Array.unsafe_set t.cand_bits w
     (Array.unsafe_get t.cand_bits w land lnot (1 lsl (x land 31)));
@@ -279,19 +284,39 @@ let direct_losses_to t x =
 
 let candidate_count t = t.cand_count [@@alloc_free]
 
-let candidates t =
-  let out = Array.make t.cand_count 0 in
+(* Index of the lowest set bit of a nonzero 32-bit word: the isolated
+   bit times the de Bruijn constant 0x077CB531 puts a distinct 5-bit
+   pattern in bits 27-31, which this table (a string, so it is
+   immutable) maps back to the bit index. *)
+let debruijn_index =
+  "\000\001\028\002\029\014\024\003\030\022\020\015\025\017\004\008\
+   \031\027\013\023\021\019\016\007\026\012\018\006\011\005\010\009"
+
+let[@inline] lowest_bit b =
+  Char.code
+    (String.unsafe_get debruijn_index
+       ((((b land -b) * 0x077CB531) land 0xFFFFFFFF) lsr 27))
+[@@alloc_free]
+
+(* Visits only the set bits of each candidate word, lowest first, so
+   the output stays ascending. *)
+let candidates_into t out =
+  if Array.length out < t.cand_count then
+    invalid_arg "Answer_dag.candidates_into: array shorter than the RC set";
   let k = ref 0 in
   for w = 0 to t.words - 1 do
-    let b = Array.unsafe_get t.cand_bits w in
-    if b <> 0 then
-      for j = 0 to 31 do
-        if b land (1 lsl j) <> 0 then begin
-          Array.unsafe_set out !k ((w lsl 5) + j);
-          incr k
-        end
-      done
-  done;
+    let b = ref (Array.unsafe_get t.cand_bits w) in
+    while !b <> 0 do
+      Array.unsafe_set out !k ((w lsl 5) + lowest_bit !b);
+      incr k;
+      b := !b land (!b - 1)
+    done
+  done
+[@@alloc_free]
+
+let candidates t =
+  let out = Array.make t.cand_count 0 in
+  candidates_into t out;
   out
 
 let remaining_candidates t =
@@ -310,15 +335,11 @@ let is_singleton t = t.cand_count = 1 [@@alloc_free]
 let winner t =
   if t.cand_count <> 1 then None
   else begin
-    let found = ref 0 in
-    for w = 0 to t.words - 1 do
-      let b = Array.unsafe_get t.cand_bits w in
-      if b <> 0 then
-        for j = 0 to 31 do
-          if b land (1 lsl j) <> 0 then found := (w lsl 5) + j
-        done
+    let w = ref 0 in
+    while Array.unsafe_get t.cand_bits !w = 0 do
+      incr w
     done;
-    Some !found
+    Some ((!w lsl 5) + lowest_bit (Array.unsafe_get t.cand_bits !w))
   end
 
 let answers t =

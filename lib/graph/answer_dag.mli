@@ -11,12 +11,12 @@
     Representation: flat structure-of-arrays — a grow-on-demand edge
     pool with intrusive head/next int-array adjacency chains, a 32-bit
     word direct-loss bitset per element, an incrementally maintained
-    loss-count array, and a sorted candidate array updated as elements
-    take their first loss. Recording an answer is O(1) amortized and
-    allocation-free once the pool has grown; candidate queries read
-    maintained state ([remaining_candidates] is O(candidates),
-    [is_singleton] / [winner] / [candidate_count] O(1)) instead of
-    rescanning all n elements. A [t] is not thread-safe; confine each
+    loss-count array, and a candidate bitset plus count cleared as
+    elements take their first loss. Recording an answer is O(1)
+    amortized and allocation-free once the pool has grown; candidate
+    queries read maintained state ([candidates] visits only set bits,
+    O(n/32 + candidates); [is_singleton] / [candidate_count] O(1))
+    instead of testing all n elements. A [t] is not thread-safe; confine each
     value to one domain (the round machine recycles DAGs through a
     per-domain free list, {!reset} between queries). *)
 
@@ -37,8 +37,9 @@ val reset : ?edge_capacity:int -> t -> int -> unit
     what [t] already holds, so recycling a DAG across same-sized graphs
     allocates nothing. O(n + answers recorded in [t]), not O(n²/32):
     only the loss-bitset words of recorded answers are cleared. The
-    {!ext} slot is reset to {!Ext_none}. Raises [Invalid_argument]
-    like [create]. *)
+    {!ext} slot keeps its value, so a cache keeps its buffers across
+    graphs; {!generation} moves on, which is what makes the old graph's
+    memos stale. Raises [Invalid_argument] like [create]. *)
 
 val size : t -> int
 
@@ -89,6 +90,14 @@ val remaining_candidates : t -> int list
 val candidates : t -> int array
 (** The RC set as a fresh array, ascending. O(candidates). *)
 
+val candidates_into : t -> int array -> unit
+(** [candidates_into t out] writes the RC set, ascending, into
+    [out.(0) .. out.(candidate_count t - 1)] and leaves the rest of
+    [out] alone: {!candidates} without the allocation, for a caller
+    that pools the array. Visits only the set bits of the candidate
+    bitset, O(n/32 + candidates). Raises [Invalid_argument] if [out] is
+    shorter than the RC set. *)
+
 val candidate_count : t -> int
 (** [List.length (remaining_candidates t)], in O(1). *)
 
@@ -123,11 +132,18 @@ val check_invariants : t -> unit
 
 type ext = ..
 (** Extension slot for caches of derived data (e.g. {!Scoring}'s ranking
-    cache). The DAG itself never interprets the value; [copy] and
-    [reset] set it to {!Ext_none} so caches are never shared between
-    diverging DAGs or outlive the graph they describe. *)
+    cache). The DAG itself never interprets the value. [copy] sets it to
+    {!Ext_none}, so a cache is never shared between diverging DAGs;
+    [reset] keeps it, so a recycled DAG's cache keeps its buffers. A
+    cache must therefore key its memo on {!generation} as well as on
+    {!answer_count}. *)
 
 type ext += Ext_none
 
 val ext : t -> ext
 val set_ext : t -> ext -> unit
+
+val generation : t -> int
+(** A counter every {!reset} bumps and nothing restarts: together with
+    {!answer_count} it names one state of one DAG, so a memo keyed on
+    both can never match a graph [reset] has replaced. *)

@@ -238,9 +238,9 @@ let run ?cache ?(source = Engine.Oracle) ?(deadline = Engine.Wait_all)
              are simply dropped: the next round's re-plan and
              re-selection subsume any carry-forward. *)
           let outcome =
-            Engine.answer_round ?scratch ~metrics rng ~source:!current_source
+            Engine.answer_pairs ?scratch ~metrics rng ~source:!current_source
               ~deadline ~latency_model:!model truth (Query.dag q)
-              (Query.questions round) ~distinct:posted ~posted
+              (Query.questions round) ~posted
           in
           ignore (Query.absorb q round outcome);
           (* The refit window must see the platform's honest measurement,

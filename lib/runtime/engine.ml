@@ -137,9 +137,20 @@ let count_vote counts ~posted idx =
   if slot < Array.length counts then counts.(slot) <- counts.(slot) + 1
 
 let add_answers dag answers =
-  List.iter
-    (fun (winner, loser) -> Dag.add_answer_unchecked dag ~winner ~loser)
-    answers
+  for i = 0 to Pairs.length answers - 1 do
+    Dag.add_answer_unchecked dag ~winner:(Pairs.first answers i)
+      ~loser:(Pairs.second answers i)
+  done
+[@@alloc_free]
+
+(* The oracle's answer loop: each question straight into the DAG. *)
+let answer_oracle (ranks : int array) dag questions =
+  for i = 0 to Pairs.length questions - 1 do
+    let a = Pairs.first questions i and b = Pairs.second questions i in
+    if ranks.(a) > ranks.(b) then Dag.add_answer_unchecked dag ~winner:a ~loser:b
+    else Dag.add_answer_unchecked dag ~winner:b ~loser:a
+  done
+[@@alloc_free]
 
 let full_round latency ~answered =
   {
@@ -150,14 +161,35 @@ let full_round latency ~answered =
     round_deadline_hit = false;
   }
 
-let resolve_votes ~resolve dag counts (report : Platform.report) =
-  let outcome : Rwl.outcome = resolve counts in
-  add_answers dag outcome.answers;
+(* The RWL's answer and straggler buffers, one pair per domain: a round
+   fills them, folds the answers into its DAG and copies the stragglers
+   out before it returns. *)
+type vote_scratch = { answers : Pairs.t; stragglers : Pairs.t }
+
+let vote_key =
+  Domain.DLS.new_key (fun () ->
+      { answers = Pairs.create (); stragglers = Pairs.create () })
+
+(* Resolve the round's votes and record the answers in [dag]. *)
+let resolve_into_dag ?votes_received rng rwl ~truth dag questions =
+  let s = Domain.DLS.get vote_key in
+  Pairs.clear s.answers;
+  Pairs.clear s.stragglers;
+  ignore
+    (Rwl.resolve_into ?votes_received rng rwl ~truth questions
+       ~answers:s.answers ~unanswered:s.stragglers
+      : Rwl.tally);
+  add_answers dag s.answers;
+  s
+
+let resolve_votes rng rwl ~truth dag questions counts (report : Platform.report)
+    =
+  let s = resolve_into_dag ~votes_received:counts rng rwl ~truth dag questions in
   {
     round_seconds = report.latency;
     observed_seconds = report.last_completion;
-    answered = List.length outcome.answers;
-    unanswered = outcome.unanswered;
+    answered = Pairs.length s.answers;
+    unanswered = Pairs.to_list s.stragglers;
     round_deadline_hit = report.deadline_hit;
   }
 
@@ -166,8 +198,9 @@ let resolve_votes ~resolve dag counts (report : Platform.report) =
    metric without recomputation at the call site, and the observed
    seconds feed the adaptive runtime's L(q) estimator. RWL / oracle
    answers are conflict-free by contract, so the per-edge transitive
-   cycle check would be pure overhead; the Oracle path writes each
-   answer straight into the DAG without building an intermediate list.
+   cycle check would be pure overhead. Every path reads the questions
+   from the buffer by index; the oracle writes each answer straight
+   into the DAG, the RWL's go through the per-domain vote buffers.
 
    Draw-order contract: under [Wait_all] the rng is consumed exactly as
    it always was — RWL votes first, then the platform's event stream —
@@ -175,33 +208,27 @@ let resolve_votes ~resolve dag counts (report : Platform.report) =
    finite deadline needs the platform's completion report *before*
    votes can be drawn (only received repetitions count), so that path
    runs platform-first; it is a distinct, documented draw schedule. *)
-let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
-    ~latency_model truth dag questions ~distinct ~posted =
+let answer_pairs ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
+    ~latency_model truth dag questions ~posted =
+  let distinct = Pairs.length questions in
   match source with
   | Oracle ->
       (* Answers are instant and error-free; latency is purely the
          model's, so deadline/straggler policies are no-ops here. *)
-      let ranks = Ground_truth.ranks truth in
-      List.iter
-        (fun (a, b) ->
-          if ranks.(a) > ranks.(b) then
-            Dag.add_answer_unchecked dag ~winner:a ~loser:b
-          else Dag.add_answer_unchecked dag ~winner:b ~loser:a)
-        questions;
+      answer_oracle (Ground_truth.ranks truth) dag questions;
       full_round (Model.eval latency_model posted) ~answered:distinct
   | Simulated { platform; rwl } -> (
       let votes = rwl.Rwl.votes in
       match round_deadline ~deadline ~latency_model ~posted with
       | None ->
-          let outcome = Rwl.resolve rng rwl ~truth questions in
+          let s = resolve_into_dag rng rwl ~truth dag questions in
           (* Latency: all raw repetitions of all posted questions
              (padding included) go to the platform as one batch. *)
           let latency =
             Platform.batch_latency ~metrics ?scratch platform rng
               (votes * posted)
           in
-          add_answers dag outcome.Rwl.answers;
-          full_round latency ~answered:(List.length outcome.Rwl.answers)
+          full_round latency ~answered:(Pairs.length s.answers)
       | Some deadline ->
           let counts = Array.make distinct 0 in
           let report =
@@ -209,8 +236,12 @@ let answer_round ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
               (votes * posted) ~on_complete:(fun idx _time ->
                 count_vote counts ~posted idx)
           in
-          resolve_votes dag counts report ~resolve:(fun votes_received ->
-              Rwl.resolve ~votes_received rng rwl ~truth questions))
+          resolve_votes rng rwl ~truth dag questions counts report)
+
+let answer_round ?scratch ?metrics rng ~source ~deadline ~latency_model truth
+    dag questions ~distinct:(_ : int) ~posted =
+  answer_pairs ?scratch ?metrics rng ~source ~deadline ~latency_model truth dag
+    (Pairs.of_list questions) ~posted
 
 (* Split off the first [k] elements (all of them if fewer). *)
 let rec take_at_most k = function
@@ -221,13 +252,34 @@ let rec take_at_most k = function
   | rest -> ([], rest)
 
 let pair_eq (a, b) (c, d) = a = c && b = d
-let unordered_pair_eq (a, b) (c, d) = (a = c && b = d) || (a = d && b = c)
+
+(* Drop the selector's re-picks of carried pairs (either orientation)
+   from [questions], whose first [carried] pairs are the carried ones;
+   the carried copies stay first. Pairs that are not two distinct ids
+   of the universe [0, n) are never probed: the answer step rejects
+   them. *)
+let drop_carried_repicks questions ~carried ~n =
+  let valid a b = a <> b && a >= 0 && a < n && b >= 0 && b < n in
+  let set = Pair_set.create ~expected:carried n in
+  for i = 0 to carried - 1 do
+    let a = Pairs.first questions i and b = Pairs.second questions i in
+    if valid a b then ignore (Pair_set.add set a b : bool)
+  done;
+  let kept = ref carried in
+  for i = carried to Pairs.length questions - 1 do
+    let a = Pairs.first questions i and b = Pairs.second questions i in
+    if not (valid a b && Pair_set.mem set a b) then begin
+      Pairs.set questions !kept a b;
+      incr kept
+    end
+  done;
+  Pairs.truncate questions !kept
 
 module Query = struct
   type round = {
     budget : int;
     candidates : int;
-    questions : (int * int) list;
+    questions : Pairs.t; (* the query's buffer, valid until its next select *)
     distinct : int;
     padded : int;
     carried : ((int * int) * int) list;
@@ -237,6 +289,7 @@ module Query = struct
   type t = {
     truth : Ground_truth.t;
     dag : Dag.t;
+    pairs : Pairs.t; (* every round's questions, carried ones first *)
     mutable spent : bool; (* [finish] ran; [dag] belongs to the pool *)
     selection : Selection.t;
     span : Metrics.span;
@@ -254,12 +307,15 @@ module Query = struct
     mutable pending : ((int * int) * int) list;
   }
 
-  (* Finished queries hand their DAG to a per-domain free list and
-     [create] resets one instead of allocating an n × ⌈n/32⌉ bitset and
-     growing fresh edge pools per query. A domain keeps at most
-     [pool_cap] DAGs — enough for a fleet of 8 concurrent queries — so
-     what it retains is bounded by its peak number of live queries,
-     whatever the number of runs. A query that raises drops its DAG. *)
+  (* Finished queries hand their DAG and question buffer to a
+     per-domain free list, and [create] resets a DAG instead of
+     allocating an n × ⌈n/32⌉ bitset and growing fresh edge pools and
+     pair buffers per query. A domain keeps at most [pool_cap] of them —
+     enough for a fleet of 8 concurrent queries — so what it retains is
+     bounded by its peak number of live queries, whatever the number of
+     runs. A query that raises drops its storage. *)
+  type recycled = { r_dag : Dag.t; r_pairs : Pairs.t }
+
   let pool_cap = 8
   let pool_key = Domain.DLS.new_key (fun () -> Stack.create ())
   let pooled () = Stack.length (Domain.DLS.get pool_key)
@@ -268,16 +324,17 @@ module Query = struct
       ?(span = Metrics.span Metrics.disabled ~section:"" "") ?(pad = false)
       ?(straggler = Drop) ~selection ~budget truth =
     let n = Ground_truth.size truth in
-    let dag =
+    let dag, pairs =
       match Stack.pop_opt (Domain.DLS.get pool_key) with
-      | Some dag ->
-          Dag.reset ?edge_capacity dag n;
-          dag
-      | None -> Dag.create ?edge_capacity n
+      | Some { r_dag; r_pairs } ->
+          Dag.reset ?edge_capacity r_dag n;
+          (r_dag, r_pairs)
+      | None -> (Dag.create ?edge_capacity n, Pairs.create ())
     in
     {
       truth;
       dag;
+      pairs;
       spent = false;
       selection;
       span;
@@ -338,35 +395,30 @@ module Query = struct
     let carried, deferred =
       take_at_most budget (List.filter (live dag) q.pending)
     in
-    let carried_pairs = List.map fst carried in
-    let sel_budget = budget - List.length carried in
-    let selected =
-      if sel_budget = 0 then []
-      else
-        let input =
-          {
-            Selection.budget = sel_budget;
-            candidates = Dag.candidates dag;
-            history = dag;
-            round_index = q.rounds;
-            total_rounds = horizon;
-            carried = carried_pairs;
-          }
-        in
-        Metrics.time q.span (fun () -> q.selection.Selection.select rng input)
-    in
-    (* A selector may independently re-pick a carried pair; keep the
-       carried copy only. *)
-    let questions =
-      match carried_pairs with
-      | [] -> selected
-      | _ ->
-          carried_pairs
-          @ List.filter
-              (fun p -> not (List.exists (unordered_pair_eq p) carried_pairs))
-              selected
-    in
-    let distinct = List.length questions in
+    let questions = q.pairs in
+    Pairs.clear questions;
+    List.iter (fun ((a, b), _) -> Pairs.push questions a b) carried;
+    let n_carried = Pairs.length questions in
+    let sel_budget = budget - n_carried in
+    if sel_budget <> 0 then begin
+      let input =
+        {
+          Selection.budget = sel_budget;
+          candidates = Dag.candidates dag;
+          history = dag;
+          round_index = q.rounds;
+          total_rounds = horizon;
+          carried = List.map fst carried;
+        }
+      in
+      Metrics.time q.span (fun () ->
+          q.selection.Selection.fill rng input questions);
+      (* A selector may independently re-pick a carried pair; keep the
+         carried copy only. *)
+      if n_carried > 0 then
+        drop_carried_repicks questions ~carried:n_carried ~n:(Dag.size dag)
+    end;
+    let distinct = Pairs.length questions in
     let padded = if q.pad && distinct < budget then budget - distinct else 0 in
     {
       budget;
@@ -379,7 +431,6 @@ module Query = struct
     }
 
   let questions (r : round) = r.questions
-  let distinct r = r.distinct
   let posted r = r.distinct + r.padded
 
   let absorb q r o =
@@ -432,22 +483,23 @@ module Query = struct
 
   let finish q =
     let dag = live_dag q ~caller:"finish" in
-    let remaining = Dag.remaining_candidates dag in
+    let singleton = Dag.is_singleton dag in
     let chosen =
-      match remaining with
-      | [ w ] -> w
-      | _ -> (
+      match Dag.winner dag with
+      | Some w -> w
+      | None -> (
           match Scoring.ranked_candidates dag with
           | best :: _ -> best
           | [] -> 0)
     in
     q.spent <- true;
     let pool = Domain.DLS.get pool_key in
-    if Stack.length pool < pool_cap then Stack.push dag pool;
+    if Stack.length pool < pool_cap then
+      Stack.push { r_dag = dag; r_pairs = q.pairs } pool;
     {
       chosen;
       correct = chosen = Ground_truth.max_element q.truth;
-      singleton = (match remaining with [ _ ] -> true | _ -> false);
+      singleton;
       rounds_run = q.rounds;
       questions_posted = q.questions;
       total_latency = q.latency;
@@ -540,10 +592,9 @@ let run_registered ~scratch instr ~metrics rng cfg truth =
     if posted = 0 then ignore (Query.absorb q round (full_round 0.0 ~answered:0))
     else begin
       let outcome =
-        answer_round ~scratch ~metrics rng ~source:cfg.source
+        answer_pairs ~scratch ~metrics rng ~source:cfg.source
           ~deadline:cfg.deadline ~latency_model:cfg.latency_model truth
-          (Query.dag q) (Query.questions round) ~distinct:(Query.distinct round)
-          ~posted
+          (Query.dag q) (Query.questions round) ~posted
       in
       let r = Query.absorb q round outcome in
       Metrics.add instr.i_posted posted;

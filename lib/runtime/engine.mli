@@ -179,6 +179,33 @@ type round_outcome = {
   round_deadline_hit : bool;
 }
 
+val answer_pairs :
+  ?scratch:Crowdmax_crowd.Platform.scratch ->
+  ?metrics:Crowdmax_obs.Metrics.t ->
+  Crowdmax_util.Rng.t ->
+  source:answer_source ->
+  deadline:deadline_policy ->
+  latency_model:Crowdmax_latency.Model.t ->
+  Crowdmax_crowd.Ground_truth.t ->
+  Crowdmax_graph.Answer_dag.t ->
+  Crowdmax_util.Pairs.t ->
+  posted:int ->
+  round_outcome
+(** Answer one round's questions — the buffer's pairs, all informative;
+    [posted] is their count plus any padding — and fold the answers
+    into the DAG: the answer step of every round {!Query} drives,
+    shared by [run] and the adaptive runtime so both obtain answers and
+    {e observed round seconds} through one draw schedule. The oracle
+    reads each pair and writes its answer straight into the DAG; a
+    simulated source resolves the votes with
+    {!Crowdmax_crowd.Rwl.resolve_into} into per-domain answer buffers.
+    Under [Wait_all] the rng is consumed RWL-votes-first then platform,
+    the historical order the golden aggregates pin; a finite deadline
+    runs platform-first (platform report, then {!resolve_votes}).
+    Callers are responsible for policy validation ([run] does it via
+    its config check) and for padding semantics. The buffer is only
+    read. *)
+
 val answer_round :
   ?scratch:Crowdmax_crowd.Platform.scratch ->
   ?metrics:Crowdmax_obs.Metrics.t ->
@@ -192,16 +219,10 @@ val answer_round :
   distinct:int ->
   posted:int ->
   round_outcome
-(** Answer one round's [questions] (first [distinct] informative, the
-    rest padding up to [posted]) and fold the answers into the DAG —
-    the answer step of every round {!Query} drives, shared by [run] and
-    the adaptive runtime so both obtain answers and {e observed round
-    seconds} through one draw schedule. Under [Wait_all] the rng is
-    consumed RWL-votes-first then platform, the historical order the
-    golden aggregates pin; a finite deadline runs platform-first
-    (platform report, then {!resolve_votes}). Callers are responsible
-    for policy validation ([run] does it via its config check) and for
-    padding semantics. *)
+(** The list view of {!answer_pairs}, kept for callers that build
+    rounds as lists (the benchmark's traced replicas): the questions go
+    into a fresh buffer, in list order. [distinct] is the list's
+    length and is not read. *)
 
 val count_vote : int array -> posted:int -> int -> unit
 (** [count_vote counts ~posted idx] credits raw completion [idx] of a
@@ -211,24 +232,28 @@ val count_vote : int array -> posted:int -> int -> unit
     [on_complete] half of the deadline-bounded vote step. *)
 
 val resolve_votes :
-  resolve:(int array -> Crowdmax_crowd.Rwl.outcome) ->
+  Crowdmax_util.Rng.t ->
+  Crowdmax_crowd.Rwl.config ->
+  truth:Crowdmax_crowd.Ground_truth.t ->
   Crowdmax_graph.Answer_dag.t ->
+  Crowdmax_util.Pairs.t ->
   int array ->
   Crowdmax_crowd.Platform.report ->
   round_outcome
-(** [resolve_votes ~resolve dag counts report] finishes the vote step
-    of a round the platform cut off by [report]: [resolve counts] (an
-    [Rwl.resolve ~votes_received:counts] call) decides each question
-    over the votes that arrived, the answers go into [dag], and the
-    outcome prices the round at the report's (deadline-clipped)
-    latency with its unclipped [last_completion] as observed seconds.
-    [answer_round]'s deadline path and the query server both end their
-    rounds here. *)
+(** [resolve_votes rng rwl ~truth dag questions counts report] finishes
+    the vote step of a round the platform cut off by [report]:
+    {!Crowdmax_crowd.Rwl.resolve_into} with [~votes_received:counts]
+    decides each question of the buffer over the votes that arrived,
+    the answers go into [dag], and the outcome prices the round at the
+    report's (deadline-clipped) latency with its unclipped
+    [last_completion] as observed seconds; questions with no vote come
+    back as [unanswered]. [answer_pairs]' deadline path and the query
+    server both end their rounds here. *)
 
 (** One query's round state machine: the single implementation of the
     paper's MAX loop that every driver runs. Each round is [replan]
     (adaptive drivers) or a fixed budget (the engine), then [select],
-    an answer step ({!answer_round}, or the server's shared platform
+    an answer step ({!answer_pairs}, or the server's shared platform
     plus {!resolve_votes}), then [absorb]; [finish] picks the MAX.
     Drivers own their stop rule, their instruments and their answer
     source.
@@ -311,8 +336,10 @@ module Query : sig
       redundant padding up to [budget]. [horizon] is the selector's
       [total_rounds]. *)
 
-  val questions : round -> (int * int) list
-  (** Distinct questions, carried ones first. *)
+  val questions : round -> Crowdmax_util.Pairs.t
+  (** Distinct questions, carried ones first: the query's own pair
+      buffer, which the query's next [select] overwrites. Answer steps
+      only read it. *)
 
   val posted : round -> int  (** distinct plus padding *)
 

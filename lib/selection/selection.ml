@@ -14,10 +14,40 @@ type round_input = {
 
 type t = {
   name : string;
+  fill : Rng.t -> round_input -> Pairs.t -> unit;
   select : Rng.t -> round_input -> (int * int) list;
 }
 
-let norm_pair a b = if a < b then (a, b) else (b, a)
+let list_view fill rng input =
+  let out = Pairs.create () in
+  fill rng input out;
+  Pairs.to_list out
+
+let make name fill = { name; fill; select = list_view fill }
+
+(* Each built-in's pinned pair order is newest first, each pair
+   normalized to (min, max) except the tournament's cliques: SPREAD,
+   COMPLETE, GREEDY and HILL push in generation order and reverse their
+   segment of the buffer at the end. *)
+let push_norm out a b =
+  if a < b then Pairs.push out a b else Pairs.push out b a
+[@@alloc_free]
+
+(* Per-domain selector scratch: a candidate pool the tournament and
+   SPREAD shuffle in place, and the within-round pair set. Both only
+   grow. A fill uses them only between its entry and its return and
+   calls no other selector meanwhile, so one copy per domain serves
+   every selector. *)
+type scratch = { mutable pool : int array; asked : Pair_set.t }
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { pool = [||]; asked = Pair_set.create ~expected:0 0 })
+
+let pool_of s c =
+  if Array.length s.pool < c then
+    s.pool <- Array.make (max c (2 * Array.length s.pool)) 0;
+  s.pool
 
 (* Universe bound for this round's Pair_set: the history covers every
    engine-produced candidate; hand-built inputs may exceed it. *)
@@ -25,6 +55,11 @@ let universe input =
   Array.fold_left
     (fun m e -> if e >= m then e + 1 else m)
     (Dag.size input.history) input.candidates
+
+(* The scratch's pair set, emptied over this round's universe. *)
+let asked_set s input ~expected =
+  Pair_set.reset ~expected s.asked (universe input);
+  s.asked
 
 (* Candidates of this round ordered strongest-first: Scoring's ranking
    restricted to the round's candidate set. In the standard engine the
@@ -55,78 +90,113 @@ let ranked_in_round input =
 
 (* --- Tournament-formation ------------------------------------------- *)
 
-let cross_group_extras rng groups budget asked =
-  (* Random pairs between elements of different cliques, avoiding pairs
-     already asked this round; gives up after enough failed draws, which
-     only happens when few distinct cross pairs remain. *)
-  let k = Array.length groups in
-  let extras = ref [] in
-  let remaining = ref budget in
-  let attempts = ref 0 in
-  let max_attempts = 50 * (budget + 1) in
-  if k >= 2 then
-    while !remaining > 0 && !attempts < max_attempts do
-      incr attempts;
-      let gi = Rng.int rng k in
-      let gj = Rng.int rng k in
-      if gi <> gj then begin
-        let a = Rng.choose rng groups.(gi) in
-        let b = Rng.choose rng groups.(gj) in
-        if Pair_set.add asked a b then begin
-          extras := norm_pair a b :: !extras;
-          decr remaining
-        end
+(* The cliques are index ranges of one shuffled pool of the c
+   candidates: with [small = c / g] and [n_big = c mod g], clique [k]
+   starts at [k * small + min k n_big] and the first [n_big] cliques
+   hold one extra element ([Tournament.sizes]'s layout). *)
+let[@inline] clique_start ~small ~n_big k =
+  (k * small) + if k < n_big then k else n_big
+[@@alloc_free]
+
+let[@inline] clique_size ~small ~n_big k =
+  if k < n_big then small + 1 else small
+[@@alloc_free]
+
+(* Every within-clique pair [(pool.(i), pool.(j))], [i < j], in the
+   tournament's pinned order: the reverse of clique by clique, [i] then
+   [j] ascending. The loops run that generation order backwards, so no
+   reversal pass is needed. *)
+let push_cliques pool ~c ~g out =
+  let small = c / g and n_big = c mod g in
+  for k = g - 1 downto 0 do
+    let lo = clique_start ~small ~n_big k in
+    let hi = lo + clique_size ~small ~n_big k in
+    for i = hi - 2 downto lo do
+      let a = Array.unsafe_get pool i in
+      for j = hi - 1 downto i + 1 do
+        Pairs.push out a (Array.unsafe_get pool j)
+      done
+    done
+  done
+[@@alloc_free]
+
+(* Random pairs between elements of different cliques, avoiding pairs
+   already drawn this round; gives up after enough failed draws, which
+   only happens when few distinct cross pairs remain. Disjoint cliques
+   never share a pair with a cross pair, so [asked] holds the extras
+   only. Pushed in draw order, then reversed: the pinned order of the
+   extras, like the cliques', is newest first. *)
+let push_cross_extras rng pool ~c ~g asked leftover out =
+  let small = c / g and n_big = c mod g in
+  let base = Pairs.length out in
+  let remaining = ref leftover and attempts = ref 0 in
+  let max_attempts = 50 * (leftover + 1) in
+  while !remaining > 0 && !attempts < max_attempts do
+    incr attempts;
+    let gi = Rng.int rng g in
+    let gj = Rng.int rng g in
+    if gi <> gj then begin
+      let a =
+        pool.(clique_start ~small ~n_big gi
+              + Rng.int rng (clique_size ~small ~n_big gi))
+      in
+      let b =
+        pool.(clique_start ~small ~n_big gj
+              + Rng.int rng (clique_size ~small ~n_big gj))
+      in
+      if Pair_set.add asked a b then begin
+        push_norm out a b;
+        decr remaining
       end
-    done;
-  !extras
+    end
+  done;
+  Pairs.reverse out base (Pairs.length out)
+[@@alloc_free]
 
-let tournament_select rng input =
+let tournament_fill rng input out =
   let c = Array.length input.candidates in
-  if c <= 1 || input.budget < 1 then []
-  else
+  if c > 1 && input.budget >= 1 then
     match T.min_groups_within_budget c input.budget with
-    | None -> []
-    | Some groups_count ->
-        let assignment = T.assign rng input.candidates groups_count in
-        let base = T.edges_of_assignment assignment in
-        let leftover = input.budget - List.length base in
-        if leftover <= 0 || groups_count < 2 then base
-          (* No extras are possible: either the tournament itself filled
-             the budget, or there is a single group and hence no cross
-             pair. Both make the asked-set and the final append pure
-             overhead, and cross_group_extras draws nothing in either
-             case, so skipping them cannot shift the RNG stream. *)
-        else begin
-          let asked = Pair_set.create ~expected:input.budget (universe input) in
-          List.iter (fun (a, b) -> ignore (Pair_set.add asked a b)) base;
-          let extras =
-            cross_group_extras rng assignment.T.groups leftover asked
-          in
-          base @ extras
-        end
+    | None -> ()
+    | Some g ->
+        let s = Domain.DLS.get scratch_key in
+        let pool = pool_of s c in
+        Array.blit input.candidates 0 pool 0 c;
+        Rng.shuffle_prefix rng pool c;
+        push_cliques pool ~c ~g out;
+        let leftover = input.budget - T.questions c g in
+        (* No extras are possible when the cliques fill the budget or
+           there is a single clique (no cross pair); the extras loop
+           would draw nothing either way. *)
+        if leftover > 0 && g >= 2 then
+          push_cross_extras rng pool ~c ~g
+            (asked_set s input ~expected:leftover)
+            leftover out
 
-let tournament = { name = "Tournament"; select = tournament_select }
+let tournament = make "Tournament" tournament_fill
 
 (* --- SPREAD ---------------------------------------------------------- *)
 
-let spread_select rng input =
+let spread_fill rng input out =
   let c = Array.length input.candidates in
-  if c <= 1 || input.budget < 1 then []
-  else begin
-    let asked = Pair_set.create ~expected:input.budget (universe input) in
-    let picked = ref [] in
+  if c > 1 && input.budget >= 1 then begin
+    let s = Domain.DLS.get scratch_key in
+    let asked = asked_set s input ~expected:input.budget in
+    let order = pool_of s c in
+    let base = Pairs.length out in
     let remaining = ref input.budget in
     let stalled = ref false in
     (* Stack random near-perfect matchings: each pass pairs up a fresh
        shuffle of the candidates, adding degree one per element, so the
        question counts stay as even as possible. *)
     while !remaining > 0 && not !stalled do
-      let order = Rng.shuffle rng input.candidates in
+      Array.blit input.candidates 0 order 0 c;
+      Rng.shuffle_prefix rng order c;
       let added_this_pass = ref 0 in
       let i = ref 0 in
       while !i + 1 < c && !remaining > 0 do
         if Pair_set.add asked order.(!i) order.(!i + 1) then begin
-          picked := norm_pair order.(!i) order.(!i + 1) :: !picked;
+          push_norm out order.(!i) order.(!i + 1);
           decr remaining;
           incr added_this_pass
         end;
@@ -141,7 +211,7 @@ let spread_select rng input =
              for b = a + 1 to c - 1 do
                let x = input.candidates.(a) and y = input.candidates.(b) in
                if !remaining > 0 && Pair_set.add asked x y then begin
-                 picked := norm_pair x y :: !picked;
+                 push_norm out x y;
                  decr remaining;
                  found := true;
                  raise Exit
@@ -151,17 +221,16 @@ let spread_select rng input =
          with Exit -> ());
         if not !found then stalled := true
     done;
-    !picked
+    Pairs.reverse out base (Pairs.length out)
   end
 
-let spread = { name = "SPREAD"; select = spread_select }
+let spread = make "SPREAD" spread_fill
 
 (* --- COMPLETE --------------------------------------------------------- *)
 
-let complete_select rng input =
+let complete_fill rng input out =
   let c = Array.length input.candidates in
-  if c <= 1 || input.budget < 1 then []
-  else begin
+  if c > 1 && input.budget >= 1 then begin
     (* The history ranks all unbeaten elements; restrict to this round's
        candidate set (they coincide in the standard engine). *)
     let ranked = ranked_in_round input in
@@ -176,12 +245,14 @@ let complete_select rng input =
     let k = if Ints.choose2 !k + (c - !k) <= input.budget then !k else min c 2 in
     let clique = Array.sub ranked 0 (min k (Array.length ranked)) in
     let rest = Array.sub ranked (Array.length clique) (c - Array.length clique) in
-    let asked = Pair_set.create ~expected:input.budget (universe input) in
-    let picked = ref [] in
+    let asked =
+      asked_set (Domain.DLS.get scratch_key) input ~expected:input.budget
+    in
+    let base = Pairs.length out in
     let remaining = ref input.budget in
     let add a b =
       if !remaining > 0 && Pair_set.add asked a b then begin
-        picked := norm_pair a b :: !picked;
+        push_norm out a b;
         decr remaining
       end
     in
@@ -202,10 +273,10 @@ let complete_select rng input =
         incr attempts;
         add (Rng.choose rng rest) (Rng.choose rng clique)
       done;
-    !picked
+    Pairs.reverse out base (Pairs.length out)
   end
 
-let complete = { name = "COMPLETE"; select = complete_select }
+let complete = make "COMPLETE" complete_fill
 
 (* --- CT combinators --------------------------------------------------- *)
 
@@ -219,21 +290,20 @@ let split ?name fraction early late =
           (int_of_float (fraction *. 100.0 +. 0.5))
           late.name
   in
-  let select rng input =
+  let fill rng input out =
     let boundary =
       int_of_float (Float.ceil (fraction *. float_of_int input.total_rounds))
     in
-    if input.round_index < boundary then early.select rng input
-    else late.select rng input
+    if input.round_index < boundary then early.fill rng input out
+    else late.fill rng input out
   in
-  { name; select }
+  make name fill
 
 (* --- GREEDY ------------------------------------------------------------ *)
 
-let greedy_select rng input =
+let greedy_fill rng input out =
   let c = Array.length input.candidates in
-  if c <= 1 || input.budget < 1 then []
-  else begin
+  if c > 1 && input.budget >= 1 then begin
     let ranked = ranked_in_round input in
     ignore rng;
     (* Clique over the strongest m candidates where choose2 m fits;
@@ -243,12 +313,14 @@ let greedy_select rng input =
     while !m < c && Ints.choose2 (!m + 1) <= input.budget do
       incr m
     done;
-    let picked = ref [] in
+    let base = Pairs.length out in
     let remaining = ref input.budget in
-    let asked = Pair_set.create ~expected:input.budget (universe input) in
+    let asked =
+      asked_set (Domain.DLS.get scratch_key) input ~expected:input.budget
+    in
     let add a b =
       if !remaining > 0 && Pair_set.add asked a b then begin
-        picked := norm_pair a b :: !picked;
+        push_norm out a b;
         decr remaining
       end
     in
@@ -262,10 +334,10 @@ let greedy_select rng input =
       add ranked.(0) ranked.(!next);
       incr next
     done;
-    !picked
+    Pairs.reverse out base (Pairs.length out)
   end
 
-let greedy = { name = "GREEDY"; select = greedy_select }
+let greedy = make "GREEDY" greedy_fill
 
 (* --- HILL --------------------------------------------------------------- *)
 
@@ -274,18 +346,19 @@ let greedy = { name = "GREEDY"; select = greedy_select }
    as the round budget allows, in rank order; leftover budget pairs the
    following candidates with each other. *)
 
-let hill_select rng input =
+let hill_fill rng input out =
   let c = Array.length input.candidates in
-  if c <= 1 || input.budget < 1 then []
-  else begin
+  if c > 1 && input.budget >= 1 then begin
     ignore rng;
     let ranked = ranked_in_round input in
-    let picked = ref [] in
+    let base = Pairs.length out in
     let remaining = ref input.budget in
-    let asked = Pair_set.create ~expected:input.budget (universe input) in
+    let asked =
+      asked_set (Domain.DLS.get scratch_key) input ~expected:input.budget
+    in
     let add a b =
       if !remaining > 0 && Pair_set.add asked a b then begin
-        picked := norm_pair a b :: !picked;
+        push_norm out a b;
         decr remaining
       end
     in
@@ -299,10 +372,10 @@ let hill_select rng input =
       add ranked.(!i) ranked.(!i + 1);
       i := !i + 2
     done;
-    !picked
+    Pairs.reverse out base (Pairs.length out)
   end
 
-let hill = { name = "HILL"; select = hill_select }
+let hill = make "HILL" hill_fill
 
 let ct fraction =
   split

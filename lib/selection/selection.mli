@@ -2,15 +2,26 @@
 
     Each round [j], a selector receives the round budget [b_j], the set
     [C_j] of elements that have not lost any comparison, and the full
-    answer history, and returns the unordered pairs to ask. Two surviving
-    candidates can never have been compared before (one would have lost),
-    so selectors only have to avoid duplicates within the round. *)
+    answer history, and appends the unordered pairs to ask to a pair
+    buffer. Two surviving candidates can never have been compared
+    before (one would have lost), so selectors only have to avoid
+    duplicates within the round.
+
+    Buffer contract: a selector's [fill] appends to the caller's
+    {!Crowdmax_util.Pairs.t} and touches nothing before the buffer's
+    length at entry; the engine passes the query's own buffer, holding
+    the round's carried stragglers. The built-ins keep per-domain
+    scratch (a candidate pool, a pair set) that only grows, so a
+    tournament round allocates nothing per pair. Each built-in's draws
+    and pair order are fixed: [select] (the list view) and [fill]
+    return the same pairs from the same draws. *)
 
 type round_input = {
   budget : int;
       (** b_j from the allocation vector, minus any carried straggler
           questions the engine already committed this round's budget to *)
-  candidates : int array;  (** C_j *)
+  candidates : int array;
+      (** C_j, distinct ids; selectors only read it *)
   history : Crowdmax_graph.Answer_dag.t;
       (** all answers from rounds 0..j-1 (over the full element space) *)
   round_index : int;  (** 0-based *)
@@ -26,8 +37,29 @@ type round_input = {
 
 type t = {
   name : string;
+  fill : Crowdmax_util.Rng.t -> round_input -> Crowdmax_util.Pairs.t -> unit;
+      (** [fill rng input out] appends the round's pairs to [out] and
+          leaves the pairs already in [out] alone. This is the selector:
+          the round machine calls it with the query's own pair buffer,
+          so a built-in selector's round allocates nothing per pair.
+          Pairs are unordered; a built-in writes each one in a fixed
+          orientation and a fixed order, both part of its draw
+          contract. A fill reads [input] and never keeps [out]. *)
   select : Crowdmax_util.Rng.t -> round_input -> (int * int) list;
+      (** The list view of [fill]: the same pairs, in buffer order,
+          from the same draws. It exists for callers that still build
+          rounds as lists (the benchmark's traced replicas); the round
+          machine never calls it, so overriding it in a copy
+          ([{ sel with select = ... }]) changes nothing the engine
+          does. *)
 }
+
+val make :
+  string ->
+  (Crowdmax_util.Rng.t -> round_input -> Crowdmax_util.Pairs.t -> unit) ->
+  t
+(** [make name fill] is the selector [fill] under [name], with [select]
+    its list view. *)
 
 val tournament : t
 (** Tournament-formation: form the fewest cliques the budget allows

@@ -275,11 +275,10 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
       Array.iteri
         (fun i (st, round) ->
           let outcome =
-            Engine.resolve_votes (Query.dag st.query) counts.(i) reports.(i)
-              ~resolve:(fun votes_received ->
-                Rwl.resolve ~votes_received rng
-                  { Rwl.votes = st.spec.votes; error = st.spec.error }
-                  ~truth:(Query.truth st.query) (Query.questions round))
+            Engine.resolve_votes rng
+              { Rwl.votes = st.spec.votes; error = st.spec.error }
+              ~truth:(Query.truth st.query) (Query.dag st.query)
+              (Query.questions round) counts.(i) reports.(i)
           in
           let r = Query.absorb st.query round outcome in
           let posted = Query.posted round in

@@ -1,4 +1,5 @@
 module Dag = Crowdmax_graph.Answer_dag
+module Pairs = Crowdmax_util.Pairs
 module Scoring = Crowdmax_graph.Scoring
 module Model = Crowdmax_latency.Model
 module Problem = Crowdmax_core.Problem
@@ -74,6 +75,7 @@ let run ?answer rng ~k ~problem ~selection truth =
   (* one plan cache for every re-plan of every pass (c only shrinks) *)
   let cache = Tdp.Cache.create () in
   let dag = Dag.create n in
+  let questions = Pairs.create () in
   let is_extracted = Array.make n false in
   let remaining_budget = ref problem.Problem.budget in
   let total_latency = ref 0.0 in
@@ -127,27 +129,28 @@ let run ?answer rng ~k ~problem ~selection truth =
               carried = [];
             }
           in
-          let questions = selection.Selection.select rng input in
-          match questions with
-          | [] -> stalled := true
-          | _ ->
-              let losers = Hashtbl.create 16 in
-              List.iter
-                (fun (a, b) ->
-                  let w = answer a b in
-                  let l = if w = a then b else a in
-                  Dag.add_answer_unchecked dag ~winner:w ~loser:l;
-                  Hashtbl.replace losers l ())
-                questions;
-              let posted = List.length questions in
-              survivors :=
-                Array.of_list
-                  (List.filter
-                     (fun e -> not (Hashtbl.mem losers e))
-                     (Array.to_list !survivors));
-              pass_questions := !pass_questions + posted;
-              pass_latency := !pass_latency +. Model.eval model posted;
-              incr pass_rounds
+          Pairs.clear questions;
+          selection.Selection.fill rng input questions;
+          let posted = Pairs.length questions in
+          if posted = 0 then stalled := true
+          else begin
+            let losers = Hashtbl.create 16 in
+            for i = 0 to posted - 1 do
+              let a = Pairs.first questions i and b = Pairs.second questions i in
+              let w = answer a b in
+              let l = if w = a then b else a in
+              Dag.add_answer_unchecked dag ~winner:w ~loser:l;
+              Hashtbl.replace losers l ()
+            done;
+            survivors :=
+              Array.of_list
+                (List.filter
+                   (fun e -> not (Hashtbl.mem losers e))
+                   (Array.to_list !survivors));
+            pass_questions := !pass_questions + posted;
+            pass_latency := !pass_latency +. Model.eval model posted;
+            incr pass_rounds
+          end
         end
       end
     done;

@@ -22,15 +22,19 @@ let sizes c_prev c_next =
 
 let min_groups_within_budget c budget =
   if c <= 1 then (if budget >= 0 then Some c else None)
+  else if questions c (c - 1) > budget then None
   else begin
-    (* questions c g is decreasing in g, so scan up from the fewest
-       groups; binary search is possible but c is small in practice. *)
-    let rec loop g =
-      if g >= c then None
-      else if questions c g <= budget then Some g
-      else loop (g + 1)
-    in
-    loop 1
+    (* questions c g is non-increasing in g, so the least fitting g is
+       found by bisection: questions c lo > budget >= questions c hi
+       (lo = 0 standing for "no group count"). Each probe costs three
+       divisions; a scan up from g = 1 made the selector pay ~c/4 probes
+       per round. *)
+    let lo = ref 0 and hi = ref (c - 1) in
+    while !hi - !lo > 1 do
+      let mid = (!lo + !hi) / 2 in
+      if questions c mid <= budget then hi := mid else lo := mid
+    done;
+    Some !hi
   end
 
 type assignment = { groups : int array array }

@@ -1,6 +1,8 @@
 type t = {
-  n : int;
-  mutable keys : int array; (* power-of-two capacity; -1 marks empty *)
+  mutable n : int;
+  (* Slots [0 .. mask] are the table (a power-of-two count; -1 marks
+     empty); a set recycled by [reset] may hold a longer array. *)
+  mutable keys : int array;
   mutable mask : int;
   mutable count : int;
 }
@@ -9,10 +11,26 @@ let max_n = 1 lsl 31 (* keeps n * n < 2^62: packed keys never overflow *)
 
 let rec next_pow2 k c = if c >= k then c else next_pow2 k (c * 2)
 
+let check_universe name n =
+  if n < 0 || n > max_n then invalid_arg (name ^ ": bad universe size")
+
+let capacity expected = next_pow2 (max 8 (2 * expected)) 8
+
 let create ?(expected = 16) n =
-  if n < 0 || n > max_n then invalid_arg "Pair_set.create: bad universe size";
-  let cap = next_pow2 (max 8 (2 * expected)) 8 in
+  check_universe "Pair_set.create" n;
+  let cap = capacity expected in
   { n; keys = Array.make cap (-1); mask = cap - 1; count = 0 }
+
+(* Only the table's own slots are cleared, so a set once grown for a
+   large round empties in time proportional to the next one. *)
+let reset ?(expected = 16) t n =
+  check_universe "Pair_set.reset" n;
+  let cap = capacity expected in
+  if Array.length t.keys < cap then t.keys <- Array.make cap (-1)
+  else Array.fill t.keys 0 cap (-1);
+  t.n <- n;
+  t.mask <- cap - 1;
+  t.count <- 0
 
 let key t a b =
   if a < 0 || a >= t.n || b < 0 || b >= t.n then
@@ -42,9 +60,10 @@ let mem t a b =
 [@@alloc_free]
 
 let grow t =
-  let old = t.keys in
+  let old = Array.sub t.keys 0 (t.mask + 1) in
   let cap = 2 * Array.length old in
-  t.keys <- Array.make cap (-1);
+  if Array.length t.keys < cap then t.keys <- Array.make cap (-1)
+  else Array.fill t.keys 0 cap (-1);
   t.mask <- cap - 1;
   Array.iter (fun k -> if k >= 0 then t.keys.(slot_of t k) <- k) old
 
@@ -55,7 +74,7 @@ let add t a b =
   else begin
     t.keys.(i) <- k;
     t.count <- t.count + 1;
-    if 2 * t.count >= Array.length t.keys then (grow [@alloc_cold]) t;
+    if 2 * t.count > t.mask then (grow [@alloc_cold]) t;
     true
   end
 [@@alloc_free]

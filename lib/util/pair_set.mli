@@ -22,3 +22,11 @@ val mem : t -> int -> int -> bool
 val add : t -> int -> int -> bool
 (** [add t a b] inserts the pair and returns [true] iff it was not
     already present. Same exceptions as {!mem}. *)
+
+val reset : ?expected:int -> t -> int -> unit
+(** [reset ?expected t n] turns [t] into the empty set over elements
+    [0 .. n-1], as if it were [create ?expected n], while keeping its
+    storage: the table is reallocated only when [expected] needs more
+    room than [t] ever had, and clearing costs O([expected]), not the
+    size of the largest table [t] grew to. Same exceptions as
+    {!create}. *)

@@ -224,6 +224,19 @@ let shuffle_in_place t a =
     a.(j) <- tmp
   done
 
+(* [shuffle_in_place]'s loop on a prefix. Typed [int array], so its
+   stores need no write barrier (a polymorphic array's do). *)
+let shuffle_prefix t (a : int array) n =
+  if n < 0 || n > Array.length a then
+    invalid_arg "Rng.shuffle_prefix: bad length";
+  for i = n - 1 downto 1 do
+    let j = int t (i + 1) in
+    let tmp = Array.unsafe_get a i in
+    Array.unsafe_set a i (Array.unsafe_get a j);
+    Array.unsafe_set a j tmp
+  done
+[@@alloc_free]
+
 let shuffle t a =
   let b = Array.copy a in
   shuffle_in_place t b;

@@ -81,6 +81,14 @@ val lognormal : t -> mu:float -> sigma:float -> float
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
 
+val shuffle_prefix : t -> int array -> int -> unit
+(** [shuffle_prefix t a n] shuffles [a.(0) .. a.(n-1)] in place with the
+    draws [shuffle_in_place] makes on an array of length [n], leaving
+    the rest of [a] alone: a caller that copies [n] values into a
+    longer pooled array and shuffles that prefix gets exactly
+    {!shuffle}'s result and rng state. Raises [Invalid_argument] unless
+    [0 <= n <= Array.length a]. *)
+
 val shuffle : t -> 'a array -> 'a array
 (** Non-destructive shuffle. *)
 

@@ -278,6 +278,47 @@ let test_cold_solve_major_words () =
           c0 budget words limit)
     [ 2000; 8000 ]
 
+let test_adaptive_oracle_round_words () =
+  (* The round machine's steady state: on a domain whose pools are warm
+     (a recycled DAG and pair buffer, the selector and RWL scratch, the
+     planner workspace) and with a warm plan cache, an oracle
+     [Adaptive.run] allocates a constant per round — the plan, the
+     round's records, the candidate array of C_j — however many pairs
+     a round asks: ~270 words at both sizes in the dev profile. One
+     word per pair would add ~950 per round at c0 = 1000, whose plan
+     asks 1,500, 884 and 465 pairs. *)
+  let words_per_round c0 =
+    let problem =
+      Problem.create ~elements:c0 ~budget:(4 * c0) ~latency:Model.paper_mturk
+    in
+    let cache = Tdp.Cache.create () in
+    let truths = Array.init 4 (fun i -> Ground_truth.random (Rng.create i) c0) in
+    let run i =
+      Adaptive.run ~cache (Rng.create (100 + i)) ~problem
+        ~selection:Selection.tournament truths.(i)
+    in
+    ignore (run 0);
+    ignore (run 1);
+    let rounds = ref 0 in
+    let before = Gc.minor_words () in
+    for i = 0 to 3 do
+      let r = run i in
+      rounds := !rounds + r.Adaptive.engine_result.Engine.rounds_run
+    done;
+    let words = Gc.minor_words () -. before in
+    (words /. float_of_int !rounds, !rounds)
+  in
+  List.iter
+    (fun c0 ->
+      let per_round, rounds = words_per_round c0 in
+      if per_round > 600.0 then
+        Alcotest.failf
+          "oracle Adaptive.run c0=%d: %.0f minor words per round over %d \
+           rounds (limit 600: the round's records and its C_j array, not \
+           a word per pair)"
+          c0 per_round rounds)
+    [ 200; 1000 ]
+
 let suite =
   [
     ( "alloc_free",
@@ -299,5 +340,7 @@ let suite =
           test_query_recycles_dag;
         Alcotest.test_case "cold tdp solve major words" `Quick
           test_cold_solve_major_words;
+        Alcotest.test_case "adaptive oracle round words" `Quick
+          test_adaptive_oracle_round_words;
       ] );
   ]

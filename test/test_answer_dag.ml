@@ -227,7 +227,7 @@ let reset_steps =
     Q.Gen.(list_size (int_range 1 8) step)
 
 (* [same_dag] leaves a ranking cache on the recycled DAG before every
-   reset, so each step also checks that reset drops it. *)
+   reset, so each step also checks that a reset makes it stale. *)
 let prop_reset_equals_fresh =
   Q.Test.make ~count:200 ~name:"reset DAG = fresh DAG over size sequences"
     reset_steps (fun steps ->
@@ -259,6 +259,88 @@ let test_reset_drops_ranking_cache () =
     (Invalid_argument "Answer_dag.reset: negative size") (fun () ->
       Dag.reset d (-1))
 
+(* --- the candidate scan --------------------------------------------- *)
+
+(* The scan [candidates] ran before it visited only set bits: all 32
+   bit positions of every nonzero word, ascending. *)
+let word_scan words =
+  let acc = ref [] in
+  Array.iteri
+    (fun w b ->
+      if b <> 0 then
+        for j = 0 to 31 do
+          if b land (1 lsl j) <> 0 then acc := ((w lsl 5) + j) :: !acc
+        done)
+    words;
+  List.rev !acc
+
+let test_candidates_set_bit_scan () =
+  let rng = Rng.create 41 in
+  List.iter
+    (fun n ->
+      for trial = 1 to 25 do
+        (* every element but a random top one loses to it with
+           probability [1 - keep]: all candidates, only the top, or a
+           random density in between *)
+        let dag = Dag.create n in
+        let keep =
+          match trial with 1 -> 1.0 | 2 -> 0.0 | _ -> Rng.float rng 1.0
+        in
+        if n > 0 then begin
+          let top = Rng.int rng n in
+          for x = 0 to n - 1 do
+            if x <> top && Rng.float rng 1.0 >= keep then
+              Dag.add_answer_unchecked dag ~winner:top ~loser:x
+          done
+        end;
+        let words = Array.make ((n + 31) / 32) 0 in
+        for x = 0 to n - 1 do
+          if Dag.losses dag x = 0 then
+            words.(x lsr 5) <- words.(x lsr 5) lor (1 lsl (x land 31))
+        done;
+        let expect = word_scan words in
+        let what = Printf.sprintf "n=%d trial %d" n trial in
+        Alcotest.(check (list int))
+          (what ^ ": candidates") expect
+          (Array.to_list (Dag.candidates dag));
+        let c = Dag.candidate_count dag in
+        let out = Array.make (c + 3) (-7) in
+        Dag.candidates_into dag out;
+        Alcotest.(check (list int))
+          (what ^ ": candidates_into") (expect @ [ -7; -7; -7 ])
+          (Array.to_list out);
+        Alcotest.(check (option int))
+          (what ^ ": winner")
+          (match expect with [ w ] -> Some w | _ -> None)
+          (Dag.winner dag);
+        if c > 0 then
+          Alcotest.check_raises (what ^ ": short array")
+            (Invalid_argument
+               "Answer_dag.candidates_into: array shorter than the RC set")
+            (fun () -> Dag.candidates_into dag (Array.make (c - 1) 0))
+      done)
+    [ 0; 1; 31; 32; 33; 1000 ]
+
+let test_reset_keeps_scoring_buffers () =
+  (* The ranking cache lives on across a reset and serves the new graph:
+     same slot, new generation, and the ranking of a fresh DAG. *)
+  let d = Dag.create 40 in
+  add_ranked_answers d (40, None, 3);
+  ignore (Scoring.ranked_array d : int array);
+  let cache = Dag.ext d and generation = Dag.generation d in
+  Dag.reset d 30;
+  check_bool "generation moves on" true (Dag.generation d > generation);
+  add_ranked_answers d (30, None, 4);
+  let fresh = Dag.create 30 in
+  add_ranked_answers fresh (30, None, 4);
+  Alcotest.(check (list int))
+    "ranking = fresh DAG's" (Scoring.ranked_candidates fresh)
+    (Scoring.ranked_candidates d);
+  Alcotest.(check (array (float 0.0)))
+    "scores = fresh DAG's" (Scoring.scores_array fresh)
+    (Scoring.scores_array d);
+  check_bool "cache slot kept" true (Dag.ext d == cache)
+
 let suite =
   [
     ( "answer_dag",
@@ -283,6 +365,8 @@ let suite =
         tc "win counts dedup (diamond)" `Quick test_transitive_win_counts_diamond;
         tc "bitset word boundary" `Quick test_large_bitset_boundary;
         tc "reset drops ranking cache" `Quick test_reset_drops_ranking_cache;
+        tc "reset keeps scoring buffers" `Quick test_reset_keeps_scoring_buffers;
+        tc "candidates scan set bits" `Quick test_candidates_set_bit_scan;
         QCheck_alcotest.to_alcotest prop_reset_equals_fresh;
       ] );
   ]

@@ -10,6 +10,7 @@ module Platform = Crowdmax_crowd.Platform
 module Rwl = Crowdmax_crowd.Rwl
 module W = Crowdmax_crowd.Worker
 module Rng = Crowdmax_util.Rng
+module Pairs = Crowdmax_util.Pairs
 module Server = Crowdmax_server.Server
 
 let tc = Alcotest.test_case
@@ -231,7 +232,7 @@ let test_zero_question_rounds_keep_trace_dense () =
      still emit a (zero-question, zero-latency) trace record, so trace
      density survives — consumers index records by round *)
   let mute =
-    { S.name = "mute"; select = (fun _ _ -> []) }
+    S.make "mute" (fun _ _ _ -> ())
   in
   let alloc = Allocation.of_round_budgets [ 7; 7; 7 ] in
   let cfg =
@@ -389,15 +390,13 @@ let test_dead_carried_pair_is_pruned () =
        and post the selector's (2,0). *)
   let truth = G.of_ranks [| 3; 2; 1; 0 |] in
   let scripted =
-    {
-      S.name = "scripted";
-      select =
-        (fun _ input ->
-          match input.S.round_index with
-          | 0 -> [ (3, 2); (3, 1) ]
-          | 2 -> [ (2, 0) ]
-          | _ -> []);
-    }
+    S.make "scripted" (fun _ input out ->
+        match input.S.round_index with
+        | 0 ->
+            Pairs.push out 3 2;
+            Pairs.push out 3 1
+        | 2 -> Pairs.push out 2 0
+        | _ -> ())
   in
   let slow_singles = Model.Custom (fun q -> if q >= 2 then 100.0 else 1e7) in
   let cfg =
@@ -426,6 +425,52 @@ let test_dead_carried_pair_is_pruned () =
       check_int "r2 posts the selector's question" 1 r2.E.distinct_questions;
       check_int "r2 eliminates element 2" 2 r2.E.candidates_after
   | t -> Alcotest.fail (Printf.sprintf "expected 3 rounds, got %d" (List.length t))
+
+let test_carried_repick_dropped () =
+  (* A selector that re-picks a carried straggler (here in the other
+     orientation) must not post it twice: the round holds the carried
+     copy, first, and the selector's duplicate is dropped.
+
+     Script (elements ranked 0 best .. 3 worst, perfect workers): round
+     0 posts (3,2) and (3,1); the quantile deadline L(2) = 100 s falls
+     inside the 150 s posting overhead, so both strand. Round 1 (budget
+     3) reposts both and gives the selector one slot, which it spends
+     on (2,3) and (0,1): (2,3) is the carried (3,2) again. *)
+  let truth = G.of_ranks [| 3; 2; 1; 0 |] in
+  let seen = ref [] in
+  let scripted =
+    S.make "scripted" (fun _ input out ->
+        match input.S.round_index with
+        | 0 ->
+            Pairs.push out 3 2;
+            Pairs.push out 3 1
+        | _ ->
+            seen := input.S.carried;
+            Pairs.push out 2 3;
+            Pairs.push out 0 1)
+  in
+  let cfg =
+    E.config
+      ~source:
+        (E.Simulated
+           { platform = Platform.create (); rwl = { Rwl.votes = 1; error = W.Perfect } })
+      ~pad_to_round_budget:false ~deadline:(E.Quantile 1.0)
+      ~straggler:E.Carry_forward
+      ~allocation:(Allocation.of_round_budgets [ 2; 3 ])
+      ~selection:scripted
+      ~latency_model:(Model.Custom (fun q -> if q >= 2 then 100.0 else 1e7))
+      ()
+  in
+  let r = E.run (Rng.create 29) cfg truth in
+  Alcotest.(check (list (pair int int)))
+    "the selector saw both carried pairs" [ (3, 2); (3, 1) ] !seen;
+  match r.E.trace with
+  | [ r0; r1 ] ->
+      check_int "r0 strands both" 2 r0.E.unanswered_questions;
+      check_int "r1 reissues both" 2 r1.E.reissued_questions;
+      check_int "r1 posts the two carried pairs and (0,1)" 3
+        r1.E.distinct_questions
+  | t -> Alcotest.fail (Printf.sprintf "expected 2 rounds, got %d" (List.length t))
 
 let test_run_metrics_instrumentation () =
   (* The engine-section counters must agree with the result/trace the
@@ -625,6 +670,7 @@ let suite =
         tc "Reissue 0 = Drop" `Quick test_reissue_zero_equals_drop;
         tc "reissue cap bounds reposts" `Quick test_reissue_cap_bounds_reposts;
         tc "dead carried pair is pruned" `Quick test_dead_carried_pair_is_pruned;
+        tc "carried re-pick dropped" `Quick test_carried_repick_dropped;
         tc "run metrics instrumentation" `Quick test_run_metrics_instrumentation;
         tc "deadline replicate deterministic across jobs" `Quick
           test_deadline_replicate_deterministic_across_jobs;

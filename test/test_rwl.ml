@@ -341,6 +341,44 @@ let prop_resolve_matches_reference =
     (QCheck.make ~print:print_case case_gen)
     resolve_agrees
 
+(* The buffer kernel itself, appending after pairs already in both
+   buffers; its pairs and tally must be the reference's outcome. *)
+let resolve_into_outcome ?votes_received rng cfg ~truth questions =
+  let module Pairs = Crowdmax_util.Pairs in
+  let answers = Pairs.of_list [ (-5, -6) ] in
+  let unanswered = Pairs.of_list [ (-5, -6) ] in
+  let t =
+    Rwl.resolve_into ?votes_received rng cfg ~truth (Pairs.of_list questions)
+      ~answers ~unanswered
+  in
+  match (Pairs.to_list answers, Pairs.to_list unanswered) with
+  | (-5, -6) :: answers, (-5, -6) :: unanswered ->
+      {
+        Rwl.answers;
+        unanswered;
+        raw_questions = t.Rwl.raw_questions;
+        vote_flips = t.Rwl.vote_flips;
+        cycle_edges_flipped = t.Rwl.cycle_edges_flipped;
+        accuracy = t.Rwl.accuracy;
+      }
+  | _ -> failwith "resolve_into overwrote the pairs already in its buffers"
+
+let resolve_into_agrees =
+  agrees
+    ~kernel:(resolve_with (fun ?votes_received -> resolve_into_outcome ?votes_received))
+    ~reference:(resolve_with (fun ?votes_received -> Ref.resolve ?votes_received))
+
+let prop_resolve_into_matches_reference =
+  QCheck.Test.make ~name:"resolve_into = list reference (pairs, tally, draws)"
+    ~count:300
+    (QCheck.make ~print:print_case case_gen)
+    resolve_into_agrees
+
+let prop_resolve_into_errors_match_reference =
+  QCheck.Test.make ~name:"resolve_into = list reference on bad input" ~count:200
+    (QCheck.make ~print:print_case bad_case_gen)
+    resolve_into_agrees
+
 let prop_resolve_errors_match_reference =
   QCheck.Test.make ~name:"resolve = list reference on bad input" ~count:300
     (QCheck.make ~print:print_case bad_case_gen)
@@ -372,5 +410,7 @@ let suite =
           [
             prop_resolve_matches_reference;
             prop_resolve_errors_match_reference;
+            prop_resolve_into_matches_reference;
+            prop_resolve_into_errors_match_reference;
           ] );
   ]

@@ -238,6 +238,118 @@ let test_validate_round_catches_errors () =
   | Error e -> Alcotest.check Alcotest.string "foreign" "non-candidate element" e
   | Ok _ -> Alcotest.fail "expected non-candidate"
 
+(* --- buffer fills against the frozen list selectors -------------------- *)
+
+module Ref = Selection_reference
+module Pairs = Crowdmax_util.Pairs
+
+(* One generated round: a history over [n] elements whose losers took
+   their losses from a hidden total order, and the round's candidates,
+   either the history's own RC set (the engine's case) or a hand-built
+   set of distinct ids, in any order, that may reach past the history's
+   range. *)
+type round_case = {
+  seed : int;
+  n : int;
+  losers : int;
+  hand_built : bool;
+  c_hand : int;
+  budget : int;
+  total : int;
+  index : int;
+}
+
+let build_round k =
+  let rng = Rng.create k.seed in
+  let ranks = Rng.permutation rng k.n in
+  let dag = Dag.create k.n in
+  let by_rank = Array.make k.n 0 in
+  Array.iteri (fun e r -> by_rank.(r) <- e) ranks;
+  (* the [losers] weakest-first picks among all but the top element each
+     lose to one to three stronger elements *)
+  let order = Rng.permutation rng (max 0 (k.n - 1)) in
+  for i = 0 to k.losers - 1 do
+    let l = by_rank.(order.(i)) in
+    for _ = 0 to Rng.int rng 3 do
+      let w = by_rank.(ranks.(l) + 1 + Rng.int rng (k.n - 1 - ranks.(l))) in
+      Dag.add_answer_unchecked dag ~winner:w ~loser:l
+    done
+  done;
+  let candidates =
+    if k.hand_built then
+      Array.sub (Rng.permutation rng (k.n + 25)) 0 (min k.c_hand (k.n + 25))
+    else Dag.candidates dag
+  in
+  {
+    S.budget = k.budget;
+    candidates;
+    history = dag;
+    round_index = k.index;
+    total_rounds = k.total;
+    carried = [];
+  }
+
+(* Few candidates with budgets past choose2 c (the exhaustion paths),
+   or up to 600 candidates with budgets up to 8 c. *)
+let round_case_gen =
+  QCheck.Gen.(
+    let* seed = int_bound 1_000_000 in
+    let* c, budget =
+      oneof
+        [
+          (let* c = int_range 0 40 in
+           let+ b = int_range 0 (Ints.choose2 c + 6) in
+           (c, b));
+          (let* c = int_range 41 600 in
+           let+ b = int_range 0 (8 * c) in
+           (c, b));
+        ]
+    in
+    let* losers = int_range 0 40 in
+    let* hand_built = bool in
+    let* total = int_range 1 6 in
+    let+ index = int_bound (total - 1) in
+    let n = max 1 (c + losers) in
+    let losers = if c = 0 then n - 1 else losers in
+    { seed; n; losers; hand_built; c_hand = c; budget; total; index })
+
+let print_round_case k =
+  Printf.sprintf "seed=%d n=%d losers=%d hand_built=%b c=%d budget=%d round %d/%d"
+    k.seed k.n k.losers k.hand_built k.c_hand k.budget k.index k.total
+
+(* A fill appends after pairs already in the buffer, writes the
+   reference's list in order, and leaves the rng where the reference
+   leaves it; the list view is the same list. *)
+let fill_matches_reference k =
+  let input = build_round k in
+  List.for_all2
+    (fun (sel : S.t) (name, reference) ->
+      let base = Rng.create (k.seed + 7) in
+      let r_ref = Rng.copy base and r_fill = Rng.copy base and r_view = Rng.copy base in
+      let expect = reference r_ref input in
+      let out = Pairs.of_list [ (-1, -2); (-3, -4) ] in
+      sel.S.fill r_fill input out;
+      let got = Pairs.to_list out in
+      let view = sel.S.select r_view input in
+      let ok =
+        String.equal sel.S.name name
+        && got = (-1, -2) :: (-3, -4) :: expect
+        && view = expect
+        && Rng.draws_since ~base r_fill = Rng.draws_since ~base r_ref
+        && Rng.draws_since ~base r_view = Rng.draws_since ~base r_ref
+      in
+      if not ok then
+        QCheck.Test.fail_reportf "%s: %d pairs vs %d in the reference" name
+          (Pairs.length out - 2) (List.length expect);
+      ok)
+    S.all Ref.all
+
+let prop_fill_matches_reference =
+  QCheck.Test.make ~name:"built-in fills = list reference (pairs, order, draws)"
+    ~count:150
+    (QCheck.make ~print:print_round_case round_case_gen)
+    fill_matches_reference
+
 let suite =
   [
     ( "selection",
@@ -259,5 +371,6 @@ let suite =
         tc "sg valid" `Quick test_sg_is_valid;
         tc "greedy focuses on top" `Quick test_greedy_focuses_on_top;
         tc "validate_round errors" `Quick test_validate_round_catches_errors;
+        QCheck_alcotest.to_alcotest prop_fill_matches_reference;
       ] );
   ]

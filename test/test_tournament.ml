@@ -92,6 +92,30 @@ let test_min_groups_feasible () =
         if g > 1 then check_bool "minimal" true (T.questions c (g - 1) > b)
   done
 
+let test_min_groups_bisection_equals_scan () =
+  (* The least fitting group count, found by scanning up from one
+     group; the bisection must return it for every collection size and
+     budget, including budgets below one question and past choose2 c. *)
+  let scan c b =
+    let rec loop g =
+      if g >= c then None else if T.questions c g <= b then Some g else loop (g + 1)
+    in
+    loop 1
+  in
+  let rng = Rng.create 13 in
+  for c = 2 to 400 do
+    let budgets =
+      [ -1; 0; 1; c - 2; c - 1; c; Ints.choose2 c - 1; Ints.choose2 c; Ints.choose2 c + 1 ]
+      @ List.init 20 (fun _ -> Rng.int rng (Ints.choose2 c + 2))
+    in
+    List.iter
+      (fun b ->
+        Alcotest.check Alcotest.(option int)
+          (Printf.sprintf "c=%d b=%d" c b)
+          (scan c b) (T.min_groups_within_budget c b))
+      budgets
+  done
+
 let test_assign_partitions () =
   let rng = Rng.create 11 in
   let elements = Array.init 24 (fun i -> i * 10) in
@@ -145,6 +169,7 @@ let suite =
         tc "Q consistent with sizes" `Quick test_questions_matches_sizes;
         tc "Q decreasing in groups" `Quick test_questions_decreasing_in_groups;
         tc "min groups within budget" `Quick test_min_groups_within_budget;
+        tc "min groups bisection = scan" `Quick test_min_groups_bisection_equals_scan;
         tc "min groups feasible+minimal" `Quick test_min_groups_feasible;
         tc "assign partitions" `Quick test_assign_partitions;
         tc "seeded deal" `Quick test_assign_seeded_deals_round_robin;
