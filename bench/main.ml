@@ -579,6 +579,31 @@ let engine_test ?source ?deadline ?straggler name c0 b sel =
       let truth = G.random rng c0 in
       ignore (Engine.run rng cfg truth)))
 
+(* The marketplace event loop alone: a solo batch at static-sim's
+   first-round size (3 votes x 2,250 posted), and one step of an
+   8-query fleet on the shared marketplace under [Proportional], with
+   deadline withdrawals and in-loop vote tallies (3 votes per posted
+   slot, as the server posts them). *)
+let platform_solo_test name q =
+  let module P = Crowdmax_crowd.Platform in
+  let platform = P.create () in
+  let scratch = P.scratch () in
+  Test.make ~name (Staged.stage (fun () ->
+      ignore (P.batch_latency ~scratch platform (Rng.create 29) q)))
+
+let platform_shared_test name =
+  let module P = Crowdmax_crowd.Platform in
+  let platform = P.create () in
+  let scratch = P.scratch () in
+  let posted = [| 120; 250; 180; 90; 300; 150; 210; 60 |] in
+  let deadlines = [| 400.; infinity; 350.; 600.; infinity; 300.; 900.; 250. |] in
+  let qs = Array.map (fun p -> 3 * p) posted in
+  let tallies = Array.map (fun p -> Array.make p 0) posted in
+  Test.make ~name (Staged.stage (fun () ->
+      ignore
+        (P.simulate_shared ~deadlines ~scratch ~tallies platform (Rng.create 31)
+           ~pick:P.Proportional qs)))
+
 (* Ablation: random vs seeded (round-robin) tournament assignment. *)
 let assignment_test name assign =
   let elements = Array.init 512 (fun i -> i) in
@@ -608,6 +633,11 @@ let micro_tests =
           scoring_test "scoring n=1000" 1000;
           rwl_test "rwl n=40 votes=3" 40 3;
           rwl_test "rwl n=40 votes=1" 40 1;
+        ];
+      Test.make_grouped ~name:"platform (event loop)"
+        [
+          platform_solo_test "batch_latency q=6750" 6750;
+          platform_shared_test "simulate_shared 8 queries, deadlines, tallies";
         ];
       Test.make_grouped ~name:"engine (full MAX run)"
         [

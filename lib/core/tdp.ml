@@ -271,7 +271,7 @@ let min_questions ~rounds c =
 
 (* The smallest round count r >= 1 whose Qmin_r(c) fits in q; callers
    guarantee q >= c - 1, which the row log2_ceil c always admits. *)
-let rounds_needed qm c q =
+let rounds_needed (qm : int array array) c q =
   let r = ref 1 in
   while Array.unsafe_get (Array.unsafe_get qm !r) c > q do
     incr r

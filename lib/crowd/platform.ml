@@ -205,6 +205,16 @@ let arrival_bucket_spec =
    sweep leaves no live query, the event that triggered it is neither
    processed nor counted.
 
+   A query's raw questions credit its slots round-robin: the question
+   assigned i-th credits slot i mod w, where w is the length of the
+   query's tally (the engine's raw-slot layout: repetitions interleave
+   across the posted questions), or its batch size when the caller
+   tallies nothing, so that the slot is the index within the query. A
+   per-query counter that wraps at w hands the slots out at
+   assignment, the slot travels in the completion event, and a counted
+   completion is one increment of the caller's tally: no division and
+   no callback per answer.
+
    Per-call arrays live in the scratch, scalar ints in its mutable
    fields and scalar floats in [loop_state], an all-float (unboxed)
    record. Helpers read the current event time from [fs.now] rather
@@ -229,21 +239,26 @@ let live = 0 and finished = 1 and withdrawn = 2
    per-caller scratch handle instead. Per-query arrays hold [nq]
    entries. *)
 type scratch = {
-  cal : Event_calendar.t;  (* in-flight completions: (question, patience) *)
+  cal : Event_calendar.t;  (* in-flight completions: (slot, patience) *)
   fs : loop_state;
   mutable nq : int;
   mutable qs : int array;  (* posted size *)
   mutable deadlines : float array;
   mutable next_q : int array;  (* assignment cursor *)
+  mutable slot : int array;  (* the next slot to hand out, below [wrap] *)
+  mutable wrap : int array;  (* slots per query *)
   mutable answered : int array;
   mutable last_time : float array;  (* last counted completion *)
   mutable status : int array;
+  (* The pickable queries (live, with unassigned questions) in index
+     order, and the prefix sums of their posted sizes. *)
+  mutable pick_idx : int array;
+  mutable pick_cum : int array;
+  mutable pick_count : int;
+  mutable pick_weight : int;  (* their total posted size *)
   mutable remaining : int;  (* live queries *)
   mutable visible : int;  (* posted questions of unwithdrawn queries *)
   mutable unassigned_total : int;  (* over live queries *)
-  mutable pick_weight : int;  (* posted size of the pickable queries *)
-  mutable pick_count : int;  (* pickable: live with unassigned questions *)
-  mutable head : int;  (* the earliest pickable query, when one exists *)
   (* The log-normal service parameters: fixed per call, so they sit
      here, stored boxed, rather than in [fs] — passing them to the draw
      then never boxes, even where the draw is not inlined. *)
@@ -257,10 +272,10 @@ let scratch () =
       tail_mean = 0.0 }
   in
   { cal = Event_calendar.create (); fs; nq = 0; qs = [||]; deadlines = [||];
-    next_q = [||]; answered = [||]; last_time = [||]; status = [||];
-    remaining = 0; visible = 0;
-    unassigned_total = 0; pick_weight = 0; pick_count = 0; head = 0;
-    mu = 0.0; sigma = 0.0 }
+    next_q = [||]; slot = [||]; wrap = [||]; answered = [||];
+    last_time = [||]; status = [||]; pick_idx = [||]; pick_cum = [||];
+    pick_count = 0; pick_weight = 0; remaining = 0; visible = 0;
+    unassigned_total = 0; mu = 0.0; sigma = 0.0 }
 
 (* Size the per-query arrays for [nq] queries; the caller then fills
    [qs] and [deadlines]. *)
@@ -270,9 +285,13 @@ let reserve_queries s nq =
     s.qs <- Array.make n 0;
     s.deadlines <- Array.make n 0.0;
     s.next_q <- Array.make n 0;
+    s.slot <- Array.make n 0;
+    s.wrap <- Array.make n 0;
     s.answered <- Array.make n 0;
     s.last_time <- Array.make n 0.0;
-    s.status <- Array.make n live
+    s.status <- Array.make n live;
+    s.pick_idx <- Array.make n 0;
+    s.pick_cum <- Array.make n 0
   end;
   s.nq <- nq
 
@@ -285,27 +304,31 @@ let recompute_next_deadline s =
   done
 [@@alloc_free]
 
-(* Move [head] past queries that stopped being pickable. Queries never
-   become pickable again, so the earliest pickable one only moves on. *)
-let advance_head s =
-  while
-    s.head < s.nq
-    && (s.status.(s.head) <> live || s.next_q.(s.head) >= s.qs.(s.head))
-  do
-    s.head <- s.head + 1
-  done
+(* Rebuild the pickable list and its prefix sums. A query never becomes
+   pickable again once it stops, so this runs only when one stops (it
+   is fully assigned or withdrawn): at most twice per query and run. *)
+let rebuild_pickable s =
+  let n = ref 0 and w = ref 0 in
+  for i = 0 to s.nq - 1 do
+    if s.status.(i) = live && s.next_q.(i) < s.qs.(i) then begin
+      w := !w + s.qs.(i);
+      s.pick_idx.(!n) <- i;
+      s.pick_cum.(!n) <- !w;
+      incr n
+    end
+  done;
+  s.pick_count <- !n;
+  s.pick_weight <- !w
 [@@alloc_free]
 
-(* Withdraw every live query whose deadline [fs.now] has passed. *)
+(* Withdraw every live query whose deadline [fs.now] has passed. The
+   sweep runs only when the earliest live deadline has passed, so it
+   always withdraws one. *)
 let withdraw_sweep cfg s =
   let fs = s.fs in
   for i = 0 to s.nq - 1 do
     if s.status.(i) = live && fs.now > s.deadlines.(i) then begin
       let q = s.qs.(i) in
-      if s.next_q.(i) < q then begin
-        s.pick_weight <- s.pick_weight - q;
-        s.pick_count <- s.pick_count - 1
-      end;
       s.status.(i) <- withdrawn;
       s.remaining <- s.remaining - 1;
       s.visible <- s.visible - q;
@@ -313,7 +336,7 @@ let withdraw_sweep cfg s =
       if s.visible > 0 then fs.burst_mean <- 1.0 /. burst_rate_of cfg s.visible
     end
   done;
-  advance_head s;
+  rebuild_pickable s;
   recompute_next_deadline s
 [@@alloc_free]
 
@@ -339,41 +362,39 @@ let[@inline] advance_arrival cfg s rng =
 [@@alloc_free]
 
 (* The [Proportional] pick among two or more pickable queries: one
-   [Rng.int] over their posted sizes, then an early-exit scan. *)
+   [Rng.int] over their posted sizes, then the first pickable query
+   whose prefix sum exceeds the draw — found by counting, without a
+   branch, the prefix sums at or below it. The last prefix sum is the
+   total, always above the draw, so it is not read. *)
 let pick_proportional s rng =
-  let r = ref (Rng.int rng s.pick_weight) and j = ref (-1) and i = ref 0 in
-  while !j < 0 do
-    let q = s.qs.(!i) in
-    if s.status.(!i) = live && s.next_q.(!i) < q then begin
-      if !r < q then j := !i else r := !r - q
-    end;
-    incr i
+  let r = Rng.int rng s.pick_weight in
+  let j = ref 0 in
+  for k = 0 to s.pick_count - 2 do
+    j := !j + Bool.to_int (Array.unsafe_get s.pick_cum k <= r)
   done;
-  !j
+  Array.unsafe_get s.pick_idx !j
 [@@alloc_free]
-
-(* The canonical do-nothing completion callback ([batch_latency] only
-   wants the report). The event loop recognizes it by physical equality
-   and skips the indirect call — and the float boxing of its argument —
-   on every completion. *)
-let noop_complete (_ : int) (_ : float) = ()
-let noop_shared ~query:(_ : int) (_ : int) (_ : float) = ()
 
 (* Run the market over the [s.nq] queries whose sizes and deadlines the
    caller loaded into [s], leaving each query's outcome there for
-   [report_of]. Answers lost to a withdrawal are counted in [discards]:
-   [simulate_shared]'s registry, while [simulate] passes the disabled
-   one (a lone query never discards — the stop rule ends its run first)
-   and so registers no shared-only instrument. Metrics record simulated
-   quantities only and draw nothing, so they are deterministic given
-   the rng, and a no-op branch when disabled. *)
-let run_market t rng s ~metrics ~discards ~pick ~on_complete =
+   [report_of]. [tallies] is empty (nothing tallied) or holds one
+   non-empty array per non-empty query. Answers lost to a withdrawal
+   are counted in [discards]: [simulate_shared]'s registry, while
+   [simulate] passes the disabled one (a lone query never discards —
+   the stop rule ends its run first) and so registers no shared-only
+   instrument. Metrics record simulated quantities only and draw
+   nothing, so they are deterministic given the rng, and a no-op branch
+   when disabled. *)
+let run_market t rng s ~metrics ~discards ~pick ~tallies ~on_complete =
   let cfg = t.cfg in
   Metrics.add (Metrics.counter metrics ~section:"platform" "batches") s.nq;
+  let counting = Array.length tallies > 0 in
   s.remaining <- s.nq;
   s.visible <- 0;
   for i = 0 to s.nq - 1 do
     s.next_q.(i) <- 0;
+    s.slot.(i) <- 0;
+    s.wrap.(i) <- (if counting then Array.length tallies.(i) else s.qs.(i));
     s.answered.(i) <- 0;
     s.last_time.(i) <- cfg.post_overhead;
     s.status.(i) <- (if s.qs.(i) = 0 then finished else live);
@@ -397,19 +418,15 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
        loop tests this flag first: with metrics off, an arrival boxes
        nothing. *)
     let observe_arrivals = Metrics.enabled metrics in
-    (* A completion event carries its question as one int: the index
-       within its query, shifted past [qbits] low bits holding the
-       query. The index never exceeds the questions assigned so far, so
-       it overflows only after ~2^(62 - qbits) simulated assignments. *)
+    (* A completion event carries its question as one int: its slot,
+       shifted past [qbits] low bits holding the query. A slot is below
+       its query's batch size, so the packing cannot overflow. *)
     let qbits = Ints.log2_ceil s.nq in
     let qmask = (1 lsl qbits) - 1 in
     let cal = s.cal in
     Event_calendar.clear cal;
     s.unassigned_total <- total;
-    s.pick_weight <- total;
-    s.pick_count <- s.remaining;
-    s.head <- 0;
-    advance_head s;
+    rebuild_pickable s;
     recompute_next_deadline s;
     (* Per-call constants, hoisted: the burst mean (recomputed only when
        a withdrawal shrinks the visible total), the tail mean, the
@@ -429,12 +446,17 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
        no question is left to assign, the chain dies without drawing a
        successor. *)
     let arrivals_alive = ref true in
-    let live_cb = on_complete != noop_shared in
+    (* A processed completion stays at the calendar's root until the
+       freed worker's next question is known: that question replaces
+       it in one sift ([replace_min]), or, when the worker takes none,
+       [remove_min] drops it. *)
+    let popping = ref false in
     (* The loop indexes the per-query arrays only with query indices
-       below [nq], within the sizes reserved above, so those accesses
-       skip the bounds check. [@alloc_free] puts the whole loop under
-       the R6 lint gate: every call resolves to an annotated function,
-       and the one caller-supplied escape hatch ([on_complete]) is
+       below [nq], within the sizes reserved above, and a tally only
+       with slots below its length, so those accesses skip the bounds
+       check. [@alloc_free] puts the whole loop under the R6 lint gate:
+       every call resolves to an annotated function, and the one
+       caller-supplied escape hatch (the [on_complete] observer) is
        [@alloc_cold]. *)
     (while s.remaining > 0 do
        (* Each event frees a worker at [fs.now] who may give [free] more
@@ -475,7 +497,7 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
            else begin
              let question = Event_calendar.min_a cal in
              let patience = Event_calendar.min_b cal in
-             Event_calendar.remove_min cal;
+             popping := true;
              Metrics.incr m_events;
              let qi = question land qmask in
              if Array.unsafe_get s.status qi = withdrawn then
@@ -486,9 +508,14 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
                Array.unsafe_set s.answered qi n;
                if time > Array.unsafe_get s.last_time qi then
                  Array.unsafe_set s.last_time qi time;
-               if live_cb then
-                 (on_complete [@alloc_cold]) ~query:qi (question lsr qbits)
-                   time;
+               let slot = question lsr qbits in
+               if counting then begin
+                 let tally = Array.unsafe_get tallies qi in
+                 Array.unsafe_set tally slot (Array.unsafe_get tally slot + 1)
+               end;
+               (match on_complete with
+               | Some observe -> (observe [@alloc_cold]) ~query:qi slot time
+               | None -> ());
                if n = Array.unsafe_get s.qs qi then begin
                  Array.unsafe_set s.status qi finished;
                  s.remaining <- s.remaining - 1;
@@ -501,31 +528,39 @@ let run_market t rng s ~metrics ~discards ~pick ~on_complete =
        in
        (* The freed worker takes a question, if any is left: written
           once, here, rather than as a call from both event kinds. A
-          lone pickable query is the head under either policy, so only
+          lone pickable query is the first under either policy, so only
           a contested [Proportional] pick draws. *)
        if free > 0 && s.unassigned_total > 0 then begin
          let qi =
            match pick with
            | Proportional when s.pick_count > 1 -> pick_proportional s rng
-           | Fifo | Proportional -> s.head
+           | Fifo | Proportional -> Array.unsafe_get s.pick_idx 0
          in
-         let local = Array.unsafe_get s.next_q qi in
-         Array.unsafe_set s.next_q qi (local + 1);
-         if local + 1 = Array.unsafe_get s.qs qi then begin
-           s.pick_weight <- s.pick_weight - local - 1;
-           s.pick_count <- s.pick_count - 1;
-           advance_head s
-         end;
+         let assigned = Array.unsafe_get s.next_q qi + 1 in
+         Array.unsafe_set s.next_q qi assigned;
+         if assigned = Array.unsafe_get s.qs qi then rebuild_pickable s;
          s.unassigned_total <- s.unassigned_total - 1;
+         let slot = Array.unsafe_get s.slot qi in
+         let next = slot + 1 in
+         Array.unsafe_set s.slot qi
+           (if next = Array.unsafe_get s.wrap qi then 0 else next);
          let sv =
            if s.sigma <= 0.0 then cfg.service.Worker.median_seconds
            else Rng.lognormal rng ~mu:s.mu ~sigma:s.sigma
          in
-         Event_calendar.add cal ~time:(fs.now +. sv)
-           ((local lsl qbits) lor qi)
-           (free - 1);
+         let time = fs.now +. sv in
+         let question = (slot lsl qbits) lor qi in
+         if !popping then begin
+           Event_calendar.replace_min cal ~time question (free - 1);
+           popping := false
+         end
+         else Event_calendar.add cal ~time question (free - 1);
          (* Every assigned question waits in the calendar until popped. *)
          Metrics.record_peak m_peak (Event_calendar.length cal)
+       end
+       else if !popping then begin
+         Event_calendar.remove_min cal;
+         popping := false
        end
      done)
     [@alloc_free]
@@ -553,31 +588,49 @@ let report_of cfg s i =
 let check_deadline d =
   if Float.is_nan d || d <= 0.0 then invalid_arg "Platform: deadline must be > 0"
 
+let check_tally q tally =
+  if q > 0 && Array.length tally = 0 then
+    invalid_arg "Platform: empty tally for a non-empty batch"
+
 let simulate ?(deadline = Float.infinity) ?(metrics = Metrics.disabled)
-    ?scratch:scr t rng q ~on_complete =
+    ?scratch:scr ?tally ?on_complete t rng q =
   if q < 0 then invalid_arg "Platform: negative batch size";
   check_deadline deadline;
+  let tallies =
+    match tally with
+    | None -> [||]
+    | Some tally ->
+        check_tally q tally;
+        [| tally |]
+  in
   let s = match scr with Some s -> s | None -> scratch () in
   reserve_queries s 1;
   s.qs.(0) <- q;
   s.deadlines.(0) <- deadline;
   let on_complete =
-    if on_complete == noop_complete then noop_shared
-    else fun ~query:_ idx time -> on_complete idx time
+    Option.map (fun f ~query:(_ : int) slot time -> f slot time) on_complete
   in
-  run_market t rng s ~metrics ~discards:Metrics.disabled ~pick:Fifo
+  run_market t rng s ~metrics ~discards:Metrics.disabled ~pick:Fifo ~tallies
     ~on_complete;
   report_of t.cfg s 0
 
 let batch_latency ?deadline ?metrics ?scratch t rng q =
-  (simulate ?deadline ?metrics ?scratch t rng q ~on_complete:noop_complete)
-    .latency
+  (simulate ?deadline ?metrics ?scratch t rng q).latency
 
-let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
-    ~pick ~on_complete qs =
+let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr
+    ?tallies ?on_complete t rng ~pick qs =
   let nq = Array.length qs in
   if nq = 0 then invalid_arg "Platform.simulate_shared: no queries";
   Array.iter (fun q -> if q < 0 then invalid_arg "Platform: negative batch size") qs;
+  let tallies =
+    match tallies with
+    | None -> [||]
+    | Some tallies ->
+        if Array.length tallies <> nq then
+          invalid_arg "Platform.simulate_shared: tallies length mismatch";
+        Array.iter2 check_tally qs tallies;
+        tallies
+  in
   let s = match scr with Some s -> s | None -> scratch () in
   reserve_queries s nq;
   Array.blit qs 0 s.qs 0 nq;
@@ -589,5 +642,5 @@ let simulate_shared ?deadlines ?(metrics = Metrics.disabled) ?scratch:scr t rng
       Array.iter check_deadline d;
       Array.blit d 0 s.deadlines 0 nq);
   Metrics.incr (Metrics.counter metrics ~section:"platform" "shared_calls");
-  run_market t rng s ~metrics ~discards:metrics ~pick ~on_complete;
+  run_market t rng s ~metrics ~discards:metrics ~pick ~tallies ~on_complete;
   Array.init nq (report_of t.cfg s)

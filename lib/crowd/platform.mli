@@ -127,39 +127,53 @@ val simulate :
   ?deadline:float ->
   ?metrics:Crowdmax_obs.Metrics.t ->
   ?scratch:scratch ->
+  ?tally:int array ->
+  ?on_complete:(int -> float -> unit) ->
   t ->
   Crowdmax_util.Rng.t ->
   int ->
-  on_complete:(int -> float -> unit) ->
   report
 (** Run the event loop for a [q]-question batch: the one-query case of
-    {!simulate_shared} ([[|q|]] under [Fifo], with [[|deadline|]]),
-    returning its one report. [on_complete idx time] fires for every
-    answer in completion order; question indices are assigned to
-    arriving workers sequentially ([0, 1, ...]).
+    {!simulate_shared} ([[|q|]] under [Fifo], with [[|deadline|]] and
+    [[|tally|]]), returning its one report.
+
+    [tally] (optional; non-empty when [q > 0]) counts the answers per
+    slot: with [w = Array.length tally], the question assigned [i]-th
+    (questions go to arriving workers one at a time) credits slot
+    [i mod w], and every counted answer adds one to its slot's entry.
+    That is the raw-slot layout of a [votes * posted] batch with
+    [w = posted]: repetition [i] credits posted question [i mod posted].
+    Entries are added to, never reset; slots the caller does not read
+    (padding) are credited like any other.
+
+    [on_complete slot time] (optional) observes every counted answer in
+    completion order. [slot] is as above, or with no [tally] the
+    question's index itself ([0, 1, ...] in assignment order). It is an
+    observer for tests of the completion stream: the loop calls it
+    only when given, and nothing it does can change the run.
 
     [deadline] (simulated seconds after posting, default infinity) stops
     the loop at the first event strictly past it: answers already in
-    are kept, [on_complete] never fires for later ones, and the report
-    says what was cut off. [deadline = infinity] never cuts the loop
-    and draws exactly what an uncut run draws. Raises
-    [Invalid_argument] on negative [q] or a NaN/non-positive
-    [deadline].
+    are kept, later ones are neither tallied nor observed, and the
+    report says what was cut off. [deadline = infinity] never cuts the
+    loop and draws exactly what an uncut run draws. Neither [tally] nor
+    [on_complete] changes the rng draws, the reports or the metrics.
+    Raises [Invalid_argument] on negative [q], a NaN/non-positive
+    [deadline] or an empty [tally] with [q > 0].
 
     [metrics] (default disabled) records into the ["platform"] section:
     [batches], [events_drained], [worker_arrivals], [completions], the
     [in_flight_peak] high-water mark, and the [arrival_seconds]
     histogram of simulated worker-arrival times. [events_drained]
     counts events the loop {e processed}: exactly the worker arrivals
-    that drew from the rng plus the completions delivered to
-    [on_complete], so [events_drained = worker_arrivals + completions]
-    always. The first event past the deadline — observed, but discarded
-    — is not processed and not counted, and neither is an arrival
-    falling after every question was assigned (it can affect nothing).
-    With [q = 0] only [batches] is recorded. All values are simulated
-    quantities — deterministic given the rng — and recording never
-    draws from [rng], so enabling metrics cannot perturb the
-    simulation. *)
+    that drew from the rng plus the counted completions, so
+    [events_drained = worker_arrivals + completions] always. The first
+    event past the deadline — observed, but discarded — is not
+    processed and not counted, and neither is an arrival falling after
+    every question was assigned (it can affect nothing). With [q = 0]
+    only [batches] is recorded. All values are simulated quantities —
+    deterministic given the rng — and recording never draws from
+    [rng], so enabling metrics cannot perturb the simulation. *)
 
 val batch_latency :
   ?deadline:float ->
@@ -195,18 +209,28 @@ val simulate_shared :
   ?deadlines:float array ->
   ?metrics:Crowdmax_obs.Metrics.t ->
   ?scratch:scratch ->
+  ?tallies:int array array ->
+  ?on_complete:(query:int -> int -> float -> unit) ->
   t ->
   Crowdmax_util.Rng.t ->
   pick:pick_policy ->
-  on_complete:(query:int -> int -> float -> unit) ->
   int array ->
   report array
-(** [simulate_shared t rng ~pick ~on_complete qs] runs one event loop
-    over all of [qs] (question counts per query, all posted at time 0)
-    and returns one {!report} per query. [on_complete ~query idx time]
-    fires for every counted answer; [idx] is the question's index
-    {e within its own query} (assigned sequentially per query, exactly
-    like {!simulate}'s indices).
+(** [simulate_shared t rng ~pick qs] runs one event loop over all of
+    [qs] (question counts per query, all posted at time 0) and returns
+    one {!report} per query.
+
+    [tallies] (optional; one array per query, non-empty for a
+    non-empty query) counts each query's answers per slot exactly as
+    {!simulate}'s [tally] does: the question query [j] assigns [i]-th
+    credits [tallies.(j).(i mod Array.length tallies.(j))]. Answers
+    discarded after a withdrawal are not tallied.
+
+    [on_complete ~query slot time] (optional) observes every counted
+    answer in completion order, with the slot defined as in {!simulate}
+    ({e within its own query}: with no [tallies], the question's index
+    in its query's assignment order). An observer for tests: it cannot
+    change the run, and [tallies] changes only the slots it sees.
 
     A posted batch contributes its full size to the arrival rate until
     its query is withdrawn. {!simulate} {e is} the single-query case

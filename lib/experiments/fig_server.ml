@@ -71,9 +71,7 @@ let calibrate_beta ?(runs_per_cell = 8) ?(seed = 19) platform base =
         List.init runs_per_cell (fun _ ->
             let reports =
               Platform.simulate_shared platform rng
-                ~pick:Platform.Proportional
-                ~on_complete:(fun ~query:_ _ _ -> ())
-                [| q; o |]
+                ~pick:Platform.Proportional [| q; o |]
             in
             {
               Contention.batch_size = q;

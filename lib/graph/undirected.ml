@@ -79,7 +79,7 @@ let is_near_regular t =
     hi - lo <= 1
   end
 
-let orient_by_permutation t rank =
+let orient_by_permutation t (rank : int array) =
   if Array.length rank <> t.n then
     invalid_arg "Undirected.orient_by_permutation: rank size mismatch";
   let dag = Answer_dag.create t.n in

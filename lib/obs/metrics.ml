@@ -149,7 +149,7 @@ let[@inline] record_peak h v =
 
 type histogram = No_hist | A_hist of hist_cell
 
-let check_buckets buckets =
+let check_buckets (buckets : float array) =
   let n = Array.length buckets in
   if n = 0 then invalid_arg "Metrics.bucket_spec: empty bucket array";
   for i = 1 to n - 1 do
@@ -403,7 +403,7 @@ let find snap ~section name =
     snap
   |> Option.map (fun e -> e.value)
 
-let int_array_equal a b =
+let int_array_equal (a : int array) (b : int array) =
   Array.length a = Array.length b
   &&
   let ok = ref true in

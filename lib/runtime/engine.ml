@@ -127,15 +127,6 @@ type round_outcome = {
   round_deadline_hit : bool;
 }
 
-(* Raw-slot layout under a deadline: repetition [i] of the raw batch
-   belongs to posted slot [i mod posted] — repetitions interleave
-   across the batch, so early completions spread over all questions
-   instead of finishing the first few in full. Slots past the counted
-   (distinct) questions are padding and carry no information. *)
-let count_vote counts ~posted idx =
-  let slot = idx mod posted in
-  if slot < Array.length counts then counts.(slot) <- counts.(slot) + 1
-
 let add_answers dag answers =
   for i = 0 to Pairs.length answers - 1 do
     Dag.add_answer_unchecked dag ~winner:(Pairs.first answers i)
@@ -230,11 +221,18 @@ let answer_pairs ?scratch ?(metrics = Metrics.disabled) rng ~source ~deadline
           in
           full_round latency ~answered:(Pairs.length s.answers)
       | Some deadline ->
-          let counts = Array.make distinct 0 in
+          (* Raw-slot layout: repetition [i] of the raw batch credits
+             posted slot [i mod posted], so early completions spread
+             over all questions instead of finishing the first few in
+             full. The platform tallies the slots; those past the
+             distinct questions are padding and are dropped. *)
+          let tally = Array.make posted 0 in
           let report =
-            Platform.simulate ~deadline ~metrics ?scratch platform rng
-              (votes * posted) ~on_complete:(fun idx _time ->
-                count_vote counts ~posted idx)
+            Platform.simulate ~deadline ~metrics ?scratch ~tally platform rng
+              (votes * posted)
+          in
+          let counts =
+            if posted = distinct then tally else Array.sub tally 0 distinct
           in
           resolve_votes rng rwl ~truth dag questions counts report)
 
@@ -251,7 +249,7 @@ let rec take_at_most k = function
       (x :: taken, dropped)
   | rest -> ([], rest)
 
-let pair_eq (a, b) (c, d) = a = c && b = d
+let pair_eq ((a : int), (b : int)) (c, d) = a = c && b = d
 
 (* Drop the selector's re-picks of carried pairs (either orientation)
    from [questions], whose first [carried] pairs are the carried ones;

@@ -224,13 +224,6 @@ val answer_round :
     into a fresh buffer, in list order. [distinct] is the list's
     length and is not read. *)
 
-val count_vote : int array -> posted:int -> int -> unit
-(** [count_vote counts ~posted idx] credits raw completion [idx] of a
-    [votes * posted] batch to its question: repetitions interleave, so
-    raw slot [idx] belongs to question [idx mod posted], and slots at
-    or past [Array.length counts] (padding) are not counted. The
-    [on_complete] half of the deadline-bounded vote step. *)
-
 val resolve_votes :
   Crowdmax_util.Rng.t ->
   Crowdmax_crowd.Rwl.config ->

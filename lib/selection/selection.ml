@@ -98,7 +98,7 @@ let[@inline] clique_start ~small ~n_big k =
   (k * small) + if k < n_big then k else n_big
 [@@alloc_free]
 
-let[@inline] clique_size ~small ~n_big k =
+let[@inline] clique_size ~small ~n_big (k : int) =
   if k < n_big then small + 1 else small
 [@@alloc_free]
 

@@ -260,14 +260,9 @@ let run ?(metrics = Metrics.disabled) ?scratch ?contention
       let counts =
         Array.map (fun (_, round) -> Array.make (Query.posted round) 0) live
       in
-      let on_complete ~query idx _time =
-        Engine.count_vote counts.(query)
-          ~posted:(Array.length counts.(query))
-          idx
-      in
       let reports =
-        Platform.simulate_shared ~deadlines ~metrics ~scratch platform rng
-          ~pick ~on_complete
+        Platform.simulate_shared ~deadlines ~metrics ~scratch ~tallies:counts
+          platform rng ~pick
           (Array.map (fun (st, round) -> st.spec.votes * Query.posted round) live)
       in
       (* Vote resolution per query, again in admission order. *)

@@ -13,10 +13,16 @@
    sifts move a hole instead of swapping — the displaced entry is held
    in registers and written once at its final slot — which produces the
    same final array layout as element-by-element swaps with the same
-   comparisons, at half the stores. [add] itself is a loop-free
-   [@inline] wrapper (the sift loops live in helpers), so a caller's
-   freshly computed key flows into the flat array without being boxed
-   for the call. *)
+   comparisons, at half the stores. [add] and [replace_min] are
+   loop-free [@inline] wrappers (the sift loops live in helpers), so a
+   caller's freshly computed key flows into the flat array without
+   being boxed for the call.
+
+   [replace_min] is a pop and a push in one sift-down from the root,
+   the model's [replace_top]. Its layout, and so the pop order of
+   equal keys, can differ from [remove_min] followed by [add]: the two
+   agree on every pop of a distinct key, and the model test pins the
+   fused order exactly. *)
 
 type t = {
   mutable times : float array;
@@ -51,8 +57,9 @@ let grow t =
   t.pa <- npa;
   t.pb <- npb
 
-(* The loops below index only within [0, size), which the [grow] check
-   in [add] keeps in bounds, so the unchecked accesses are safe. *)
+(* The loops below index only within [0, size] (slot [size] is the
+   sift-down's sentinel), which the [grow] checks in [add] and
+   [replace_min] keep in bounds, so the unchecked accesses are safe. *)
 
 (* Raise the entry at [i0] to its place: parents strictly larger than it
    shift down one level, and it lands in the freed slot. *)
@@ -107,51 +114,76 @@ let[@inline] min_b t =
   Array.unsafe_get t.pb 0
 [@@alloc_free]
 
+(* Sink the entry at the root to its place among [0, n): the strictly
+   smaller child (left preferred on ties) rises one level while the
+   entry is strictly larger than it; one final store places the entry.
+   Positions match the swap formulation comparison for comparison.
+
+   The caller keeps slot [n] at +inf, a sentinel, so a live left child
+   [l < n] always has a readable right sibling [l + 1 <= n]: the child
+   pick needs no [r < n] test and is branch-free. A real right child
+   compares exactly as before; the sentinel never wins ([+inf < x] is
+   false for every non-NaN [x]), which is the old "no right child, take
+   the left" case. *)
+let sift_down t n =
+  let times = t.times and pa = t.pa and pb = t.pb in
+  let tt = Array.unsafe_get times 0 in
+  let aa = Array.unsafe_get pa 0 in
+  let bb = Array.unsafe_get pb 0 in
+  let i = ref 0 in
+  let continue_ = ref true in
+  while !continue_ do
+    let j = !i in
+    let l = (2 * j) + 1 in
+    if l >= n then continue_ := false
+    else begin
+      let c =
+        l
+        + Bool.to_int (Array.unsafe_get times (l + 1) < Array.unsafe_get times l)
+      in
+      if Array.unsafe_get times c < tt then begin
+        Array.unsafe_set times j (Array.unsafe_get times c);
+        Array.unsafe_set pa j (Array.unsafe_get pa c);
+        Array.unsafe_set pb j (Array.unsafe_get pb c);
+        i := c
+      end
+      else continue_ := false
+    end
+  done;
+  if !i <> 0 then begin
+    Array.unsafe_set times !i tt;
+    Array.unsafe_set pa !i aa;
+    Array.unsafe_set pb !i bb
+  end
+[@@alloc_free]
+
+(* The displaced last entry moves to the root and sinks; the slot it
+   vacates becomes the sentinel. *)
 let remove_min t =
   if t.size = 0 then invalid_arg "Event_calendar.remove_min: empty";
   let n = t.size - 1 in
   t.size <- n;
   if n > 0 then begin
     let times = t.times and pa = t.pa and pb = t.pb in
-    (* Sink the displaced last entry from the root: the strictly
-       smaller child (left preferred on ties) rises one level while the
-       entry is strictly larger than it; one final store places the
-       entry. Positions match the swap formulation comparison for
-       comparison.
-
-       The vacated slot [n] becomes a +inf sentinel, so a live left
-       child [l < n] always has a readable right sibling [l + 1 <= n]:
-       the child pick needs no [r < n] test and is branch-free. A real
-       right child compares exactly as before; the sentinel never wins
-       ([+inf < x] is false for every non-NaN [x]), which is the old
-       "no right child, take the left" case. *)
-    let tt = Array.unsafe_get times n in
-    let aa = Array.unsafe_get pa n in
-    let bb = Array.unsafe_get pb n in
+    Array.unsafe_set times 0 (Array.unsafe_get times n);
+    Array.unsafe_set pa 0 (Array.unsafe_get pa n);
+    Array.unsafe_set pb 0 (Array.unsafe_get pb n);
     Array.unsafe_set times n Float.infinity;
-    let i = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      let j = !i in
-      let l = (2 * j) + 1 in
-      if l >= n then continue_ := false
-      else begin
-        let c =
-          l
-          + Bool.to_int
-              (Array.unsafe_get times (l + 1) < Array.unsafe_get times l)
-        in
-        if Array.unsafe_get times c < tt then begin
-          Array.unsafe_set times j (Array.unsafe_get times c);
-          Array.unsafe_set pa j (Array.unsafe_get pa c);
-          Array.unsafe_set pb j (Array.unsafe_get pb c);
-          i := c
-        end
-        else continue_ := false
-      end
-    done;
-    Array.unsafe_set times !i tt;
-    Array.unsafe_set pa !i aa;
-    Array.unsafe_set pb !i bb
+    sift_down t n
   end
+[@@alloc_free]
+
+(* The new entry takes the root's slot and sinks. The slot just past
+   the live entries becomes the sentinel, which needs it to exist: at
+   full capacity the arrays grow first. *)
+let[@inline] replace_min t ~time a b =
+  if t.size = 0 then invalid_arg "Event_calendar.replace_min: empty";
+  if Float.is_nan time then invalid_arg "Event_calendar.replace_min: NaN time";
+  let n = t.size in
+  if n = Array.length t.times then (grow [@alloc_cold]) t;
+  Array.unsafe_set t.times n Float.infinity;
+  Array.unsafe_set t.times 0 time;
+  Array.unsafe_set t.pa 0 a;
+  Array.unsafe_set t.pb 0 b;
+  sift_down t n
 [@@alloc_free]

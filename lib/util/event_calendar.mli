@@ -43,3 +43,12 @@ val min_b : t -> int
 
 val remove_min : t -> unit
 (** Drop the earliest event. Raises [Invalid_argument] if empty. *)
+
+val replace_min : t -> time:float -> int -> int -> unit
+(** [replace_min t ~time a b] drops the earliest event and inserts
+    [(time, a, b)] with one sift-down from the root: the new entry takes
+    the root's slot and sinks below every strictly smaller child, the
+    smaller child rising (left preferred on ties), the [replace_top] of
+    the generic heap in test/heap.ml. Among equal keys its pop order
+    can differ from {!remove_min} followed by {!add}. Raises
+    [Invalid_argument] if empty or if [time] is NaN. *)

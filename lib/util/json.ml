@@ -255,4 +255,13 @@ let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function List l -> Some l | _ -> None
 let to_str = function String s -> Some s | _ -> None
 
-let equal = ( = )
+let rec equal a b =
+  match (a, b) with
+  | Null, Null -> true
+  | Bool x, Bool y -> Bool.equal x y
+  | Float x, Float y -> Float.equal x y
+  | String x, String y -> String.equal x y
+  | List xs, List ys -> List.equal equal xs ys
+  | Obj xs, Obj ys ->
+      List.equal (fun (k, v) (k', v') -> String.equal k k' && equal v v') xs ys
+  | (Null | Bool _ | Float _ | String _ | List _ | Obj _), _ -> false

@@ -38,4 +38,5 @@ val to_list : t -> t list option
 val to_str : t -> string option
 
 val equal : t -> t -> bool
-(** Structural equality; object key order is significant. *)
+(** Structural equality; object key order is significant, and numbers
+    compare with [Float.equal]. *)

@@ -44,6 +44,14 @@ let push t x =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
+(* Drop the top and insert [x] with one sift-down from the root: the
+   fused pop-and-push, under the same strict-less, left-preferred
+   sift-down as [pop]. *)
+let replace_top t x =
+  if t.size = 0 then invalid_arg "Heap.replace_top: empty";
+  t.data.(0) <- x;
+  sift_down t 0
+
 let peek t = if t.size = 0 then None else Some t.data.(0)
 
 let pop t =

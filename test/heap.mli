@@ -16,6 +16,12 @@ val pop : 'a t -> 'a option
 val pop_exn : 'a t -> 'a
 (** Raises [Invalid_argument] when empty. *)
 
+val replace_top : 'a t -> 'a -> unit
+(** Drop the smallest element and insert the given one with one
+    sift-down from the root (strict-less, left child preferred on
+    ties), the model of [Event_calendar.replace_min]. Raises
+    [Invalid_argument] when empty. *)
+
 val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
 val to_sorted_list : 'a t -> 'a list
 (** Drains the heap. *)

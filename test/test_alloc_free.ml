@@ -61,9 +61,10 @@ let test_event_calendar () =
   (* capacity pre-sized: the [@alloc_cold] grow path must not fire
      mid-measurement (length never exceeds 2 here anyway) *)
   let cal = Cal.create ~capacity:64 () in
-  check_alloc_free "Event_calendar.add/remove_min" (fun () ->
+  check_alloc_free "Event_calendar.add/replace_min/remove_min" (fun () ->
       Cal.add cal ~time:2.5 7 9;
       Cal.add cal ~time:1.5 3 4;
+      Cal.replace_min cal ~time:3.5 5 6;
       Cal.remove_min cal;
       Cal.remove_min cal)
 
@@ -194,32 +195,34 @@ let test_platform_simulate_bounded () =
       per_q
 
 let test_platform_shared_bounded () =
-  (* The fleet case of the same loop, contested picks and deadline
-     withdrawals included, under the same dev-profile boxing floor plus
-     the live callback's boxed completion time (2 words per answer):
-     ~10 words per question. The loop's own per-event state lives in
-     the scratch, so doubling every batch adds no structural
-     allocation. *)
+  (* The fleet case of the same loop, contested picks, deadline
+     withdrawals and in-loop vote tallies included (three repetitions
+     per posted slot, as the server posts them), with no observer: a
+     counted answer is one increment of its query's tally, with no
+     callback to box its completion time for. Under the same
+     dev-profile boxing floor that reads ~9.5 words per question; the
+     bound drops the 2 words per answer the per-answer callback's boxed
+     time was allowed. The loop's own per-event state lives in the
+     scratch, so doubling every batch adds no structural allocation. *)
   let p = Platform.create () in
   let scratch = Platform.scratch () in
   let rng = Rng.create 7 in
   let sizes = [| 30; 60; 90; 120; 45; 75; 150; 30 |] in
   let deadlines = [| 400.; infinity; 300.; 600.; infinity; 250.; 1000.; 200. |] in
-  let on_complete ~query:_ _ _ = () in
   let fleet_words k =
     let qs = Array.map (fun q -> k * q) sizes in
+    let tallies = Array.map (fun q -> Array.make (q / 3) 0) qs in
     words_for ~n:1 (fun () ->
         ignore
-          (Platform.simulate_shared ~deadlines ~scratch p rng
-             ~pick:Platform.Proportional ~on_complete qs
+          (Platform.simulate_shared ~deadlines ~scratch ~tallies p rng
+             ~pick:Platform.Proportional qs
             : Platform.report array))
   in
   let per_q = (fleet_words 2 -. fleet_words 1) /. 600.0 in
-  if per_q > 12.0 then
+  if per_q > 10.0 then
     Alcotest.failf
       "Platform.simulate_shared: %.1f minor words per question (dev-profile \
-       floor plus the callback's boxed time is ~10; the event loop gained \
-       a per-event allocation)"
+       floor is ~9.5; the event loop gained a per-event allocation)"
       per_q
 
 (* Words [f] allocates straight into the major heap. The leading minor

@@ -4,7 +4,8 @@
    rng draw sequence only stays bit-identical if events with equal
    timestamps pop in exactly the same order — so the property below
    compares full (time, a, b) triples, not just times, after every
-   operation of a random push/pop interleaving. Times come from a small
+   operation of a random push/pop/replace interleaving ([replace_min]
+   against the model's [replace_top]). Times come from a small
    discrete pool so duplicate timestamps are the common case, not a
    corner case. *)
 
@@ -18,9 +19,10 @@ let time_pool = [| 0.0; 1.5; 3.0; 7.25 |]
 let ref_heap () =
   Heap.create ~cmp:(fun (t1, _, _) (t2, _, _) -> Float.compare t1 t2)
 
-(* One op per generated int: every fourth value pops, the rest push a
-   triple whose payload is a fresh counter value, so any divergence in
-   tie order shows up as a payload mismatch. Returns false on the first
+(* One op per generated int: a quarter of the values pop, a quarter
+   replace the root, the rest push; a pushed or replacing triple carries
+   a fresh counter value as payload, so any divergence in tie order
+   shows up as a payload mismatch. Returns false on the first
    disagreement between the calendar and the model. *)
 let run_ops ops =
   let cal = EC.create ~capacity:1 () in
@@ -36,9 +38,25 @@ let run_ops ops =
         && EC.min_a cal = a
         && EC.min_b cal = b
   in
+  let fresh n =
+    let t = time_pool.(n mod Array.length time_pool) in
+    let a = !k and b = (2 * !k) + 1 in
+    incr k;
+    (t, a, b)
+  in
   List.iter
     (fun n ->
-      (if n land 3 = 0 then
+      (if n land 7 >= 6 then begin
+         if Heap.is_empty heap then begin
+           if not (EC.is_empty cal) then ok := false
+         end
+         else begin
+           let ((t, a, b) as x) = fresh (n lsr 3) in
+           EC.replace_min cal ~time:t a b;
+           Heap.replace_top heap x
+         end
+       end
+       else if n land 3 = 0 then
          match Heap.pop heap with
          | None -> if not (EC.is_empty cal) then ok := false
          | Some (t, a, b) ->
@@ -51,11 +69,9 @@ let run_ops ops =
                EC.remove_min cal
              end
        else begin
-         let t = time_pool.(n mod Array.length time_pool) in
-         let a = !k and b = (2 * !k) + 1 in
-         incr k;
+         let ((t, a, b) as x) = fresh n in
          EC.add cal ~time:t a b;
-         Heap.push heap (t, a, b)
+         Heap.push heap x
        end);
       if EC.length cal <> Heap.length heap then ok := false;
       if not (roots_agree ()) then ok := false)
@@ -76,7 +92,8 @@ let ops_arb = Q.list_of_size Q.Gen.(int_range 0 400) Q.small_nat
 
 let prop_model =
   Q.Test.make ~count:200
-    ~name:"event_calendar: model vs Heap (push/pop, ties, payloads)" ops_arb
+    ~name:"event_calendar: model vs Heap (push/pop/replace, ties, payloads)"
+    ops_arb
     run_ops
 
 let qcheck_tests = List.map QCheck_alcotest.to_alcotest [ prop_model ]
@@ -98,8 +115,13 @@ let test_empty_raises () =
   check_bool "min_a empty" true (raises (fun () -> EC.min_a cal));
   check_bool "min_b empty" true (raises (fun () -> EC.min_b cal));
   check_bool "remove_min empty" true (raises (fun () -> EC.remove_min cal));
+  check_bool "replace_min empty" true
+    (raises (fun () -> EC.replace_min cal ~time:1.0 0 0));
   check_bool "nan add" true
-    (raises (fun () -> EC.add cal ~time:Float.nan 0 0))
+    (raises (fun () -> EC.add cal ~time:Float.nan 0 0));
+  EC.add cal ~time:1.0 0 0;
+  check_bool "nan replace_min" true
+    (raises (fun () -> EC.replace_min cal ~time:Float.nan 0 0))
 
 let test_growth_and_order () =
   (* Capacity 1 forces repeated doubling; a linear-congruential walk
@@ -132,9 +154,10 @@ let test_clear () =
   check_bool "usable after clear" true (EC.min_time cal = 9.0 && EC.min_a cal = 7)
 
 (* Scripted edge cases against the Heap model. [`Push t] pushes a fresh
-   payload at key [t], [`Pop] compares and removes the root, [`Clear]
-   empties both; every step compares length and root, and the tail is
-   drained in order. *)
+   payload at key [t], [`Pop] compares and removes the root,
+   [`Replace t] compares the root and replaces it by a fresh payload at
+   key [t], [`Clear] empties both; every step compares length and root,
+   and the tail is drained in order. *)
 let scripted ~capacity ops =
   let cal = EC.create ~capacity () in
   let heap = ref (ref_heap ()) in
@@ -160,6 +183,11 @@ let scripted ~capacity ops =
           Heap.push !heap (t, !k, -(!k));
           incr k
       | `Pop -> pop ()
+      | `Replace t ->
+          check_bool "root agrees" true (same_root ());
+          EC.replace_min cal ~time:t !k (-(!k));
+          Heap.replace_top !heap (t, !k, -(!k));
+          incr k
       | `Clear ->
           EC.clear cal;
           heap := ref_heap ());
@@ -200,6 +228,20 @@ let test_infinite_keys () =
     (pushes [ inf; 1.0; inf; 0.0; inf ] @ pops 3 @ pushes [ inf; 2.0 ]);
   scripted ~capacity:4 (pushes [ inf; inf; inf; inf; inf ] @ pops 2)
 
+(* A replace at full capacity grows the arrays for its sentinel slot;
+   replaced keys below, equal to and above the others sink or stay. *)
+let test_replace_at_capacity () =
+  List.iter
+    (fun capacity ->
+      let fill = List.init capacity (fun i -> float_of_int ((i * 3) mod 4)) in
+      scripted ~capacity
+        (pushes fill
+        @ [ `Replace 2.0; `Replace 0.0; `Replace 3.0; `Replace inf ]
+        @ pushes [ 1.0 ]
+        @ [ `Pop; `Replace 1.0; `Replace 1.0 ]
+        @ pushes [ 1.0 ] @ [ `Replace 1.0 ]))
+    [ 1; 2; 3; 4; 7; 8 ]
+
 let test_clear_after_drain () =
   scripted ~capacity:2
     (pushes [ 2.0; 1.0; 3.0 ] @ pops 3 @ [ `Clear ] @ pushes [ 5.0; 4.0 ]
@@ -217,6 +259,7 @@ let suite =
           tc "growth at the sentinel boundary" `Quick
             test_growth_at_sentinel_boundary;
           tc "+inf keys" `Quick test_infinite_keys;
+          tc "replace_min at full capacity" `Quick test_replace_at_capacity;
           tc "clear after drain" `Quick test_clear_after_drain;
         ] );
   ]

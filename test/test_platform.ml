@@ -187,6 +187,28 @@ let test_deadline_validation () =
     (Invalid_argument "Platform: deadline must be > 0") (fun () ->
       ignore (P.batch_latency ~deadline:Float.nan p (Rng.create 3) 4))
 
+let test_tally_validation () =
+  let p = P.create () in
+  Alcotest.check_raises "empty tally"
+    (Invalid_argument "Platform: empty tally for a non-empty batch")
+    (fun () -> ignore (P.simulate ~tally:[||] p (Rng.create 3) 4));
+  Alcotest.check_raises "empty shared tally"
+    (Invalid_argument "Platform: empty tally for a non-empty batch")
+    (fun () ->
+      ignore
+        (P.simulate_shared ~tallies:[| [| 0 |]; [||] |] p (Rng.create 3)
+           ~pick:P.Fifo [| 2; 3 |]));
+  Alcotest.check_raises "tallies length"
+    (Invalid_argument "Platform.simulate_shared: tallies length mismatch")
+    (fun () ->
+      ignore
+        (P.simulate_shared ~tallies:[| [| 0 |] |] p (Rng.create 3)
+           ~pick:P.Fifo [| 2; 3 |]));
+  (* An empty batch takes an empty tally and credits nothing. *)
+  let tally = [||] in
+  let r = P.simulate ~tally p (Rng.create 3) 0 in
+  Alcotest.(check int) "empty batch" 0 r.P.completed
+
 let test_deadline_partial_deterministic () =
   (* A cutoff inside the burst window: the callbacks agree with the
      report, none lands after the deadline, and the partial run is
@@ -675,6 +697,7 @@ let suite =
         tc "deadline infinity bit-identical" `Quick test_deadline_infinity_bit_identical;
         tc "deadline partition + monotone" `Quick test_deadline_partition_and_monotone;
         tc "deadline validation" `Quick test_deadline_validation;
+        tc "tally validation" `Quick test_tally_validation;
         tc "deadline partial deterministic" `Quick
           test_deadline_partial_deterministic;
         tc "diurnal peak beats trough" `Slow test_diurnal_peak_beats_trough;

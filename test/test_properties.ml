@@ -1090,6 +1090,152 @@ let prop_shared_market_invariants =
       && Array.map bits reports = Array.map bits reports2
       && stream = stream2)
 
+(* The reference vote step the platform's in-loop tally replaced:
+   raw completion [idx] of a [votes * posted] batch credits question
+   [idx mod posted], and slots at or past the counted length are
+   padding. *)
+let count_vote counts ~posted idx =
+  let slot = idx mod posted in
+  if slot < Array.length counts then counts.(slot) <- counts.(slot) + 1
+
+(* In-loop tallies against the completion stream, over generated solo
+   and shared markets: 1-8 queries of 1-4 votes over 0-60 posted slots,
+   of which a prefix is counted (the rest is padding), deadlines that
+   never bind, cut before anything is visible or land mid-batch
+   (withdrawals and discards), both pick policies, steady, diurnal and
+   fixed-service supply. A run that tallies must credit exactly what
+   [count_vote] builds from a plain run's observed stream, padding
+   slots included, and must leave the reports, the rng draws and the
+   stream (up to the slot wrap) as they were; a tallying run with no
+   observer tallies the same. The solo case runs [simulate] on the
+   first query. *)
+let prop_tallies_match_stream =
+  let module P = Crowdmax_crowd.Platform in
+  let post = P.default_config.P.post_overhead in
+  let deadline_gen =
+    Q.Gen.(
+      oneof
+        [
+          return Float.infinity;
+          float_range 1.0 (post -. 1.0);
+          map (fun d -> post +. d) (float_range 1.0 400.0);
+        ])
+  in
+  let query_gen =
+    Q.Gen.(
+      int_range 1 4 >>= fun votes ->
+      oneof [ return 0; int_range 1 60 ] >>= fun posted ->
+      int_range 0 posted >>= fun counted ->
+      deadline_gen >>= fun deadline -> return (votes, posted, counted, deadline))
+  in
+  let configs =
+    [|
+      P.default_config;
+      { P.default_config with P.diurnal_amplitude = 0.8; diurnal_period = 4000.0 };
+      { P.default_config with
+        P.service = { W.median_seconds = 20.0; sigma = 0.0 } };
+    |]
+  in
+  Q.Test.make ~name:"in-loop tallies = count_vote over the completion stream"
+    ~count:200
+    (Q.make
+       ~print:(fun (queries, proportional, config, seed) ->
+         Printf.sprintf "queries=[%s] %s config=%d seed=%d"
+           (String.concat "; "
+              (List.map
+                 (fun (v, p, c, d) -> Printf.sprintf "(%d,%d,%d,%h)" v p c d)
+                 (Array.to_list queries)))
+           (if proportional then "Proportional" else "Fifo")
+           config seed)
+       Q.Gen.(
+         int_range 1 8 >>= fun nq ->
+         array_repeat nq query_gen >>= fun queries ->
+         bool >>= fun proportional ->
+         int_range 0 (Array.length configs - 1) >>= fun config ->
+         int_range 0 100_000 >>= fun seed ->
+         return (queries, proportional, config, seed)))
+    (fun (queries, proportional, config, seed) ->
+      let platform = P.create ~config:configs.(config) () in
+      let pick = if proportional then P.Proportional else P.Fifo in
+      let posted = Array.map (fun (_, p, _, _) -> p) queries in
+      let counted = Array.map (fun (_, _, c, _) -> c) queries in
+      let raw = Array.map (fun (v, p, _, _) -> v * p) queries in
+      let deadlines = Array.map (fun (_, _, _, d) -> d) queries in
+      let bits (r : P.report) =
+        ( Int64.bits_of_float r.P.latency,
+          Int64.bits_of_float r.P.last_completion,
+          (r.P.completed, r.P.in_flight, r.P.unassigned, r.P.deadline_hit) )
+      in
+      let fresh_tallies () = Array.map (fun p -> Array.make p 0) posted in
+      (* Each run returns its reports' bits, its observed stream, and
+         the rng's draw count and next value. *)
+      let run ~observe ?tallies () =
+        let rng = Rng.create seed in
+        let base = Rng.copy rng in
+        let stream = ref [] in
+        let on_complete ~query idx time =
+          stream := (query, idx, Int64.bits_of_float time) :: !stream
+        in
+        let reports =
+          if observe then
+            P.simulate_shared ~deadlines ?tallies ~on_complete platform rng
+              ~pick raw
+          else P.simulate_shared ~deadlines ?tallies platform rng ~pick raw
+        in
+        ( Array.map bits reports,
+          Array.map (fun (r : P.report) -> r.P.completed) reports,
+          List.rev !stream,
+          (Rng.draws_since ~base rng, Rng.bits64 rng) )
+      in
+      let reports, completed, stream, draws = run ~observe:true () in
+      let reference = Array.map (fun c -> Array.make c 0) counted in
+      List.iter
+        (fun (query, idx, _) ->
+          count_vote reference.(query) ~posted:posted.(query) idx)
+        stream;
+      let tallies = fresh_tallies () in
+      let reports_t, _, stream_t, draws_t = run ~observe:true ~tallies () in
+      let quiet = fresh_tallies () in
+      let reports_q, _, _, draws_q = run ~observe:false ~tallies:quiet () in
+      let wrapped =
+        List.map
+          (fun (query, idx, time) -> (query, idx mod posted.(query), time))
+          stream
+      in
+      let counted_prefix_ok =
+        Array.for_all2
+          (fun tally reference ->
+            Array.sub tally 0 (Array.length reference) = reference)
+          tallies reference
+      in
+      let sum a = Array.fold_left ( + ) 0 a in
+      (* The solo loop on the first query. *)
+      let solo =
+        let rng = Rng.create seed and rng_t = Rng.create seed in
+        let idxs = ref [] in
+        let r =
+          P.simulate ~deadline:deadlines.(0) platform rng raw.(0)
+            ~on_complete:(fun idx _ -> idxs := idx :: !idxs)
+        in
+        let tally = Array.make posted.(0) 0 in
+        let r_t =
+          P.simulate ~deadline:deadlines.(0) ~tally platform rng_t raw.(0)
+        in
+        let reference = Array.make counted.(0) 0 in
+        List.iter (count_vote reference ~posted:posted.(0)) !idxs;
+        bits r = bits r_t
+        && Int64.equal (Rng.bits64 rng) (Rng.bits64 rng_t)
+        && Array.sub tally 0 counted.(0) = reference
+        && sum tally = r.P.completed
+      in
+      counted_prefix_ok
+      && Array.for_all2 (fun tally n -> sum tally = n) tallies completed
+      && reports_t = reports && reports_q = reports
+      && draws_t = draws && draws_q = draws
+      && stream_t = wrapped
+      && Array.for_all2 (fun a b -> a = b) quiet tallies
+      && solo)
+
 let suite =
   [
     ( "properties",
@@ -1129,5 +1275,6 @@ let suite =
           prop_closed_loop_replicate_jobs_deterministic;
           prop_one_query_fleet_matches_adaptive;
           prop_shared_market_invariants;
+          prop_tallies_match_stream;
         ] );
   ]

@@ -15,3 +15,9 @@ let prefix_before (xs : int list) ys = xs <= ys
 let hotter (a : float) b = a > b
 let alphabetical (a : string) b = a < b
 let bounded (n : int) = n >= 0
+
+(* An operand still typed by a type variable at the primitive: the
+   function is generalized over what it compares, so the compiled [>]
+   is the generic compare whatever array a caller passes, and no call
+   site shows the comparison to R1. *)
+let ranked_above ranks a b = ranks.(a) > ranks.(b)

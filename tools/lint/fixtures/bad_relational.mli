@@ -7,3 +7,4 @@ val prefix_before : int list -> int list -> bool
 val hotter : float -> float -> bool
 val alphabetical : string -> string -> bool
 val bounded : int -> bool
+val ranked_above : 'a array -> int -> int -> bool

@@ -14,7 +14,10 @@
         one and direct applications specialize — but structured types
         are not. [(sw, w) > (sl, l)] on int pairs, the escape
         [Rwl.break_cycles] shipped with, silently means lexicographic
-        comparison; spell that out with [Int.compare].
+        comparison; spell that out with [Int.compare]. An operand
+        whose type is still a type variable at the primitive (a
+        function generalized over what it compares) is flagged under
+        either verdict: the comparison stays polymorphic at runtime.
 
    R2 — determinism. The deterministic-replication guarantee (same
         seed + same jobs count => bit-identical aggregates) dies the
@@ -86,7 +89,7 @@ let check_r1 ctx ~relational op e =
   match first_param env e.exp_type with
   | None -> ()
   | Some arg -> (
-      match Type_safety.poly_verdict ~relational env arg with
+      match Type_safety.operand_verdict ~relational env arg with
       | Type_safety.Safe -> ()
       | Type_safety.Unsafe why ->
           report ctx ~loc:e.exp_loc ~rule:"R1"

@@ -18,6 +18,9 @@
    silently means lexicographic-by-field, the exact escape
    [Rwl.break_cycles] shipped with.
 
+   [operand_verdict] is [poly_verdict] at a comparison's operand: an
+   operand still typed by a type variable there is Unsafe.
+
    [mutable_verdict] answers "does this type denote shared mutable
    storage?" (rule R3): refs, arrays, bytes, hash tables, buffers,
    queues, stacks, RNG state, and records with mutable fields. Used on
@@ -49,7 +52,7 @@ let rec poly_verdict ?(relational = false) ?(depth = 0) env ty =
     let descend t = poly_verdict ~relational ~depth:(depth + 1) env t in
     let ty = expand env ty in
     match get_desc ty with
-    | Tvar _ | Tunivar _ -> Safe (* still polymorphic here: judged at use sites *)
+    | Tvar _ | Tunivar _ -> Safe (* a parameter of a container: see [operand_verdict] *)
     | Tpoly (t, _) -> descend t
     | Tlink t | Tsubst (t, _) -> descend t
     | Tarrow _ -> Unsafe "a function type (structural comparison raises)"
@@ -116,6 +119,22 @@ and constr_verdict ~relational env depth p args =
             (* expand_head already chased manifests, so this is truly
                opaque from here. *)
             Unsafe "an abstract type (representation may be float-bearing)")
+
+(* R1's verdict on a comparison's operand type. An operand that is
+   itself still a type variable where the primitive is applied — inside
+   a function generalized over its argument — leaves the comparison
+   polymorphic in the compiled code: it runs the generic [caml_compare]
+   family (with its float-array tag tests) whatever type a caller
+   passes, and no use site ever shows the comparison to R1. A type
+   variable under a container ([_ list], [_ option]) keeps the old
+   benefit of the doubt. *)
+let operand_verdict ?relational env ty =
+  match get_desc (expand env ty) with
+  | Tvar _ | Tunivar _ ->
+      Unsafe
+        "a type variable (the comparison stays polymorphic at runtime; \
+         annotate the operand's type)"
+  | _ -> poly_verdict ?relational env ty
 
 let stdlib_mutable_containers =
   [
